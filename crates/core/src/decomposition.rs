@@ -3,6 +3,11 @@
 use mpx_graph::{CsrGraph, Dist, GraphView, Vertex, NO_VERTEX};
 use rayon::prelude::*;
 
+/// Smallest number of vertices one parallel chunk of the `O(1)`-per-vertex
+/// passes handles: below it they run inline (recursive pipelines assemble
+/// thousands of tiny decompositions, where the pool fan-out would dominate).
+const PAR_MIN_LEN: usize = 4096;
+
 /// A low-diameter decomposition: a partition of `V` into clusters, each
 /// identified by its *center* vertex (the `u` whose shifted distance the
 /// cluster members minimize — paper Definition 1.1 / Section 3).
@@ -29,6 +34,11 @@ impl Decomposition {
     /// assigned to itself), `dist[v]` its hop distance to that center, and
     /// `parent[v]` its predecessor on the cluster-internal BFS path
     /// (`NO_VERTEX` iff `dist[v] == 0`).
+    ///
+    /// Panics unless every assigned center is an in-range, self-assigned
+    /// vertex and `dist[v] == 0` iff `v` is self-assigned iff `parent[v]`
+    /// is `NO_VERTEX` — the graph-independent invariants, which
+    /// [`crate::verify_decomposition`] therefore takes as given.
     pub fn from_raw(
         assignment: Vec<Vertex>,
         dist_to_center: Vec<Dist>,
@@ -37,13 +47,25 @@ impl Decomposition {
         let n = assignment.len();
         assert_eq!(dist_to_center.len(), n);
         assert_eq!(parent.len(), n);
-        let mut centers: Vec<Vertex> = assignment.clone();
-        centers.par_sort_unstable();
-        centers.dedup();
-        // Dense cluster ids via binary search over the sorted center list.
+        // The centers are the self-assigned vertices, which a parallel
+        // filter yields in ascending order; a cluster's dense id is its
+        // center's rank in that list.
+        let centers: Vec<Vertex> = (0..n as Vertex)
+            .into_par_iter()
+            .with_min_len(PAR_MIN_LEN)
+            .filter(|&v| assignment[v as usize] == v)
+            .collect();
+        let mut rank = vec![0 as Vertex; n];
+        for (i, &c) in centers.iter().enumerate() {
+            rank[c as usize] = i as Vertex;
+        }
         let cluster_index: Vec<Vertex> = assignment
             .par_iter()
-            .map(|&c| centers.binary_search(&c).expect("center present") as Vertex)
+            .with_min_len(PAR_MIN_LEN)
+            .map(|&c| match assignment.get(c as usize) {
+                Some(&a) if a == c => rank[c as usize],
+                _ => panic!("invalid decomposition: center {c} is not a self-assigned vertex"),
+            })
             .collect();
         let d = Decomposition {
             assignment,
@@ -91,26 +113,29 @@ impl Decomposition {
     }
 
     /// Internal coherence checks (cheap; full graph-aware verification lives
-    /// in [`crate::verify_decomposition`]).
+    /// in [`crate::verify_decomposition`]): `dist 0` iff center iff no
+    /// parent, reporting the smallest offending vertex. The centers are
+    /// the self-assigned vertices by construction.
     pub fn check_internal(&self) -> Result<(), String> {
-        for &c in &self.centers {
-            if self.assignment[c as usize] != c {
-                return Err(format!("center {c} not assigned to itself"));
-            }
-            if self.dist_to_center[c as usize] != 0 {
-                return Err(format!("center {c} has nonzero distance"));
-            }
-        }
-        for v in 0..self.assignment.len() {
+        let violation = |v: usize| -> Option<String> {
             let is_center = self.assignment[v] == v as Vertex;
             if is_center != (self.dist_to_center[v] == 0) {
-                return Err(format!("vertex {v}: dist 0 iff center violated"));
+                Some(format!("vertex {v}: dist 0 iff center violated"))
+            } else if is_center != (self.parent[v] == NO_VERTEX) {
+                Some(format!("vertex {v}: parent NO_VERTEX iff center violated"))
+            } else {
+                None
             }
-            if is_center != (self.parent[v] == NO_VERTEX) {
-                return Err(format!("vertex {v}: parent NO_VERTEX iff center violated"));
-            }
+        };
+        match (0..self.assignment.len())
+            .into_par_iter()
+            .with_min_len(PAR_MIN_LEN)
+            .filter_map(violation)
+            .find_first(|_| true)
+        {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Number of vertices.
@@ -306,6 +331,40 @@ mod tests {
         // Vertex 1 claims center 0 but vertex 0 is assigned elsewhere.
         let _ =
             Decomposition::from_raw(vec![2, 0, 2], vec![1, 1, 0], vec![2, NO_VERTEX, NO_VERTEX]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_out_of_range_center() {
+        let _ = Decomposition::from_raw(vec![0, 7], vec![0, 1], vec![NO_VERTEX, 0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_center_with_parent() {
+        let _ = Decomposition::from_raw(vec![0, 0], vec![0, 1], vec![1, 0]);
+    }
+
+    #[test]
+    fn centers_and_cluster_ids_match_sorted_rank() {
+        // Above the parallel cutoff, with centers scattered over the ids:
+        // every vertex joins the center `v - v % 7`, so a cluster's dense
+        // id is `v / 7`.
+        let n = 3 * PAR_MIN_LEN + 5;
+        let assignment: Vec<Vertex> = (0..n as Vertex).map(|v| v - v % 7).collect();
+        let dist: Vec<Dist> = (0..n as Vertex).map(|v| v % 7).collect();
+        let parent: Vec<Vertex> = (0..n as Vertex)
+            .map(|v| if v % 7 == 0 { NO_VERTEX } else { v - 1 })
+            .collect();
+        let d = Decomposition::from_raw(assignment, dist, parent);
+        assert_eq!(d.num_clusters(), n.div_ceil(7));
+        assert!(d
+            .centers()
+            .iter()
+            .enumerate()
+            .all(|(i, &c)| c == 7 * i as Vertex));
+        assert!((0..n as Vertex).all(|v| d.cluster_of(v) == v / 7));
+        assert_eq!(d.check_internal(), Ok(()));
     }
 
     #[test]

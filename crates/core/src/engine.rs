@@ -621,7 +621,9 @@ fn partition_view_protocol<V: GraphView>(
         round += 1;
     }
 
-    // Copy the winning labels out of the (reusable) scratch arenas.
+    // Copy the winning labels out of the (reusable) scratch arenas and
+    // assemble the output.
+    let _assemble_span = mpx_trace::span!("engine.assemble", n = n);
     let copy_out = |arr: &[AtomicU32]| -> Vec<u32> {
         if n >= RESET_PAR_CUTOFF {
             arr.par_iter()
@@ -646,10 +648,9 @@ fn partition_view_protocol<V: GraphView>(
 /// neighbor exists for every non-center vertex; we panic otherwise because
 /// that would falsify the decomposition.
 ///
-/// Public (and re-exported as [`crate::parallel::compute_parents`] for the
-/// full-graph case) because every decomposition algorithm in the workspace,
-/// including the baselines, assembles its [`Decomposition`] through this
-/// helper.
+/// Public because every decomposition algorithm in the workspace, including
+/// the baselines and the Algorithm 2 oracle, assembles its
+/// [`Decomposition`] through this helper.
 pub fn compute_parents_view<V: GraphView>(
     view: &V,
     assignment: &[Vertex],

@@ -16,8 +16,8 @@
 //! Only use on small graphs.
 
 use crate::decomposition::Decomposition;
+use crate::engine::compute_parents_view;
 use crate::options::DecompOptions;
-use crate::parallel::compute_parents;
 use crate::shift::ExpShifts;
 use mpx_graph::algo::bfs;
 use mpx_graph::{CsrGraph, Dist, Vertex, INFINITY, NO_VERTEX};
@@ -57,7 +57,7 @@ pub fn partition_exact_with_shifts(g: &CsrGraph, shifts: &ExpShifts) -> Decompos
 
     let assignment: Vec<Vertex> = best.iter().map(|b| b.2).collect();
     let dist: Vec<Dist> = best.iter().map(|b| b.3).collect();
-    let parent = compute_parents(g, &assignment, &dist);
+    let parent = compute_parents_view(g, &assignment, &dist);
     Decomposition::from_raw(assignment, dist, parent)
 }
 

@@ -32,7 +32,7 @@ use crate::decomposition::Decomposition;
 use crate::engine;
 use crate::options::{DecompOptions, Traversal, DEFAULT_ALPHA};
 use crate::shift::ExpShifts;
-use mpx_graph::{CsrGraph, Dist, Vertex};
+use mpx_graph::CsrGraph;
 
 pub use crate::engine::PartitionTelemetry;
 
@@ -64,15 +64,6 @@ pub fn partition_with_shifts(
     shifts: &ExpShifts,
 ) -> (Decomposition, PartitionTelemetry) {
     engine::partition_view_with_shifts(g, shifts, Traversal::TopDownPar, DEFAULT_ALPHA)
-}
-
-/// Deterministic intra-cluster BFS parents over the full graph — the
-/// [`CsrGraph`] specialization of [`engine::compute_parents_view`], kept
-/// under its historical name because every decomposition algorithm in the
-/// workspace (including the baselines) assembles its [`Decomposition`]
-/// through it.
-pub fn compute_parents(g: &CsrGraph, assignment: &[Vertex], dist: &[Dist]) -> Vec<Vertex> {
-    engine::compute_parents_view(g, assignment, dist)
 }
 
 #[cfg(test)]

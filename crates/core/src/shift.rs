@@ -159,11 +159,16 @@ impl ExpShifts {
     pub fn regenerate_permuted(&mut self, n: usize, opts: &DecompOptions, new_to_old: &[u32]) {
         assert_eq!(new_to_old.len(), n, "permutation length != n");
         self.regenerate(n, opts);
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.par_sort_unstable_by_key(|&u| self.claim_key(u));
+        // Claim keys are unique and carry their vertex id in the low 32
+        // bits, so sorting the keys themselves yields the vertex order.
+        let mut keys: Vec<u64> = (0..n as u32)
+            .into_par_iter()
+            .map(|u| self.claim_key(u))
+            .collect();
+        keys.par_sort_unstable();
         let mut rank = vec![0u32; n];
-        for (r, &u) in order.iter().enumerate() {
-            rank[u as usize] = r as u32;
+        for (r, &key) in keys.iter().enumerate() {
+            rank[(key & u64::from(u32::MAX)) as usize] = r as u32;
         }
         let delta: Vec<f64> = new_to_old
             .par_iter()

@@ -1,25 +1,67 @@
 //! Full verification of decompositions against Definition 1.1.
 //!
-//! [`verify_decomposition`] checks, on a concrete output:
+//! [`verify_decomposition`] checks a concrete output over any
+//! [`GraphView`] in **one parallel pass over the vertices**. Each vertex
+//! `v` scans its neighbours once and checks a local certificate:
 //!
-//! 1. **Partition** — every vertex is assigned, every center to itself.
-//! 2. **Strong diameter** — a multi-source BFS from all centers that is
-//!    *restricted to intra-cluster edges* must reach every vertex at
-//!    exactly its recorded `dist_to_center`. This simultaneously proves
-//!    each piece is connected, that recorded distances are true
-//!    cluster-internal distances, and — because restricted distance equals
-//!    the recorded (unrestricted shifted-BFS) distance — it is a direct
-//!    machine check of the paper's Lemma 4.1.
-//! 3. **Parents** — each non-center's parent is an intra-cluster neighbour
-//!    one hop closer to the center.
-//! 4. **Cut edges** — counted for the `βm` side of Definition 1.1.
+//! * **(P)** its recorded parent `p(v)` is a neighbour in the same cluster
+//!   with `dist(p(v)) = dist(v) − 1`;
+//! * **(L)** no neighbour `u` in the same cluster has
+//!   `dist(u) + 1 < dist(v)`.
 //!
-//! Cost: `O(n + m)`, so it is cheap enough to run after every partition
-//! (the paper's Theorem 1.2 proof does exactly this inside its retry loop).
+//! The same scan counts `v`'s cut edges (neighbours `u > v` in another
+//! cluster, so each undirected edge counts once) for the `βm` side of
+//! Definition 1.1, and folds `dist(v)` into the radius statistics.
+//! [`Decomposition::from_raw`] has already enforced the graph-independent
+//! part: every assigned center is an in-range, self-assigned vertex, and
+//! `dist(v) = 0` iff `v` is self-assigned iff `v` has no parent.
+//!
+//! # Why the local check is the full check
+//!
+//! Write `c` for `v`'s center, `C` for its cluster, and `r(v)` for the
+//! distance from `c` to `v` inside the induced subgraph `G[C]` (∞ if `v`
+//! cannot reach `c` there). A decomposition is valid — each piece
+//! connected, recorded distances equal to intra-cluster distances (strong
+//! diameter ≤ 2·radius, and the paper's Lemma 4.1), parents on
+//! intra-cluster shortest paths — iff `dist(v) = r(v)` for every `v` and
+//! every parent satisfies (P). That is what a multi-source BFS from all
+//! centers over intra-cluster edges checks; (P) and (L) decide the same:
+//!
+//! * **`r ≤ dist`, from (P).** Following parents from `v` walks along
+//!   edges inside `C`, one distance step down each time, so after
+//!   `dist(v)` steps it reaches a vertex of `C` at distance 0. That vertex
+//!   is self-assigned, so it is `c`: `v` reaches `c` inside `C` within
+//!   `dist(v)` hops.
+//! * **`dist ≤ r`, from (L).** Along a shortest path
+//!   `c = x₀, x₁, …, x_k = v` in `G[C]`, `dist(x₀) = 0` and (L) at each
+//!   `x_{i+1}` gives `dist(x_{i+1}) ≤ dist(x_i) + 1`, so `dist(v) ≤ k`.
+//! * **Conversely**, true intra-cluster distances satisfy (L) by the
+//!   triangle inequality, and (P) is the parent check itself.
+//!
+//! So the verdict is exactly the BFS verifier's. A view's neighbour
+//! relation is symmetric, so (L) at both endpoints is the rule
+//! `|dist(u) − dist(v)| ≤ 1` on every intra-cluster edge. A disconnected
+//! cluster or a wrong distance surfaces as a broken parent chain or a
+//! Lemma 4.1 violation at some vertex. The scan never indexes by a parent
+//! id, so a corrupt (even out-of-range) parent is reported, not followed.
+//!
+//! # Cost
+//!
+//! `O(n + m)` work — every arc is read once, from its tail — with no queue
+//! and no scratch beyond the report, split into parallel chunks of
+//! vertices. That makes it cheap enough to run after every partition, as
+//! the paper's Theorem 1.2 retry argument does and as `mpx serve` does for
+//! every unweighted request.
 
 use crate::decomposition::Decomposition;
-use mpx_graph::{CsrGraph, Dist, Vertex, INFINITY};
-use std::collections::VecDeque;
+use mpx_graph::{Dist, GraphView, Vertex, NO_VERTEX};
+use rayon::prelude::*;
+
+/// Violations a report lists before summarizing the rest.
+const MAX_ERRORS: usize = 20;
+
+/// Smallest number of vertices one parallel chunk of the scan handles.
+const MIN_CHUNK: usize = 256;
 
 /// Result of verifying a [`Decomposition`] against its graph.
 #[must_use = "inspect is_valid()/errors — an unchecked report verifies nothing"]
@@ -35,7 +77,8 @@ pub struct VerifyReport {
     pub cut_edges: usize,
     /// `cut_edges / m` (0 when `m = 0`).
     pub cut_fraction: f64,
-    /// Human-readable violations; empty iff the decomposition is valid.
+    /// Human-readable violations, ascending by vertex; empty iff the
+    /// decomposition is valid.
     pub errors: Vec<String>,
 }
 
@@ -80,91 +123,112 @@ impl VerifyReport {
     }
 }
 
-/// Verifies `d` against `g`; see the module docs for the checked properties.
-pub fn verify_decomposition(g: &CsrGraph, d: &Decomposition) -> VerifyReport {
-    let n = g.num_vertices();
-    let mut errors = Vec::new();
-    if d.num_vertices() != n {
-        errors.push(format!(
-            "decomposition covers {} vertices, graph has {n}",
-            d.num_vertices()
-        ));
-        return report_with_errors(g, d, errors);
-    }
-    if let Err(e) = d.check_internal() {
-        errors.push(e);
-    }
-
-    // Restricted multi-source BFS: start from all centers, traverse only
-    // intra-cluster edges.
-    let mut rdist: Vec<Dist> = vec![INFINITY; n];
-    let mut queue: VecDeque<Vertex> = VecDeque::new();
-    for &c in d.centers() {
-        rdist[c as usize] = 0;
-        queue.push_back(c);
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = rdist[u as usize];
-        let cu = d.center_of(u);
-        for &v in g.neighbors(u) {
-            if d.center_of(v) == cu && rdist[v as usize] == INFINITY {
-                rdist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    for v in 0..n as Vertex {
-        if rdist[v as usize] == INFINITY {
-            errors.push(format!(
-                "vertex {v} unreachable from its center {} inside the cluster",
-                d.center_of(v)
-            ));
-        } else if rdist[v as usize] != d.dist_to_center(v) {
-            errors.push(format!(
-                "vertex {v}: recorded dist {} but intra-cluster dist {} (Lemma 4.1 violated)",
-                d.dist_to_center(v),
-                rdist[v as usize]
-            ));
-        }
-        if errors.len() > 20 {
-            errors.push("... further errors suppressed".into());
-            break;
-        }
-    }
-
-    // Parent sanity.
-    for v in 0..n as Vertex {
-        if let Some(p) = d.parent(v) {
-            if !g.has_edge(p, v)
-                || d.center_of(p) != d.center_of(v)
-                || d.dist_to_center(p) + 1 != d.dist_to_center(v)
-            {
-                errors.push(format!("vertex {v}: invalid parent {p}"));
-                break;
-            }
-        }
-    }
-
-    report_with_errors(g, d, errors)
+/// What one chunk of vertices contributes to a report.
+#[derive(Default)]
+struct Tally {
+    cut_edges: usize,
+    dist_sum: u64,
+    max_radius: Dist,
+    /// The first [`MAX_ERRORS`] violations, ascending by vertex.
+    errors: Vec<String>,
+    /// Whether violations beyond those were found.
+    suppressed: bool,
 }
 
-fn report_with_errors(g: &CsrGraph, d: &Decomposition, errors: Vec<String>) -> VerifyReport {
-    let n = d.num_vertices().max(1);
-    let cut_edges = if d.num_vertices() == g.num_vertices() {
-        d.cut_edges(g)
+impl Tally {
+    fn error(&mut self, message: impl FnOnce() -> String) {
+        if self.errors.len() < MAX_ERRORS {
+            self.errors.push(message());
+        } else {
+            self.suppressed = true;
+        }
+    }
+
+    /// Combines the tallies of consecutive vertex ranges, `self` first.
+    fn merge(mut self, other: Tally) -> Tally {
+        self.cut_edges += other.cut_edges;
+        self.dist_sum += other.dist_sum;
+        self.max_radius = self.max_radius.max(other.max_radius);
+        let room = MAX_ERRORS - self.errors.len();
+        self.suppressed |= other.suppressed || other.errors.len() > room;
+        self.errors.extend(other.errors.into_iter().take(room));
+        self
+    }
+}
+
+/// Verifies `d` against `view`; see the module docs for the checked
+/// properties and why they amount to the full Definition 1.1 check.
+pub fn verify_decomposition<V: GraphView>(view: &V, d: &Decomposition) -> VerifyReport {
+    let n = view.num_vertices();
+    let _span = mpx_trace::span!("verify.decomposition", n = n, edges = view.total_degree());
+    let tally = if d.num_vertices() != n {
+        Tally {
+            dist_sum: d.distances().iter().map(|&x| u64::from(x)).sum(),
+            max_radius: d.max_radius(),
+            errors: vec![format!(
+                "decomposition covers {} vertices, graph has {n}",
+                d.num_vertices()
+            )],
+            ..Tally::default()
+        }
     } else {
-        0
+        let (assignment, dist, parent) = (d.assignment(), d.distances(), d.parents());
+        (0..n as Vertex)
+            .into_par_iter()
+            .with_min_len(MIN_CHUNK)
+            .fold(Tally::default, |mut t, v| {
+                let (cv, dv, pv) = (
+                    assignment[v as usize],
+                    u64::from(dist[v as usize]),
+                    parent[v as usize],
+                );
+                // Centers have no parent to check (`from_raw`).
+                let mut parent_ok = pv == NO_VERTEX;
+                let mut closer = None;
+                for u in view.neighbors_iter(v) {
+                    if assignment[u as usize] != cv {
+                        t.cut_edges += usize::from(v < u);
+                        continue;
+                    }
+                    let du = u64::from(dist[u as usize]);
+                    parent_ok |= u == pv && du + 1 == dv;
+                    if du + 1 < dv && closer.is_none() {
+                        closer = Some(u);
+                    }
+                }
+                if !parent_ok {
+                    t.error(|| format!("vertex {v}: invalid parent {pv}"));
+                }
+                if let Some(u) = closer {
+                    t.error(|| {
+                        format!(
+                            "vertex {v}: recorded dist {dv} but same-cluster neighbour {u} \
+                             has dist {} (Lemma 4.1 violated)",
+                            dist[u as usize]
+                        )
+                    });
+                }
+                t.dist_sum += dv;
+                t.max_radius = t.max_radius.max(dv as Dist);
+                t
+            })
+            .reduce(Tally::default, Tally::merge)
     };
-    let m = g.num_edges();
+
+    let m = view.total_degree() / 2;
+    let mut errors = tally.errors;
+    if tally.suppressed {
+        errors.push("... further errors suppressed".into());
+    }
     VerifyReport {
         num_clusters: d.num_clusters(),
-        max_radius: d.max_radius(),
-        avg_radius: d.distances().iter().map(|&x| x as f64).sum::<f64>() / n as f64,
-        cut_edges,
+        max_radius: tally.max_radius,
+        avg_radius: tally.dist_sum as f64 / d.num_vertices().max(1) as f64,
+        cut_edges: tally.cut_edges,
         cut_fraction: if m == 0 {
             0.0
         } else {
-            cut_edges as f64 / m as f64
+            tally.cut_edges as f64 / m as f64
         },
         errors,
     }
@@ -175,7 +239,7 @@ mod tests {
     use super::*;
     use crate::options::DecompOptions;
     use crate::parallel::partition;
-    use mpx_graph::{gen, NO_VERTEX};
+    use mpx_graph::{gen, CsrGraph, NO_VERTEX};
 
     fn opts(beta: f64, seed: u64) -> DecompOptions {
         DecompOptions::new(beta).with_seed(seed)
@@ -226,6 +290,50 @@ mod tests {
     }
 
     #[test]
+    fn detects_distance_shorter_than_claimed_parent_chain_allows() {
+        // Cycle 0-1-2-3-0 in one cluster: vertex 2 claims distance 2 via
+        // parent 1, and vertex 3 claims 3 via parent 2 although it is
+        // adjacent to the center. Every parent is locally consistent;
+        // only the ±1 rule on the edge (0, 3) exposes the lie.
+        let g = gen::cycle(4);
+        let d =
+            Decomposition::from_raw(vec![0, 0, 0, 0], vec![0, 1, 2, 3], vec![NO_VERTEX, 0, 1, 2]);
+        let r = verify_decomposition(&g, &d);
+        assert_eq!(
+            r.errors,
+            vec![
+                "vertex 3: recorded dist 3 but same-cluster neighbour 0 has dist 0 \
+                 (Lemma 4.1 violated)"
+                    .to_string()
+            ]
+        );
+    }
+
+    #[test]
+    fn errors_are_sorted_by_vertex_and_capped() {
+        // Every non-center of a long path claims twice its distance, so
+        // each breaks both its parent check and the ±1 rule.
+        let n = 5000;
+        let g = gen::path(n);
+        let dist: Vec<Dist> = (0..n as Dist).map(|v| 2 * v).collect();
+        let parent: Vec<Vertex> = (0..n as Vertex)
+            .map(|v| if v == 0 { NO_VERTEX } else { v - 1 })
+            .collect();
+        let d = Decomposition::from_raw(vec![0; n], dist, parent);
+        let r = verify_decomposition(&g, &d);
+        assert_eq!(r.errors.len(), MAX_ERRORS + 1);
+        assert_eq!(r.errors[0], "vertex 1: invalid parent 0");
+        assert!(r.errors[1].starts_with("vertex 1: recorded dist 2 "));
+        let vertices: Vec<u32> = r.errors[..MAX_ERRORS]
+            .iter()
+            .map(|e| e["vertex ".len()..e.find(':').unwrap()].parse().unwrap())
+            .collect();
+        let expected: Vec<u32> = (1..=10).flat_map(|v| [v, v]).collect();
+        assert_eq!(vertices, expected);
+        assert_eq!(r.errors[MAX_ERRORS], "... further errors suppressed");
+    }
+
+    #[test]
     fn report_statistics_match_direct_computation() {
         let g = gen::grid2d(20, 20);
         let d = partition(&g, &opts(0.15, 7));
@@ -233,6 +341,9 @@ mod tests {
         assert_eq!(r.cut_edges, d.cut_edges(&g));
         assert_eq!(r.max_radius, d.max_radius());
         assert_eq!(r.num_clusters, d.num_clusters());
+        let sum: u64 = d.distances().iter().map(|&x| u64::from(x)).sum();
+        assert_eq!(r.avg_radius, sum as f64 / 400.0);
+        assert_eq!(r.cut_fraction, r.cut_edges as f64 / g.num_edges() as f64);
         assert!(r.is_valid());
     }
 
@@ -260,5 +371,17 @@ mod tests {
         let d = Decomposition::from_raw(vec![0], vec![0], vec![NO_VERTEX]);
         let r = verify_decomposition(&g, &d);
         assert!(!r.is_valid());
+        assert_eq!(r.cut_edges, 0);
+    }
+
+    #[test]
+    fn empty_graph_is_valid() {
+        let d = Decomposition::from_raw(Vec::new(), Vec::new(), Vec::new());
+        let r = verify_decomposition(&CsrGraph::empty(0), &d);
+        assert!(r.is_valid());
+        assert_eq!(
+            (r.num_clusters, r.cut_fraction, r.avg_radius),
+            (0, 0.0, 0.0)
+        );
     }
 }

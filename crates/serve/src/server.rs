@@ -24,7 +24,7 @@ use crate::protocol::{
     WireError, FRAME_HEADER_LEN,
 };
 use mpx_compress::MappedCompressedCsr;
-use mpx_decomp::{verify_weighted, DecompOptions, VerifyReport};
+use mpx_decomp::{verify_decomposition, verify_weighted, DecompOptions, VerifyReport};
 use mpx_graph::snapshot::{read_header, MappedCsr, MappedWeightedCsr, VERSION2};
 use mpx_graph::{GraphView, Vertex};
 use mpx_trace::{record_event, SpanGuard, Value};
@@ -619,6 +619,10 @@ fn run_partition(
 /// and returned labels are remapped, so replies are byte-identical to
 /// serving the unreordered graph. Stats (cut, radius, rounds) are
 /// permutation-invariant and come from the view's own id space.
+///
+/// Unless the request skips it, the full verifier runs over the mapped
+/// view — partition, strong diameter, Lemma 4.1 — plus the radius bound,
+/// and its scan supplies the cut count.
 fn run_unweighted<V: GraphView>(
     ws: &mut mpx_decomp::Workspace,
     m: &V,
@@ -630,28 +634,31 @@ fn run_unweighted<V: GraphView>(
         Some(p) => ws.partition_view_permuted(m, opts, p),
         None => ws.partition_view(m, opts),
     };
-    let verified = if req.skip_verify {
-        false
+    let (cut_edges, max_radius) = if req.skip_verify {
+        (d.cut_edges_view(m), d.max_radius())
     } else {
-        d.check_internal()?;
-        let radius = u64::from(d.max_radius());
+        let report = verify_decomposition(m, &d);
+        if let Some(e) = report.errors.first() {
+            return Err(e.clone());
+        }
+        let radius = u64::from(report.max_radius);
         let bound = VerifyReport::radius_bound(m.num_vertices(), req.beta);
         if radius > bound {
             return Err(format!("max radius {radius} exceeds bound {bound}"));
         }
-        true
+        (report.cut_edges, report.max_radius)
     };
     Ok(PartitionReply {
         snapshot: req.snapshot,
         seed: req.seed,
         n: m.num_vertices() as u64,
         clusters: d.num_clusters() as u64,
-        max_radius: f64::from(d.max_radius()),
-        cut_edges: d.cut_edges_view(m) as u64,
+        max_radius: f64::from(max_radius),
+        cut_edges: cut_edges as u64,
         rounds: tel.rounds,
         relaxations: tel.relaxations,
         weighted: false,
-        verified,
+        verified: !req.skip_verify,
         labels: req.want_labels.then(|| match perm {
             Some(p) => d.remap_labels(p).assignment().to_vec(),
             None => d.assignment().to_vec(),

@@ -959,8 +959,9 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
             return partition_compressed_cmd(path, beta, seed, args.get(3), &flags, sink);
         }
     }
-    // `.mpx` snapshots stay memory-mapped: the engine traverses the file's
-    // pages directly and only the verifier materializes an owned copy.
+    // `.mpx` snapshots stay memory-mapped: the engine and the verifier
+    // traverse the file's pages directly and only the stats line
+    // materializes an owned copy.
     // Loading happens inside the thread choice so `--threads` bounds the
     // parallel parsers too, not just the decomposition.
     let builder = DecomposerBuilder::new(beta)
@@ -999,7 +1000,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         telemetry.cas_retries,
         if loaded.is_mapped() { "mmap" } else { "owned" }
     );
-    let report = verify_decomposition(&g, &d);
+    let report = verify_decomposition(&loaded, &d);
     if report.is_valid() {
         println!("verified: partition + strong diameter + Lemma 4.1 hold");
     } else {

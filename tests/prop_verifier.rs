@@ -1,13 +1,20 @@
 //! Failure-injection property tests: the verifier must reject *every*
-//! corruption of a valid decomposition, and the hybrid/weighted variants
-//! must stay equivalent to their references under arbitrary inputs.
+//! corruption of a valid decomposition and agree with the restricted-BFS
+//! oracle on every mutation, and the hybrid/weighted variants must stay
+//! equivalent to their references under arbitrary inputs.
 
+use mpx::compress::{write_compressed_snapshot, MappedCompressedCsr};
 use mpx::decomp::weighted::{partition_weighted, partition_weighted_parallel, verify_weighted};
 use mpx::decomp::{
-    partition, partition_hybrid, verify_decomposition, DecompOptions, Decomposition, ShiftStrategy,
+    partition, partition_hybrid, verify_decomposition, DecompOptions, Decomposition, Determinism,
+    ShiftStrategy, Workspace,
 };
-use mpx::graph::{CsrGraph, Vertex, WeightedCsrGraph, NO_VERTEX};
+use mpx::graph::snapshot::{write_snapshot, MappedCsr};
+use mpx::graph::{gen, CsrGraph, GraphView, Vertex, WeightedCsrGraph, INFINITY, NO_VERTEX};
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
     (2..max_n).prop_flat_map(move |n| {
@@ -20,6 +27,198 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
 /// where `from_raw` itself already rejects the corruption.
 fn rebuild(assignment: Vec<Vertex>, dist: Vec<u32>, parent: Vec<Vertex>) -> Option<Decomposition> {
     std::panic::catch_unwind(|| Decomposition::from_raw(assignment, dist, parent)).ok()
+}
+
+/// The sequential verifier the parallel local check replaced, kept as its
+/// oracle: a multi-source BFS from every center over intra-cluster edges
+/// must reach each vertex at exactly its recorded distance, and every
+/// parent must be a same-cluster neighbour one hop closer.
+fn bfs_oracle_valid<V: GraphView>(view: &V, d: &Decomposition) -> bool {
+    let n = view.num_vertices();
+    if d.num_vertices() != n || d.check_internal().is_err() {
+        return false;
+    }
+    let mut rdist = vec![INFINITY; n];
+    let mut queue: VecDeque<Vertex> = d.centers().iter().copied().collect();
+    for &c in d.centers() {
+        rdist[c as usize] = 0;
+    }
+    while let Some(u) = queue.pop_front() {
+        for v in view.neighbors_iter(u) {
+            if d.center_of(v) == d.center_of(u) && rdist[v as usize] == INFINITY {
+                rdist[v as usize] = rdist[u as usize] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    (0..n as Vertex).all(|v| {
+        let reached = rdist[v as usize] != INFINITY && rdist[v as usize] == d.dist_to_center(v);
+        reached
+            && d.parent(v).is_none_or(|p| {
+                view.neighbors_iter(v).any(|u| u == p)
+                    && d.center_of(p) == d.center_of(v)
+                    && d.dist_to_center(p) + 1 == d.dist_to_center(v)
+            })
+    })
+}
+
+/// The verdict of both verifiers over `view`, failing the case if they
+/// differ.
+fn agreed_verdict<V: GraphView>(
+    view: &V,
+    d: &Decomposition,
+    ctx: &str,
+) -> Result<bool, TestCaseError> {
+    let local = verify_decomposition(view, d);
+    let oracle = bfs_oracle_valid(view, d);
+    prop_assert_eq!(
+        local.is_valid(),
+        oracle,
+        "{}: local check {:?}",
+        ctx,
+        local.errors
+    );
+    Ok(oracle)
+}
+
+/// How [`mutate`] corrupts (or validly rearranges) a decomposition.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mutation {
+    Unchanged,
+    DistDown,
+    DistUp,
+    DistUpBy,
+    Reassign,
+    /// Moves a vertex to an adjacent cluster, one hop beyond the neighbour
+    /// that becomes its parent: valid or not depending on its other edges.
+    JoinNeighbourCluster,
+    /// Makes a non-center the center of its parent-tree subtree, with
+    /// distances shifted to match: always valid.
+    SplitSubtree,
+    /// The same split with the old distances kept below the new center.
+    SplitKeepingDistances,
+    ParentSameDistance,
+    ParentOtherCluster,
+    ParentNonNeighbour,
+    /// Another same-cluster neighbour one hop closer: always valid.
+    ParentOtherPredecessor,
+}
+
+const MUTATIONS: [Mutation; 12] = [
+    Mutation::Unchanged,
+    Mutation::DistDown,
+    Mutation::DistUp,
+    Mutation::DistUpBy,
+    Mutation::Reassign,
+    Mutation::JoinNeighbourCluster,
+    Mutation::SplitSubtree,
+    Mutation::SplitKeepingDistances,
+    Mutation::ParentSameDistance,
+    Mutation::ParentOtherCluster,
+    Mutation::ParentNonNeighbour,
+    Mutation::ParentOtherPredecessor,
+];
+
+/// Raw `(assignment, dist, parent)` arrays of `d` after `mutation`, the
+/// victim chosen by `sel`; `None` when `d` offers no victim for it.
+fn mutate(
+    g: &CsrGraph,
+    d: &Decomposition,
+    mutation: Mutation,
+    sel: u64,
+) -> Option<(Vec<Vertex>, Vec<u32>, Vec<Vertex>)> {
+    let n = g.num_vertices() as Vertex;
+    let pick = |items: Vec<Vertex>| {
+        (!items.is_empty()).then(|| items[(sel % items.len() as u64) as usize])
+    };
+    let non_centers: Vec<Vertex> = (0..n).filter(|&v| d.parent(v).is_some()).collect();
+    // A non-center `v` and a neighbour `u` satisfying `keep`.
+    let arc = |keep: &dyn Fn(Vertex, Vertex) -> bool| {
+        let arcs: Vec<(Vertex, Vertex)> = non_centers
+            .iter()
+            .flat_map(|&v| g.neighbors(v).iter().map(move |&u| (v, u)))
+            .filter(|&(v, u)| keep(v, u))
+            .collect();
+        (!arcs.is_empty()).then(|| arcs[(sel % arcs.len() as u64) as usize])
+    };
+    let (mut a, mut dist, mut parent) = (
+        d.assignment().to_vec(),
+        d.distances().to_vec(),
+        d.parents().to_vec(),
+    );
+    match mutation {
+        Mutation::Unchanged => {}
+        Mutation::DistDown => dist[pick(non_centers)? as usize] -= 1,
+        Mutation::DistUp => dist[pick(non_centers)? as usize] += 1,
+        Mutation::DistUpBy => dist[pick(non_centers)? as usize] += 2 + (sel >> 32) as u32 % 4,
+        Mutation::Reassign => {
+            let v = pick(non_centers)?;
+            let others = d.centers().iter().copied().filter(|&c| c != d.center_of(v));
+            a[v as usize] = pick(others.collect())?;
+        }
+        Mutation::JoinNeighbourCluster => {
+            let (v, u) = arc(&|v, u| d.center_of(u) != d.center_of(v))?;
+            a[v as usize] = d.center_of(u);
+            dist[v as usize] = d.dist_to_center(u) + 1;
+            parent[v as usize] = u;
+        }
+        Mutation::SplitSubtree | Mutation::SplitKeepingDistances => {
+            let w = pick(non_centers)?;
+            let below_w = |mut x: Vertex| loop {
+                if x == w {
+                    return true;
+                }
+                match d.parent(x) {
+                    Some(p) => x = p,
+                    None => return false,
+                }
+            };
+            for x in (0..n).filter(|&x| below_w(x)) {
+                a[x as usize] = w;
+                if mutation == Mutation::SplitSubtree {
+                    dist[x as usize] -= d.dist_to_center(w);
+                }
+            }
+            dist[w as usize] = 0;
+            parent[w as usize] = NO_VERTEX;
+        }
+        Mutation::ParentSameDistance => {
+            let (v, u) =
+                arc(&|v, u| d.parent(v) != Some(u) && d.dist_to_center(u) == d.dist_to_center(v))?;
+            parent[v as usize] = u;
+        }
+        Mutation::ParentOtherCluster => {
+            let (v, u) = arc(&|v, u| d.center_of(u) != d.center_of(v))?;
+            parent[v as usize] = u;
+        }
+        Mutation::ParentNonNeighbour => {
+            let v = pick(non_centers)?;
+            // In range but not adjacent, or past the last vertex.
+            let mut far: Vec<Vertex> = (0..n).filter(|&x| x != v && !g.has_edge(v, x)).collect();
+            far.push(n + (sel >> 40) as u32 % 3);
+            parent[v as usize] = pick(far)?;
+        }
+        Mutation::ParentOtherPredecessor => {
+            let (v, u) = arc(&|v, u| {
+                d.parent(v) != Some(u)
+                    && d.center_of(u) == d.center_of(v)
+                    && d.dist_to_center(u) + 1 == d.dist_to_center(v)
+            })?;
+            parent[v as usize] = u;
+        }
+    }
+    Some((a, dist, parent))
+}
+
+/// A fresh temporary snapshot path (the file is unlinked right after it
+/// is mapped; the mapping outlives the name).
+fn tmp_snapshot(kind: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "mpx-prop-verifier-{}-{}-{kind}.mpx",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 proptest! {
@@ -164,6 +363,60 @@ proptest! {
         let r = verify_decomposition(&g, &d);
         prop_assert!(r.is_valid(), "{:?}", r.errors);
     }
+
+    /// The parallel local check and the restricted-BFS oracle return the
+    /// same verdict on every mutation of BitExact and Fast outputs, over
+    /// an in-memory graph, a mapped v1 snapshot and a mapped compressed v2
+    /// snapshot of it.
+    #[test]
+    fn local_check_agrees_with_bfs_oracle(
+        g in arb_graph(60, 150),
+        seed in 0u64..10_000,
+        sel in any::<u64>(),
+    ) {
+        let (p1, p2) = (tmp_snapshot("v1"), tmp_snapshot("v2"));
+        write_snapshot(&g, &p1).unwrap();
+        write_compressed_snapshot(&g, None, &p2).unwrap();
+        let v1 = MappedCsr::open(&p1).unwrap();
+        let v2 = MappedCompressedCsr::open(&p2).unwrap();
+        std::fs::remove_file(&p1).ok();
+        std::fs::remove_file(&p2).ok();
+        for determinism in [Determinism::BitExact, Determinism::Fast] {
+            let opts = DecompOptions::new(0.25)
+                .with_seed(seed)
+                .with_determinism(determinism);
+            let (d, _) = Workspace::new().partition_view(&g, &opts);
+            for (i, mutation) in MUTATIONS.into_iter().enumerate() {
+                let sel = sel.rotate_left(7 * i as u32);
+                let Some(bad) = mutate(&g, &d, mutation, sel)
+                    .and_then(|(a, dist, parent)| rebuild(a, dist, parent))
+                else {
+                    continue;
+                };
+                let ctx = format!("{mutation:?} of a {determinism:?} output");
+                let verdict = agreed_verdict(&g, &bad, &ctx)?;
+                prop_assert_eq!(agreed_verdict(&v1, &bad, &ctx)?, verdict, "{} (v1)", ctx);
+                prop_assert_eq!(agreed_verdict(&v2, &bad, &ctx)?, verdict, "{} (v2)", ctx);
+                if matches!(
+                    mutation,
+                    Mutation::Unchanged | Mutation::SplitSubtree | Mutation::ParentOtherPredecessor
+                ) {
+                    prop_assert!(verdict, "{} must stay valid", ctx);
+                }
+            }
+        }
+    }
+}
+
+/// A parent id past the vertex range is reported as an invalid parent:
+/// the scan never indexes by it.
+#[test]
+fn out_of_range_parent_is_reported_not_followed() {
+    let g = gen::path(2);
+    let d = Decomposition::from_raw(vec![0, 0], vec![0, 1], vec![NO_VERTEX, 2]);
+    let r = verify_decomposition(&g, &d);
+    assert_eq!(r.errors, vec!["vertex 1: invalid parent 2".to_string()]);
+    assert!(!bfs_oracle_valid(&g, &d));
 }
 
 /// Directed sanity check outside proptest: a decomposition with a vertex
