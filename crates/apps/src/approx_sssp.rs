@@ -19,7 +19,9 @@
 //! would sharpen the constant; this is the LDD core of it).
 
 use crate::coarsen::{coarsen_view, coarsen_weighted};
-use mpx_decomp::{DecompOptions, Decomposition, Traversal, WeightedDecomposition, Workspace};
+use mpx_decomp::{
+    partition, partition_weighted, DecompOptions, Decomposition, Traversal, WeightedDecomposition,
+};
 use mpx_graph::{
     algo, CsrGraph, Dist, GraphView, Vertex, WeightedCsrGraph, WeightedGraphView, INFINITY,
 };
@@ -43,9 +45,7 @@ impl DistanceOracle {
     /// [`DistanceOracle::new`] under full [`DecompOptions`] (top-down
     /// pinned, matching the historical construction).
     pub fn with_options<V: GraphView>(g: &V, opts: &DecompOptions) -> Self {
-        let d = Workspace::new()
-            .partition_view(g, &opts.clone().with_traversal(Traversal::TopDownPar))
-            .0;
+        let d = partition(g, &opts.clone().with_traversal(Traversal::TopDownPar));
         let quotient = coarsen_view(g, &d).quotient;
         let radius = d.max_radius();
         DistanceOracle {
@@ -117,12 +117,10 @@ impl WeightedDistanceOracle {
     }
 
     /// [`WeightedDistanceOracle::new`] under full [`DecompOptions`] (the
-    /// partition runs through the parallel weighted session, Δ-stepping
+    /// partition runs through [`partition_weighted`], Δ-stepping
     /// pinned, like the unweighted oracle pins top-down).
     pub fn with_options<W: WeightedGraphView>(g: &W, opts: &DecompOptions) -> Self {
-        let d = Workspace::new()
-            .partition_weighted_view(g, &opts.clone().with_traversal(Traversal::TopDownPar), None)
-            .0;
+        let d = partition_weighted(g, &opts.clone().with_traversal(Traversal::TopDownPar));
         let coarse = coarsen_weighted(g, &d);
         let radius = d.max_radius();
         WeightedDistanceOracle {

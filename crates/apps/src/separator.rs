@@ -9,7 +9,7 @@
 //! strong diameter `O(log n / β)` — the primitive those separator
 //! algorithms recurse on.
 
-use mpx_decomp::{DecompOptions, Decomposition, Traversal, Workspace};
+use mpx_decomp::{partition, DecompOptions, Decomposition, Traversal};
 use mpx_graph::{view_edges, CsrGraph, GraphView, Vertex};
 
 /// A vertex separator with its provenance.
@@ -34,9 +34,7 @@ pub fn decomposition_separator_with_options<V: GraphView>(
     g: &V,
     opts: &DecompOptions,
 ) -> Separator {
-    let d = Workspace::new()
-        .partition_view(g, &opts.clone().with_traversal(Traversal::TopDownPar))
-        .0;
+    let d = partition(g, &opts.clone().with_traversal(Traversal::TopDownPar));
     let mut vertices: Vec<Vertex> = view_edges(g)
         .filter_map(|(u, v)| {
             let (cu, cv) = (d.center_of(u), d.center_of(v));

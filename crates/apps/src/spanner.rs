@@ -16,8 +16,8 @@
 
 use crate::coarsen::{coarsen_view, coarsen_weighted};
 use mpx_decomp::{
-    compute_parents_weighted, DecompOptions, Decomposition, Traversal, WeightedDecomposition,
-    Workspace,
+    compute_parents_weighted, partition, partition_weighted, DecompOptions, Decomposition,
+    Traversal, WeightedDecomposition,
 };
 use mpx_graph::{CsrGraph, GraphView, Vertex, WeightedCsrGraph, WeightedGraphView, NO_VERTEX};
 
@@ -62,9 +62,7 @@ pub fn spanner<V: GraphView>(g: &V, beta: f64, seed: u64) -> Spanner {
 /// strategy-invariant anyway).
 pub fn spanner_with_options<V: GraphView>(g: &V, opts: &DecompOptions) -> Spanner {
     let _span = mpx_trace::span!("apps.spanner", n = g.num_vertices());
-    let d = Workspace::new()
-        .partition_view(g, &opts.clone().with_traversal(Traversal::TopDownPar))
-        .0;
+    let d = partition(g, &opts.clone().with_traversal(Traversal::TopDownPar));
     let mut edges: Vec<(Vertex, Vertex)> = d
         .tree_edges()
         .into_iter()
@@ -127,9 +125,7 @@ pub fn spanner_weighted_with_options<W: WeightedGraphView>(
     g: &W,
     opts: &DecompOptions,
 ) -> WeightedSpanner {
-    let d = Workspace::new()
-        .partition_weighted_view(g, &opts.clone().with_traversal(Traversal::TopDownPar), None)
-        .0;
+    let d = partition_weighted(g, &opts.clone().with_traversal(Traversal::TopDownPar));
     let parents = compute_parents_weighted(g, &d);
     let mut edges: Vec<(Vertex, Vertex, f64)> = Vec::new();
     for (v, &p) in parents.iter().enumerate() {

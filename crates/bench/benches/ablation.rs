@@ -3,8 +3,7 @@
 //! extension), and the shift-generation stage in isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpx_decomp::weighted::partition_weighted_parallel;
-use mpx_decomp::{partition, DecompOptions, ExpShifts, TieBreak};
+use mpx_decomp::{partition, DecompOptions, DecomposerBuilder, ExpShifts, TieBreak, Traversal};
 use mpx_graph::{gen, WeightedCsrGraph};
 use std::time::Duration;
 
@@ -23,7 +22,10 @@ fn bench_tie_breaks(c: &mut Criterion) {
         ("lexicographic", TieBreak::Lexicographic),
     ] {
         group.bench_function(label, |b| {
-            let opts = DecompOptions::new(0.1).with_seed(1).with_tie_break(tb);
+            let opts = DecompOptions::new(0.1)
+                .with_seed(1)
+                .with_tie_break(tb)
+                .with_traversal(Traversal::TopDownPar);
             b.iter(|| partition(&g, &opts));
         });
     }
@@ -43,11 +45,19 @@ fn bench_shift_generation(c: &mut Criterion) {
 
 fn bench_delta_widths(c: &mut Criterion) {
     let g = WeightedCsrGraph::unit_weights(&gen::grid2d(120, 120));
-    let opts = DecompOptions::new(0.1).with_seed(2);
+    let builder = DecomposerBuilder::new(0.1)
+        .seed(2)
+        .traversal(Traversal::TopDownPar);
     let mut group = c.benchmark_group("ablation/delta_stepping_width");
     for delta in [0.25, 1.0, 4.0] {
         group.bench_with_input(BenchmarkId::from_parameter(delta), &delta, |b, &delta| {
-            b.iter(|| partition_weighted_parallel(&g, &opts, Some(delta)));
+            b.iter(|| {
+                builder
+                    .build_weighted(&g)
+                    .unwrap()
+                    .with_delta(Some(delta))
+                    .run()
+            });
         });
     }
     group.finish();

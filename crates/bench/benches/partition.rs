@@ -2,10 +2,7 @@
 //! against the baselines (wall-clock side of tables T1/T2/T6).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpx_decomp::{
-    partition, partition_hybrid, partition_sequential, partition_view, DecompOptions,
-    DecomposerBuilder, Determinism, Traversal,
-};
+use mpx_decomp::{partition, DecompOptions, DecomposerBuilder, Determinism, Traversal};
 use mpx_graph::{gen, InducedView};
 use std::time::Duration;
 
@@ -20,7 +17,9 @@ fn bench_beta_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("partition/beta_grid300");
     for beta in [0.01, 0.05, 0.2] {
         group.bench_with_input(BenchmarkId::from_parameter(beta), &beta, |b, &beta| {
-            let opts = DecompOptions::new(beta).with_seed(1);
+            let opts = DecompOptions::new(beta)
+                .with_seed(1)
+                .with_traversal(Traversal::TopDownPar);
             b.iter(|| partition(&g, &opts));
         });
     }
@@ -36,7 +35,9 @@ fn bench_graph_families(c: &mut Criterion) {
     let mut group = c.benchmark_group("partition/families");
     for (name, g) in &graphs {
         group.bench_function(*name, |b| {
-            let opts = DecompOptions::new(0.1).with_seed(1);
+            let opts = DecompOptions::new(0.1)
+                .with_seed(1)
+                .with_traversal(Traversal::TopDownPar);
             b.iter(|| partition(g, &opts));
         });
     }
@@ -47,11 +48,14 @@ fn bench_vs_baselines(c: &mut Criterion) {
     let g = gen::grid2d(200, 200);
     let opts = DecompOptions::new(0.1).with_seed(1);
     let mut group = c.benchmark_group("partition/vs_baselines_grid200");
-    group.bench_function("mpx_parallel", |b| b.iter(|| partition(&g, &opts)));
-    group.bench_function("mpx_sequential", |b| {
-        b.iter(|| partition_sequential(&g, &opts))
-    });
-    group.bench_function("mpx_hybrid", |b| b.iter(|| partition_hybrid(&g, &opts)));
+    for (name, strategy) in [
+        ("mpx_parallel", Traversal::TopDownPar),
+        ("mpx_sequential", Traversal::TopDownSeq),
+        ("mpx_hybrid", Traversal::Auto),
+    ] {
+        let opts = opts.clone().with_traversal(strategy);
+        group.bench_function(name, |b| b.iter(|| partition(&g, &opts)));
+    }
     group.bench_function("ball_growing", |b| {
         b.iter(|| mpx_baselines::ball_growing(&g, 0.1))
     });
@@ -85,7 +89,7 @@ fn bench_traversal_strategies(c: &mut Criterion) {
             let opts = DecompOptions::new(*beta)
                 .with_seed(1)
                 .with_traversal(strategy);
-            group.bench_function(strategy.as_str(), |b| b.iter(|| partition_view(g, &opts)));
+            group.bench_function(strategy.as_str(), |b| b.iter(|| partition(g, &opts)));
         }
         group.finish();
     }
@@ -136,17 +140,18 @@ fn bench_view_vs_materialized(c: &mut Criterion) {
             .map(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) % 10 < 7)
             .collect();
         let opts = DecompOptions::new(0.2).with_seed(3);
+        let top_down = opts.clone().with_traversal(Traversal::TopDownPar);
         let mut group = c.benchmark_group(format!("partition/view_vs_csr_{name}"));
         group.bench_function("induced_view", |b| {
             b.iter(|| {
                 let view = InducedView::from_mask(g, &keep);
-                partition_view(&view, &opts)
+                partition(&view, &opts)
             })
         });
         group.bench_function("materialize_then_partition", |b| {
             b.iter(|| {
                 let (sub, _) = g.induced_subgraph(&keep);
-                partition(&sub, &opts)
+                partition(&sub, &top_down)
             })
         });
         group.finish();

@@ -2,9 +2,9 @@
 //! table T7).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpx_decomp::{partition, DecompOptions};
+use mpx_decomp::{partition, DecompOptions, Traversal};
 use mpx_graph::gen;
-use mpx_par::with_threads;
+use mpx_runtime::Pool;
 use std::time::Duration;
 
 fn configure(c: Criterion) -> Criterion {
@@ -15,9 +15,11 @@ fn configure(c: Criterion) -> Criterion {
 
 fn bench_scaling(c: &mut Criterion) {
     let g = gen::grid2d(500, 500);
-    let opts = DecompOptions::new(0.05).with_seed(2);
+    let opts = DecompOptions::new(0.05)
+        .with_seed(2)
+        .with_traversal(Traversal::TopDownPar);
     let mut group = c.benchmark_group("scaling/grid500_beta0.05");
-    let max_t = mpx_par::pool::default_threads();
+    let max_t = mpx_runtime::default_threads();
     let mut levels = vec![1usize, 2, 4, 8];
     levels.retain(|&t| t <= max_t);
     if !levels.contains(&max_t) {
@@ -25,7 +27,7 @@ fn bench_scaling(c: &mut Criterion) {
     }
     for &t in &levels {
         group.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, &t| {
-            b.iter(|| with_threads(t, || partition(&g, &opts)));
+            b.iter(|| Pool::new(t).install(|| partition(&g, &opts)));
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! workspace buys on the "many runs over one graph" hot path.
 //!
 //! `fresh` allocates a new workspace per request (the cost model of the
-//! classic free functions); `amortized` serves the same request stream
+//! one-shot `partition` call); `amortized` serves the same request stream
 //! through one session via `run_many`. Both produce bit-identical label
 //! sequences (asserted before timing); the delta is pure allocation and
 //! page-fault traffic. The machine-readable twin of this bench is

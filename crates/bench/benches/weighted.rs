@@ -2,10 +2,8 @@
 //! multi-source Dijkstra vs bucketed Δ-stepping, the Δ bucket-width
 //! sensitivity, session amortization, and the weighted apps built on top.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpx_decomp::{
-    partition_weighted, partition_weighted_parallel, DecompOptions, DecomposerBuilder, Traversal,
-};
+use criterion::{criterion_group, criterion_main, Criterion};
+use mpx_decomp::{partition_weighted, DecompOptions, DecomposerBuilder, Traversal};
 use mpx_graph::{gen, CsrGraph, Vertex, WeightedCsrGraph};
 use mpx_par::rng::hash_index;
 use std::time::Duration;
@@ -44,10 +42,13 @@ fn bench_engines(c: &mut Criterion) {
     for (name, g) in &graphs {
         let opts = DecompOptions::new(0.1).with_seed(1);
         let mut group = c.benchmark_group(format!("weighted/engines_{name}"));
-        group.bench_function("dijkstra_seq", |b| b.iter(|| partition_weighted(g, &opts)));
-        group.bench_function("delta_stepping", |b| {
-            b.iter(|| partition_weighted_parallel(g, &opts, None))
-        });
+        for (label, strategy) in [
+            ("dijkstra_seq", Traversal::TopDownSeq),
+            ("delta_stepping", Traversal::TopDownPar),
+        ] {
+            let opts = opts.clone().with_traversal(strategy);
+            group.bench_function(label, |b| b.iter(|| partition_weighted(g, &opts)));
+        }
         group.finish();
     }
 }
@@ -57,14 +58,14 @@ fn bench_engines(c: &mut Criterion) {
 /// to; the explicit points bracket it from both sides.
 fn bench_delta_sweep(c: &mut Criterion) {
     let g = random_lengths(&gen::rmat(13, 8 << 13, 0.57, 0.19, 0.19, 2), 5);
-    let opts = DecompOptions::new(0.2).with_seed(1);
+    let builder = DecomposerBuilder::new(0.2)
+        .seed(1)
+        .traversal(Traversal::TopDownPar);
     let mut group = c.benchmark_group("weighted/delta_rmat-s13");
-    group.bench_function("auto", |b| {
-        b.iter(|| partition_weighted_parallel(&g, &opts, None))
-    });
-    for delta in [0.5, 2.0, 8.0] {
-        group.bench_with_input(BenchmarkId::from_parameter(delta), &delta, |b, &delta| {
-            b.iter(|| partition_weighted_parallel(&g, &opts, Some(delta)));
+    for delta in [None, Some(0.5), Some(2.0), Some(8.0)] {
+        let label = delta.map_or("auto".to_string(), |d: f64| d.to_string());
+        group.bench_function(label.as_str(), |b| {
+            b.iter(|| builder.build_weighted(&g).unwrap().with_delta(delta).run());
         });
     }
     group.finish();

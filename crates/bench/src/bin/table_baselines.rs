@@ -6,7 +6,7 @@
 //! Usage: `table_baselines [scale]` (default 40000 vertices).
 
 use mpx_bench::{arg_or, f, standard_workloads, time, Table};
-use mpx_decomp::{partition, DecompOptions, DecompositionStats};
+use mpx_decomp::{partition, DecompOptions, DecompositionStats, Traversal};
 
 fn main() {
     let scale: usize = arg_or(1, 40_000);
@@ -21,7 +21,10 @@ fn main() {
         "seconds",
     ]);
     for (name, g) in standard_workloads(scale) {
-        let (mpx, t_mpx) = time(|| partition(&g, &DecompOptions::new(beta).with_seed(3)));
+        let opts = DecompOptions::new(beta).with_seed(3);
+        let par_opts = opts.clone().with_traversal(Traversal::TopDownPar);
+        let seq_opts = opts.with_traversal(Traversal::TopDownSeq);
+        let (mpx, t_mpx) = time(|| partition(&g, &par_opts));
         let k = mpx.num_clusters();
         let s = DecompositionStats::compute(&g, &mpx);
         table.row(&[
@@ -33,8 +36,7 @@ fn main() {
             f(t_mpx, 3),
         ]);
 
-        let (seq, t_seq) =
-            time(|| mpx_decomp::partition_sequential(&g, &DecompOptions::new(beta).with_seed(3)));
+        let (seq, t_seq) = time(|| partition(&g, &seq_opts));
         let s = DecompositionStats::compute(&g, &seq);
         table.row(&[
             name.clone(),

@@ -6,9 +6,17 @@
 //! Usage: `table_depth_work [trials]` (default 3).
 
 use mpx_bench::{arg_or, f, Table};
-use mpx_decomp::parallel::partition_instrumented;
-use mpx_decomp::DecompOptions;
-use mpx_graph::gen;
+use mpx_decomp::{DecompOptions, PartitionTelemetry, Traversal, Workspace};
+use mpx_graph::{gen, CsrGraph};
+
+/// Telemetry of one top-down run (the relaxation counts are those of
+/// pure top-down rounds).
+fn telemetry(g: &CsrGraph, beta: f64, seed: u64) -> PartitionTelemetry {
+    let opts = DecompOptions::new(beta)
+        .with_seed(seed)
+        .with_traversal(Traversal::TopDownPar);
+    Workspace::new().partition_view(g, &opts).1
+}
 
 fn main() {
     let trials: u64 = arg_or(1, 3);
@@ -32,8 +40,7 @@ fn main() {
             let mut rounds = 0.0;
             let mut relax = 0.0;
             for seed in 0..trials {
-                let (_, t) =
-                    partition_instrumented(&g, &DecompOptions::new(beta).with_seed(seed + 5));
+                let t = telemetry(&g, beta, seed + 5);
                 rounds += t.rounds as f64;
                 relax += t.relaxations as f64;
             }
@@ -54,7 +61,7 @@ fn main() {
     let g = gen::rmat(16, 8 << 16, 0.57, 0.19, 0.19, 3);
     let ln_n = (g.num_vertices() as f64).ln();
     for &beta in &betas {
-        let (_, t) = partition_instrumented(&g, &DecompOptions::new(beta).with_seed(1));
+        let t = telemetry(&g, beta, 1);
         table.row(&[
             "rmat-s16".into(),
             g.num_vertices().to_string(),

@@ -10,12 +10,12 @@
 //! Usage: `table_scaling [rmat_scale] [reps]` (defaults 19, 3).
 
 use mpx_bench::{arg_or, f, time, Table};
-use mpx_decomp::{partition, partition_hybrid, partition_sequential, DecompOptions};
+use mpx_decomp::{partition, DecompOptions, Traversal};
 use mpx_graph::gen;
-use mpx_par::with_threads;
+use mpx_runtime::Pool;
 
 fn thread_levels() -> Vec<usize> {
-    let max_t = mpx_par::pool::default_threads();
+    let max_t = mpx_runtime::default_threads();
     let mut levels = Vec::new();
     let mut t = 1usize;
     while t < max_t {
@@ -32,29 +32,28 @@ fn scaling_table(name: &str, g: &mpx_graph::CsrGraph, beta: f64, reps: usize) {
         g.num_vertices(),
         g.num_edges()
     );
-    let opts = DecompOptions::new(beta).with_seed(11);
+    let opts = |t: Traversal| DecompOptions::new(beta).with_seed(11).with_traversal(t);
     let mut table = Table::new(&["config", "seconds", "speedup vs seq"]);
+    let seq = opts(Traversal::TopDownSeq);
     let mut best_seq = f64::INFINITY;
     for _ in 0..reps {
-        let (_, secs) = time(|| partition_sequential(g, &opts));
+        let (_, secs) = time(|| partition(g, &seq));
         best_seq = best_seq.min(secs);
     }
     table.row(&["sequential".into(), f(best_seq, 3), f(1.0, 2)]);
-    for &t in &thread_levels() {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let (_, secs) = time(|| with_threads(t, || partition(g, &opts)));
-            best = best.min(secs);
+    for (label, strategy) in [
+        ("parallel", Traversal::TopDownPar),
+        ("hybrid", Traversal::Auto),
+    ] {
+        let o = opts(strategy);
+        for &t in &thread_levels() {
+            let mut best = f64::INFINITY;
+            for _ in 0..reps {
+                let (_, secs) = time(|| Pool::new(t).install(|| partition(g, &o)));
+                best = best.min(secs);
+            }
+            table.row(&[format!("{label} x{t}"), f(best, 3), f(best_seq / best, 2)]);
         }
-        table.row(&[format!("parallel x{t}"), f(best, 3), f(best_seq / best, 2)]);
-    }
-    for &t in &thread_levels() {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let (_, secs) = time(|| with_threads(t, || partition_hybrid(g, &opts)));
-            best = best.min(secs);
-        }
-        table.row(&[format!("hybrid x{t}"), f(best, 3), f(best_seq / best, 2)]);
     }
     table.print();
 }

@@ -6,8 +6,7 @@
 //! Usage: `table_weighted [side] [trials]` (defaults 60, 3).
 
 use mpx_bench::{arg_or, f, time, Table};
-use mpx_decomp::weighted::{partition_weighted, partition_weighted_parallel};
-use mpx_decomp::DecompOptions;
+use mpx_decomp::{partition_weighted, DecompOptions, Traversal};
 use mpx_graph::{gen, Vertex, WeightedCsrGraph};
 use mpx_par::rng::hash_index;
 
@@ -47,9 +46,11 @@ fn main() {
         let mut agree = true;
         for seed in 0..trials {
             let opts = DecompOptions::new(beta).with_seed(seed * 3 + 1);
-            let (d, secs) = time(|| partition_weighted(&g, &opts));
+            let seq = opts.clone().with_traversal(Traversal::TopDownSeq);
+            let (d, secs) = time(|| partition_weighted(&g, &seq));
             t_dij += secs;
-            let (dp, secs2) = time(|| partition_weighted_parallel(&g, &opts, None));
+            let par = opts.with_traversal(Traversal::TopDownPar);
+            let (dp, secs2) = time(|| partition_weighted(&g, &par));
             t_ds += secs2;
             agree &= d.assignment == dp.assignment;
             clusters += d.num_clusters() as f64;

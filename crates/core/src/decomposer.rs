@@ -22,9 +22,10 @@
 //! [`mpx_graph::CsrGraph`], a zero-copy [`mpx_graph::MappedCsr`] snapshot
 //! (serve decompositions straight off a file's pages), or an
 //! [`mpx_graph::InducedView`] / [`mpx_graph::EdgeFilteredView`] of either.
-//! Outputs are **bit-identical** to the classic free functions
-//! ([`crate::partition`] & co.), which survive as a thin convenience layer
-//! over this type.
+//!
+//! Beside the sessions this module holds the only two one-shot calls,
+//! [`partition`] and [`partition_weighted`]: a fresh [`Workspace`], one
+//! run, labels bit-identical to a session run with the same options.
 //!
 //! # Amortization
 //!
@@ -46,15 +47,79 @@
 
 use crate::decomposition::Decomposition;
 use crate::engine::{self, EngineScratch, PartitionTelemetry};
-use crate::exact::partition_exact;
 use crate::options::{
     ConfigError, DecompOptions, Determinism, RetryPolicy, ShiftStrategy, TieBreak, Traversal,
 };
-use crate::retry::RetryOutcome;
 use crate::shift::ExpShifts;
 use crate::weighted::WeightedDecomposition;
 use crate::wengine::{self, WeightedScratch, WeightedTelemetry};
-use mpx_graph::{CsrGraph, GraphView, WeightedGraphView};
+use mpx_graph::{GraphView, WeightedGraphView};
+
+/// Computes a `(β, O(log n / β))` decomposition of `view` in one call
+/// (paper Algorithm 1, Theorem 1.2), under `opts.traversal`.
+///
+/// Runs on a fresh [`Workspace`] and returns what
+/// `Workspace::new().partition_view(view, opts).0` returns. Every
+/// [`Traversal`] gives the same labels. Callers that decompose one graph
+/// repeatedly should hold a [`Decomposer`] and reuse its scratch.
+///
+/// ```
+/// use mpx_decomp::{partition, DecompOptions, Traversal};
+/// let g = mpx_graph::gen::gnm(500, 4000, 1);
+/// let opts = DecompOptions::new(0.3).with_seed(9);
+/// let d = partition(&g, &opts);
+/// assert_eq!(d, partition(&g, &opts.with_traversal(Traversal::TopDownSeq)));
+/// ```
+///
+/// # Panics
+///
+/// Panics if `opts` fails [`DecompOptions::validate`]; build a session
+/// through [`DecomposerBuilder`] to get a typed error instead.
+pub fn partition<V: GraphView>(view: &V, opts: &DecompOptions) -> Decomposition {
+    Workspace::new().partition_view(view, opts).0
+}
+
+/// Computes a weighted decomposition of `view` in one call (paper
+/// Section 6: exponentially shifted multi-source shortest paths), under
+/// `opts.traversal`.
+///
+/// Returns what `Workspace::new().partition_weighted_view(view, opts,
+/// None).0` returns: [`Traversal::TopDownSeq`] runs the sequential
+/// Dijkstra, every other strategy bucketed Δ-stepping with the mean edge
+/// weight as bucket width, all bit-identical. To choose the bucket width,
+/// use a [`WeightedDecomposer`] with
+/// [`with_delta`](WeightedDecomposer::with_delta).
+///
+/// # Panics
+///
+/// Panics on invalid options or on a view carrying a non-finite or
+/// non-positive weight (the message of the typed [`ConfigError`]);
+/// [`DecomposerBuilder::build_weighted`] returns the error as a value.
+pub fn partition_weighted<W: WeightedGraphView>(
+    view: &W,
+    opts: &DecompOptions,
+) -> WeightedDecomposition {
+    if let Err(e) = wengine::validate_weights(view) {
+        panic!("invalid weighted graph: {e}");
+    }
+    Workspace::new().partition_weighted_view(view, opts, None).0
+}
+
+/// Outcome of [`Decomposer::run_with_retry`].
+#[must_use = "check accepted/attempts — an ignored outcome defeats the retry loop"]
+#[derive(Clone, Debug)]
+pub struct RetryOutcome {
+    /// The accepted (or best-seen) decomposition.
+    pub decomposition: Decomposition,
+    /// Attempts consumed (1 = first try accepted).
+    pub attempts: u32,
+    /// Whether the returned decomposition met both thresholds.
+    pub accepted: bool,
+    /// Cut-edge threshold used (`cut_slack · β · m`).
+    pub cut_threshold: f64,
+    /// Radius threshold used (`radius_slack · ln n / β`).
+    pub radius_threshold: f64,
+}
 
 /// Reusable scratch arenas for repeated decomposition runs.
 ///
@@ -96,8 +161,8 @@ impl Workspace {
 
     /// Partitions `view` under `opts`, reusing this workspace's arenas.
     ///
-    /// This is the reusable form of [`engine::partition_view`]: identical
-    /// output, no per-call arena allocation once the workspace is warm.
+    /// This is the reusable form of [`partition`]: identical output, no
+    /// per-call arena allocation once the workspace is warm.
     ///
     /// # Panics
     ///
@@ -191,9 +256,9 @@ impl Workspace {
     ///
     /// Panics if `opts` fails [`DecompOptions::validate`]. Weights are
     /// **not** re-validated here (that is the entry layers' job —
-    /// [`DecomposerBuilder::build_weighted`] and the free functions check
-    /// once via [`crate::wengine::validate_weights`]); non-finite weights
-    /// would propagate NaN distances.
+    /// [`DecomposerBuilder::build_weighted`] and [`partition_weighted`]
+    /// check once via [`crate::wengine::validate_weights`]); non-finite
+    /// weights would propagate NaN distances.
     pub fn partition_weighted_view<W: WeightedGraphView>(
         &mut self,
         view: &W,
@@ -214,8 +279,9 @@ impl Workspace {
     }
 }
 
-/// Configuration builder for a [`Decomposer`] session (and the validated
-/// entry into every other decomposition flavor: retry, weighted, exact).
+/// Configuration builder for a [`Decomposer`] session, and through
+/// [`build_weighted`](DecomposerBuilder::build_weighted) for a
+/// [`WeightedDecomposer`].
 ///
 /// All knobs of [`DecompOptions`] plus a [`RetryPolicy`]; nothing is
 /// validated until [`build`](DecomposerBuilder::build) (or
@@ -231,7 +297,7 @@ impl Workspace {
 ///     .build(&g)
 ///     .unwrap();
 /// let d = dec.run();
-/// assert_eq!(d, mpx_decomp::partition(&g, &mpx_decomp::DecompOptions::new(0.2).with_seed(7)));
+/// assert_eq!(d, mpx_decomp::partition(&g, dec.options()));
 /// ```
 #[must_use = "a DecomposerBuilder does nothing until built into a Decomposer"]
 #[derive(Clone, Debug, PartialEq)]
@@ -322,7 +388,8 @@ impl DecomposerBuilder {
     }
 
     /// Validates the configuration and binds it to `view`, allocating a
-    /// fresh [`Workspace`].
+    /// fresh [`Workspace`]. A [`RetryPolicy`] with `max_attempts == 0` is
+    /// rejected with [`ConfigError::ZeroRetryAttempts`].
     pub fn build<'g, V: GraphView>(&self, view: &'g V) -> Result<Decomposer<'g, V>, ConfigError> {
         self.build_in(view, Workspace::new())
     }
@@ -338,46 +405,15 @@ impl DecomposerBuilder {
     ) -> Result<Decomposer<'g, V>, ConfigError> {
         let opts = self.opts.clone();
         opts.validate_for(view.num_vertices(), (view.total_degree() / 2) as usize)?;
+        if self.retry.max_attempts == 0 {
+            return Err(ConfigError::ZeroRetryAttempts);
+        }
         Ok(Decomposer {
             view,
             opts,
             retry: self.retry.clone(),
             workspace,
         })
-    }
-
-    /// Validated run of the `O(nm)` Algorithm 2 reference oracle
-    /// ([`crate::partition_exact`]); testing/small graphs only.
-    pub fn run_exact(&self, g: &CsrGraph) -> Result<Decomposition, ConfigError> {
-        let opts = self.options()?;
-        Ok(partition_exact(g, &opts))
-    }
-
-    /// Validated one-shot run of the Section 6 weighted partition on the
-    /// sequential multi-source-Dijkstra path, over any
-    /// [`WeightedGraphView`]. Rejects invalid weights with
-    /// [`ConfigError::InvalidWeight`]. For repeated runs, build a session
-    /// with [`build_weighted`](DecomposerBuilder::build_weighted).
-    pub fn run_weighted<W: WeightedGraphView>(
-        &self,
-        g: &W,
-    ) -> Result<WeightedDecomposition, ConfigError> {
-        let opts = self.options()?.with_traversal(Traversal::TopDownSeq);
-        wengine::validate_weights(g)?;
-        Ok(wengine::partition_weighted_view(g, &opts, None).0)
-    }
-
-    /// Validated one-shot run of the Δ-stepping weighted partition
-    /// (bit-identical to [`run_weighted`](DecomposerBuilder::run_weighted));
-    /// `delta` is the bucket width (`None` = mean edge weight).
-    pub fn run_weighted_parallel<W: WeightedGraphView>(
-        &self,
-        g: &W,
-        delta: Option<f64>,
-    ) -> Result<WeightedDecomposition, ConfigError> {
-        let opts = self.options()?.with_traversal(Traversal::TopDownPar);
-        wengine::validate_weights(g)?;
-        Ok(wengine::partition_weighted_view(g, &opts, delta).0)
     }
 
     /// Validates the configuration **and the view's weights** and binds
@@ -416,9 +452,9 @@ impl DecomposerBuilder {
 /// [`run_many`](Decomposer::run_many) over the same view allocate
 /// (almost) nothing after the first run.
 ///
-/// Built by [`DecomposerBuilder::build`]. Outputs are bit-identical to the
-/// classic free functions for the pinned traversal, across strategies,
-/// thread counts, and `CsrGraph`-vs-`MappedCsr` sources.
+/// Built by [`DecomposerBuilder::build`]. Outputs are bit-identical to
+/// [`partition`] under the same options, across strategies, thread
+/// counts, and `CsrGraph`-vs-`MappedCsr` sources.
 ///
 /// ```
 /// use mpx_decomp::DecomposerBuilder;
@@ -557,8 +593,15 @@ impl<'g, V: GraphView> Decomposer<'g, V> {
 
     /// The Theorem 1.2 driver over this session: retries with seeds
     /// `seed, seed+1, …` until the configured [`RetryPolicy`] accepts,
-    /// reusing the workspace across attempts. Matches
-    /// [`crate::partition_with_retry`] exactly on a full-graph view.
+    /// reusing the workspace across attempts; after
+    /// `policy.max_attempts` tries it returns the attempt with the
+    /// smallest cut.
+    ///
+    /// Each attempt satisfies both thresholds with constant probability
+    /// (Lemma 4.2 bounds the radius w.h.p.; Corollary 4.5 plus Markov
+    /// bounds the cut), so the expected number of attempts is `O(1)` —
+    /// how the proof of Theorem 1.2 turns per-run expectations into the
+    /// stated guarantees.
     pub fn run_with_retry(&mut self) -> RetryOutcome {
         let n = self.view.num_vertices().max(2);
         let m = (self.view.total_degree() / 2) as usize;
@@ -585,7 +628,7 @@ impl<'g, V: GraphView> Decomposer<'g, V> {
             }
         }
         RetryOutcome {
-            decomposition: best.expect("max_attempts >= 1").1,
+            decomposition: best.expect("build rejects max_attempts == 0").1,
             attempts: max_attempts,
             accepted: false,
             cut_threshold,
@@ -760,10 +803,15 @@ impl<'g, W: WeightedGraphView> WeightedDecomposer<'g, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weighted::{partition_weighted, partition_weighted_parallel};
-    use crate::{partition, partition_hybrid, partition_sequential};
     use mpx_graph::gen;
-    use mpx_graph::WeightedCsrGraph;
+    use mpx_graph::{CsrGraph, WeightedCsrGraph};
+
+    const ALL_STRATEGIES: [Traversal; 4] = [
+        Traversal::Auto,
+        Traversal::TopDownPar,
+        Traversal::TopDownSeq,
+        Traversal::BottomUp,
+    ];
 
     #[test]
     fn builder_rejects_bad_config_with_typed_errors() {
@@ -781,32 +829,63 @@ mod tests {
             Some(ConfigError::InvalidAlpha)
         );
         assert!(DecomposerBuilder::new(0.2).alpha(3).build(&g).is_ok());
+        let wg = WeightedCsrGraph::unit_weights(&g);
+        assert_eq!(
+            DecomposerBuilder::new(-1.0).build_weighted(&wg).err(),
+            Some(ConfigError::InvalidBeta(-1.0))
+        );
     }
 
     #[test]
-    fn run_matches_legacy_wrappers() {
+    fn zero_attempt_retry_policy_is_rejected_at_build() {
+        // run_with_retry would have no attempt to return.
+        let g = gen::grid2d(10, 10);
+        let builder = DecomposerBuilder::new(0.2).retry_policy(RetryPolicy {
+            max_attempts: 0,
+            ..Default::default()
+        });
+        assert_eq!(
+            builder.build(&g).err(),
+            Some(ConfigError::ZeroRetryAttempts)
+        );
+        assert_eq!(
+            builder.build_in(&g, Workspace::new()).err(),
+            Some(ConfigError::ZeroRetryAttempts)
+        );
+    }
+
+    #[test]
+    fn one_shot_partition_matches_session_for_every_strategy() {
         let g = gen::gnm(400, 1600, 5);
-        for (traversal, legacy) in [
-            (
-                Traversal::TopDownPar,
-                partition(&g, &DecompOptions::new(0.2).with_seed(9)) as Decomposition,
-            ),
-            (
-                Traversal::TopDownSeq,
-                partition_sequential(&g, &DecompOptions::new(0.2).with_seed(9)),
-            ),
-            (
-                Traversal::Auto,
-                partition_hybrid(&g, &DecompOptions::new(0.2).with_seed(9)),
-            ),
-        ] {
+        for traversal in ALL_STRATEGIES {
             let mut dec = DecomposerBuilder::new(0.2)
                 .seed(9)
                 .traversal(traversal)
                 .build(&g)
                 .unwrap();
-            assert_eq!(dec.run(), legacy, "{traversal:?}");
+            let opts = DecompOptions::new(0.2).with_seed(9);
+            assert_eq!(dec.run(), partition(&g, &opts), "{traversal:?}");
         }
+    }
+
+    #[test]
+    fn one_shot_partition_edge_cases() {
+        let d = partition(&CsrGraph::empty(0), &DecompOptions::new(0.2));
+        assert_eq!(d.num_clusters(), 0);
+        let d = partition(&CsrGraph::empty(1), &DecompOptions::new(0.2));
+        assert_eq!(d.num_clusters(), 1);
+        assert_eq!(d.center_of(0), 0);
+
+        let g = gen::grid2d(40, 40);
+        let a = partition(&g, &DecompOptions::new(0.2).with_seed(1));
+        let b = partition(&g, &DecompOptions::new(0.2).with_seed(2));
+        assert_ne!(a.assignment(), b.assignment());
+        let coarse = partition(&g, &DecompOptions::new(0.02).with_seed(11)).num_clusters();
+        let fine = partition(&g, &DecompOptions::new(0.4).with_seed(11)).num_clusters();
+        assert!(
+            coarse < fine,
+            "β=0.02 gave {coarse} clusters, β=0.4 gave {fine}"
+        );
     }
 
     #[test]
@@ -818,12 +897,7 @@ mod tests {
         let bytes_after_batch = dec.workspace().scratch_bytes();
         assert_eq!(dec.workspace().runs(), 10);
         for (i, &s) in seeds.iter().enumerate() {
-            let fresh = partition(
-                &g,
-                &DecompOptions::new(0.15)
-                    .with_seed(s)
-                    .with_traversal(Traversal::Auto),
-            );
+            let fresh = partition(&g, &DecompOptions::new(0.15).with_seed(s));
             assert_eq!(batch[i], fresh, "seed {s}");
         }
         // Re-running the same seeds grows nothing.
@@ -843,51 +917,85 @@ mod tests {
         assert_eq!(ws.runs(), 1);
         let mut dec2 = builder.build_in(&g2, ws).unwrap();
         let d2 = dec2.run();
-        assert_eq!(
-            d1,
-            partition_hybrid(&g1, &DecompOptions::new(0.25).with_seed(4))
-        );
-        assert_eq!(
-            d2,
-            partition_hybrid(&g2, &DecompOptions::new(0.25).with_seed(4))
-        );
+        let opts = DecompOptions::new(0.25).with_seed(4);
+        assert_eq!(d1, partition(&g1, &opts));
+        assert_eq!(d2, partition(&g2, &opts));
         assert_eq!(dec2.workspace().runs(), 2);
     }
 
-    #[test]
-    fn retry_through_session_matches_free_function() {
-        let g = gen::grid2d(40, 40);
-        let opts = DecompOptions::new(0.1).with_seed(3);
-        let legacy = crate::partition_with_retry(&g, &opts, &RetryPolicy::default());
-        let mut dec = DecomposerBuilder::from_options(opts.with_traversal(Traversal::TopDownPar))
-            .build(&g)
-            .unwrap();
-        let session = dec.run_with_retry();
-        assert_eq!(session.decomposition, legacy.decomposition);
-        assert_eq!(session.attempts, legacy.attempts);
-        assert_eq!(session.accepted, legacy.accepted);
-        assert_eq!(session.cut_threshold, legacy.cut_threshold);
-        assert_eq!(session.radius_threshold, legacy.radius_threshold);
+    fn retry(g: &CsrGraph, beta: f64, seed: u64, policy: RetryPolicy) -> RetryOutcome {
+        DecomposerBuilder::new(beta)
+            .seed(seed)
+            .retry_policy(policy)
+            .build(g)
+            .unwrap()
+            .run_with_retry()
     }
 
     #[test]
-    fn exact_and_weighted_route_through_the_builder() {
+    fn retry_accepts_quickly_on_typical_inputs() {
+        let g = gen::grid2d(40, 40);
+        let out = retry(&g, 0.1, 3, RetryPolicy::default());
+        assert!(out.accepted);
+        assert!(out.attempts <= 3, "needed {} attempts", out.attempts);
+        assert!(out.decomposition.cut_edges(&g) as f64 <= out.cut_threshold);
+        assert!((out.decomposition.max_radius() as f64) <= out.radius_threshold);
+        for (g, seed) in [
+            (gen::rmat(9, 4 << 9, 0.57, 0.19, 0.19, 2), 1u64),
+            (gen::random_regular(500, 4, 9), 2),
+            (gen::path(2000), 3),
+        ] {
+            let out = retry(&g, 0.2, seed, RetryPolicy::default());
+            assert!(out.accepted, "not accepted on a typical input");
+        }
+    }
+
+    #[test]
+    fn impossible_retry_policy_returns_best_effort() {
+        let g = gen::complete(30); // every nontrivial partition cuts many edges
+        let policy = RetryPolicy {
+            cut_slack: 1e-9,
+            radius_slack: 1e-9,
+            max_attempts: 3,
+        };
+        let out = retry(&g, 0.4, 0, policy);
+        assert!(!out.accepted);
+        assert_eq!(out.attempts, 3);
+        // Still a valid decomposition.
+        let r = crate::verify::verify_decomposition(&g, &out.decomposition);
+        assert!(r.is_valid());
+    }
+
+    #[test]
+    fn retry_thresholds_scale_with_beta() {
+        let g = gen::grid2d(10, 10);
+        let o1 = retry(&g, 0.1, 0, RetryPolicy::default());
+        let o2 = retry(&g, 0.2, 0, RetryPolicy::default());
+        assert!(o1.cut_threshold < o2.cut_threshold);
+        assert!(o1.radius_threshold > o2.radius_threshold);
+    }
+
+    #[test]
+    fn exact_oracle_and_weighted_one_shot_match_sessions() {
         let g = gen::gnm(60, 150, 1);
         let builder = DecomposerBuilder::new(0.2).seed(11);
-        let exact = builder.run_exact(&g).unwrap();
+        let opts = builder.options().unwrap();
         let mut dec = builder.build(&g).unwrap();
-        assert_eq!(exact, dec.run());
+        assert_eq!(crate::partition_exact(&g, &opts), dec.run());
 
         let wg = WeightedCsrGraph::unit_weights(&g);
-        let wd = builder.run_weighted(&wg).unwrap();
-        let wdp = builder.run_weighted_parallel(&wg, None).unwrap();
-        assert_eq!(wd.assignment, wdp.assignment);
-        assert!(DecomposerBuilder::new(-1.0).run_weighted(&wg).is_err());
-        assert!(DecomposerBuilder::new(f64::NAN).run_exact(&g).is_err());
+        for traversal in ALL_STRATEGIES {
+            let mut wdec = builder
+                .clone()
+                .traversal(traversal)
+                .build_weighted(&wg)
+                .unwrap();
+            assert_eq!(wdec.run(), partition_weighted(&wg, &opts), "{traversal:?}");
+        }
     }
 
     #[test]
-    fn weighted_session_matches_free_functions_and_reuses_arenas() {
+    fn weighted_session_matches_one_shot_and_reuses_arenas() {
         let g = gen::gnm(250, 800, 4);
         let wg = WeightedCsrGraph::unit_weights(&g);
         let builder = DecomposerBuilder::new(0.2).seed(6);
@@ -898,11 +1006,6 @@ mod tests {
         assert_eq!(dec.workspace().runs(), 6);
         for (i, &s) in seeds.iter().enumerate() {
             let opts = DecompOptions::new(0.2).with_seed(s);
-            assert_eq!(
-                batch[i],
-                partition_weighted_parallel(&wg, &opts, None),
-                "seed {s}"
-            );
             assert_eq!(batch[i], partition_weighted(&wg, &opts), "seed {s}");
         }
         // Repeats reuse arenas and stay bit-identical; the sequential
@@ -925,7 +1028,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             udec.run(),
-            partition_hybrid(&g, &DecompOptions::new(0.2).with_seed(6))
+            partition(&g, &DecompOptions::new(0.2).with_seed(6))
         );
     }
 }

@@ -19,18 +19,19 @@
 //! * a [`Traversal`] strategy — [`Traversal::TopDownPar`],
 //!   [`Traversal::TopDownSeq`], [`Traversal::BottomUp`], or
 //!   [`Traversal::Auto`] (Beamer-style direction optimization switching on
-//!   the [`DecompOptions::alpha`] heuristic) — all **bit-identical** in
-//!   output, and
+//!   the [`DecompOptions::alpha`](crate::DecompOptions::alpha) heuristic) —
+//!   all **bit-identical** in output, and
 //! * a [`GraphView`] — the whole [`CsrGraph`](mpx_graph::CsrGraph), a
 //!   zero-copy [`InducedView`](mpx_graph::InducedView) of a vertex subset,
 //!   or an [`EdgeFilteredView`](mpx_graph::EdgeFilteredView) of an edge
 //!   subset — so recursive pipelines decompose pieces without materializing
 //!   induced subgraphs.
 //!
-//! [`crate::partition`], [`crate::partition_sequential`] and
-//! [`crate::partition_hybrid`] are thin wrappers pinning the strategy; they
-//! survive as the stable public API and as documentation of the three
-//! classic operating points.
+//! Callers reach it through the sessions ([`crate::Decomposer`],
+//! [`crate::Workspace`]) or the one-shot [`crate::partition`], all of which
+//! follow [`DecompOptions::traversal`](crate::DecompOptions::traversal);
+//! [`partition_view_with_shifts`] drives it under externally supplied
+//! shifts.
 //!
 //! # Direction mechanics
 //!
@@ -47,7 +48,7 @@
 //! on mesh-like graphs (an output-invisible scheduling choice).
 
 use crate::decomposition::Decomposition;
-use crate::options::{DecompOptions, Determinism, Traversal};
+use crate::options::{Determinism, Traversal};
 use crate::shift::ExpShifts;
 use mpx_graph::{Dist, GraphView, Vertex, NO_VERTEX};
 use rayon::prelude::*;
@@ -75,19 +76,6 @@ pub struct PartitionTelemetry {
     pub cas_retries: u64,
 }
 
-/// Partitions a [`GraphView`] under `opts` (shifts generated from
-/// `opts.seed`, traversal from `opts.traversal`).
-///
-/// This is the general entry point: the classic wrappers
-/// ([`crate::partition`] & co.) pin a strategy and the full graph; the
-/// recursive pipelines call this directly on views.
-pub fn partition_view<V: GraphView>(
-    view: &V,
-    opts: &DecompOptions,
-) -> (Decomposition, PartitionTelemetry) {
-    crate::decomposer::Workspace::new().partition_view(view, opts)
-}
-
 /// The engine proper: runs the wake/expand/finalize round loop over `view`
 /// under externally supplied shifts.
 ///
@@ -111,6 +99,11 @@ pub fn partition_view_with_shifts<V: GraphView>(
         &mut EngineScratch::new(),
     )
 }
+
+/// Below this many edge scans a round runs inline: the worker-pool
+/// fan-out and collect (about 1 ms) otherwise dominates thin-frontier,
+/// mesh-like searches by orders of magnitude.
+const SEQ_ROUND_CUTOFF: u64 = 8192;
 
 /// Below this many vertices the scratch resets run inline; recursive
 /// pipelines reuse one scratch across thousands of tiny pieces and the
@@ -399,7 +392,7 @@ fn partition_view_protocol<V: GraphView>(
             telemetry.bottom_up_rounds += 1;
             // The whole round's scan cost is the remaining unsettled degree;
             // thin rounds run inline like their top-down counterparts.
-            let par = unsettled_degree >= mpx_par::bfs::SEQ_ROUND_CUTOFF;
+            let par = unsettled_degree >= SEQ_ROUND_CUTOFF;
             // Compact the unsettled list first so the scan below only
             // visits live vertices.
             {
@@ -478,7 +471,7 @@ fn partition_view_protocol<V: GraphView>(
             // (hundreds of rounds of tiny frontiers). The claim logic — and
             // therefore the output — is identical on both paths.
             let par = strategy != Traversal::TopDownSeq
-                && frontier_degree + bucket.len() as u64 >= mpx_par::bfs::SEQ_ROUND_CUTOFF;
+                && frontier_degree + bucket.len() as u64 >= SEQ_ROUND_CUTOFF;
 
             // Fast's single-shot claim: the first successful exchange wins
             // the vertex permanently and settles it on the spot — there is
@@ -676,6 +669,8 @@ pub fn compute_parents_view<V: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::DecompOptions;
+    use crate::Workspace;
     use mpx_graph::{gen, CsrGraph, InducedView};
 
     fn opts(beta: f64, seed: u64) -> DecompOptions {
@@ -696,6 +691,11 @@ mod tests {
             (gen::gnm(800, 6000, 2), 0.3),
             (gen::rmat(9, 8 << 9, 0.57, 0.19, 0.19, 3), 0.25),
             (gen::path(600), 0.2),
+            (gen::star(200), 0.2),
+            (gen::random_tree(1500, 3), 0.15),
+            (gen::complete(60), 0.4),
+            (gen::hypercube(10), 0.2),
+            (CsrGraph::from_edges(6, &[(0, 1), (3, 4)]), 0.3),
         ] {
             let o = opts(beta, 7);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
@@ -706,9 +706,30 @@ mod tests {
                 assert_eq!(t.clusters as usize, d.num_clusters());
                 if matches!(s, Traversal::TopDownPar | Traversal::TopDownSeq) {
                     assert_eq!(t.bottom_up_rounds, 0, "strategy {s:?}");
+                    // Top-down work is linear: every arc is scanned at most
+                    // once from each endpoint.
+                    assert!(t.relaxations <= 2 * g.num_arcs() as u64, "strategy {s:?}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn bottom_up_rounds_trigger_under_auto() {
+        // On a dense random graph with large beta the frontier covers most
+        // edges quickly; make sure Auto actually exercises both directions.
+        let g = gen::gnm(3000, 60_000, 4);
+        let o = opts(0.5, 2);
+        let shifts = ExpShifts::generate(g.num_vertices(), &o);
+        let (_, t_base) = partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, o.alpha);
+        let (_, t_auto) = partition_view_with_shifts(&g, &shifts, Traversal::Auto, o.alpha);
+        assert_eq!(t_base.clusters, t_auto.clusters);
+        assert_eq!(t_base.bottom_up_rounds, 0);
+        assert!(
+            t_auto.bottom_up_rounds > 0,
+            "bottom-up never triggered; threshold or workload needs adjusting"
+        );
+        assert_ne!(t_base.relaxations, t_auto.relaxations);
     }
 
     #[test]
@@ -763,7 +784,7 @@ mod tests {
     fn empty_view() {
         let g = CsrGraph::empty(0);
         for s in ALL_STRATEGIES {
-            let (d, t) = partition_view(&g, &opts(0.3, 1).with_traversal(s));
+            let (d, t) = Workspace::new().partition_view(&g, &opts(0.3, 1).with_traversal(s));
             assert_eq!(d.num_clusters(), 0);
             assert_eq!(t.rounds, 0);
         }
@@ -772,11 +793,13 @@ mod tests {
     #[test]
     fn options_traversal_is_honored() {
         let g = gen::gnm(1500, 20_000, 9);
-        let (d_auto, t_auto) = partition_view(
+        let mut ws = Workspace::new();
+        let (d_auto, t_auto) = ws.partition_view(
             &g,
             &opts(0.5, 3).with_traversal(Traversal::Auto).with_alpha(64),
         );
-        let (d_td, t_td) = partition_view(&g, &opts(0.5, 3).with_traversal(Traversal::TopDownPar));
+        let (d_td, t_td) =
+            ws.partition_view(&g, &opts(0.5, 3).with_traversal(Traversal::TopDownPar));
         assert_eq!(d_auto, d_td);
         assert!(t_auto.bottom_up_rounds > 0, "auto never switched");
         assert_eq!(t_td.bottom_up_rounds, 0);

@@ -64,9 +64,9 @@ pub fn partition_exact_with_shifts(g: &CsrGraph, shifts: &ExpShifts) -> Decompos
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::partition_view_with_shifts;
     use crate::options::TieBreak;
-    use crate::parallel::partition_with_shifts;
-    use crate::sequential::partition_sequential_with_shifts;
+    use crate::options::{Traversal, DEFAULT_ALPHA};
     use mpx_graph::gen;
 
     fn opts(beta: f64, seed: u64) -> DecompOptions {
@@ -82,8 +82,10 @@ mod tests {
             let o = opts(0.05 + 0.03 * (seed % 8) as f64, seed * 7 + 1);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
             let exact = partition_exact_with_shifts(&g, &shifts);
-            let (par, _) = partition_with_shifts(&g, &shifts);
-            let seq = partition_sequential_with_shifts(&g, &shifts);
+            let (par, _) =
+                partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, DEFAULT_ALPHA);
+            let (seq, _) =
+                partition_view_with_shifts(&g, &shifts, Traversal::TopDownSeq, DEFAULT_ALPHA);
             assert_eq!(exact, par, "exact vs parallel, seed {seed}");
             assert_eq!(exact, seq, "exact vs sequential, seed {seed}");
         }
@@ -103,7 +105,8 @@ mod tests {
             let o = opts(0.2, i as u64 + 100);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
             let exact = partition_exact_with_shifts(&g, &shifts);
-            let (par, _) = partition_with_shifts(&g, &shifts);
+            let (par, _) =
+                partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, DEFAULT_ALPHA);
             assert_eq!(exact, par, "graph #{i}");
         }
     }
@@ -119,7 +122,8 @@ mod tests {
             let o = opts(0.15, 33).with_tie_break(tb);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
             let exact = partition_exact_with_shifts(&g, &shifts);
-            let (par, _) = partition_with_shifts(&g, &shifts);
+            let (par, _) =
+                partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, DEFAULT_ALPHA);
             assert_eq!(exact, par, "{tb:?}");
         }
     }
@@ -130,7 +134,8 @@ mod tests {
         let o = opts(0.3, 2);
         let shifts = ExpShifts::generate(g.num_vertices(), &o);
         let exact = partition_exact_with_shifts(&g, &shifts);
-        let (par, _) = partition_with_shifts(&g, &shifts);
+        let (par, _) =
+            partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, DEFAULT_ALPHA);
         assert_eq!(exact, par);
         // Clusters never cross components.
         for v in [3u32, 4, 7] {

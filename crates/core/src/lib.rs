@@ -33,64 +33,49 @@
 //! [`DecompOptions::traversal`]) decides how each round is scheduled —
 //! never what it computes; every strategy is bit-identical in output:
 //!
-//! | strategy | wrapper | when to pick it |
-//! |----------|---------|-----------------|
-//! | [`Traversal::Auto`] | [`partition_hybrid`] | default; Beamer-style direction switching ([`DecompOptions::alpha`]) wins on low-diameter graphs; on meshes the default `alpha` can switch too early — pin `TopDownPar` or lower `alpha` there |
-//! | [`Traversal::TopDownPar`] | [`partition`] | the paper's Algorithm 1 verbatim; predictable `O(m)` scans |
-//! | [`Traversal::TopDownSeq`] | [`partition_sequential`] | round loop fully inline (no per-round pool dispatch) — baselines, tiny pieces |
-//! | [`Traversal::BottomUp`] | — | ablation of the bottom-up half; only competitive on dense, very-low-diameter graphs |
+//! | strategy | when to pick it |
+//! |----------|-----------------|
+//! | [`Traversal::Auto`] | default; Beamer-style direction switching ([`DecompOptions::alpha`]) wins on low-diameter graphs; on meshes the default `alpha` can switch too early — pin `TopDownPar` or lower `alpha` there |
+//! | [`Traversal::TopDownPar`] | the paper's Algorithm 1 verbatim; predictable `O(m)` scans |
+//! | [`Traversal::TopDownSeq`] | round loop fully inline (no per-round pool dispatch) — baselines, tiny pieces |
+//! | [`Traversal::BottomUp`] | ablation of the bottom-up half; only competitive on dense, very-low-diameter graphs |
 //!
 //! **Graph view** ([`mpx_graph::GraphView`]) decides what the engine
 //! traverses: the whole [`mpx_graph::CsrGraph`], a zero-copy
-//! [`mpx_graph::InducedView`] of a vertex subset, or an
-//! [`mpx_graph::EdgeFilteredView`] of an edge subset. Recursive pipelines
-//! (HSTs, block decompositions, connectivity) partition views of the
-//! original graph instead of materializing induced subgraphs at every
-//! level — see [`engine::partition_view`].
+//! [`mpx_graph::MappedCsr`] snapshot, an [`mpx_graph::InducedView`] of a
+//! vertex subset, or an [`mpx_graph::EdgeFilteredView`] of an edge subset.
+//! Recursive pipelines (HSTs, block decompositions, connectivity)
+//! partition views of the original graph instead of materializing induced
+//! subgraphs at every level — see [`Workspace::partition_view`].
 //!
-//! ## One front door: the `Decomposer` session
+//! ## One front door
 //!
-//! The public surface is organized around **sessions**: configure a
+//! There are two call shapes. A **session** — configure a
 //! [`DecomposerBuilder`] (β / seed / traversal / tie-break /
 //! shift-strategy / alpha / retry policy — validated once, with a typed
-//! [`ConfigError`]), bind it to any [`mpx_graph::GraphView`], and run as
-//! many decompositions as you need. The session's [`Workspace`] holds
-//! every scratch arena (shift buffers, claim/assignment/distance arrays,
-//! wake schedule), so repeated [`Decomposer::run`] /
-//! [`Decomposer::run_with_seed`] / [`Decomposer::run_many`] calls over
-//! one view allocate (almost) nothing after the first — the hot path of
-//! the spanner/hopset/solver pipelines that invoke the decomposition many
-//! times with fresh shifts.
+//! [`ConfigError`]), bind it to any view, and run as many decompositions
+//! as you need. The session's [`Workspace`] holds every scratch arena, so
+//! repeated [`Decomposer::run`] / [`Decomposer::run_with_seed`] /
+//! [`Decomposer::run_many`] calls over one view allocate (almost) nothing
+//! after the first — the hot path of the spanner/hopset/solver pipelines
+//! that invoke the decomposition many times with fresh shifts. And a
+//! **one-shot call** per graph kind, for a single decomposition:
 //!
 //! | entry | paper reference | notes |
 //! |-------|-----------------|-------|
-//! | [`DecomposerBuilder`] → [`Decomposer`] | Algorithm 1 | the session front door: any [`Traversal`] × any [`mpx_graph::GraphView`], amortized scratch |
+//! | [`partition`] | Algorithm 1 | one-shot, any [`mpx_graph::GraphView`], follows `opts.traversal` |
+//! | [`partition_weighted`] | Section 6 | one-shot, any [`mpx_graph::WeightedGraphView`], follows `opts.traversal` |
+//! | [`DecomposerBuilder`] → [`Decomposer`] | Algorithm 1 | session: any [`Traversal`] × any view, amortized scratch |
 //! | [`Decomposer::run_with_retry`] | Theorem 1.2 proof | retries until the `(β, O(log n/β))` guarantee holds |
-//! | [`Workspace::partition_view`] | Algorithm 1 | session machinery for pipelines that partition a *sequence* of views |
-//! | [`DecomposerBuilder::run_exact`] | Algorithm 2 | `O(nm)` literal reference, for testing |
-//! | [`DecomposerBuilder::build_weighted`] → [`WeightedDecomposer`] | Section 6 | weighted session: any [`Traversal`] × any [`mpx_graph::WeightedGraphView`], amortized scratch |
-//! | [`DecomposerBuilder::run_weighted`] | Section 6 | one-shot shifted multi-source Dijkstra |
-//! | [`DecomposerBuilder::run_weighted_parallel`] | Section 6 (open problem) | one-shot bucketed Δ-stepping, bit-identical to the Dijkstra path |
-//! | [`Workspace::partition_weighted_view`] | Section 6 | weighted session machinery for view sequences |
+//! | [`DecomposerBuilder::build_weighted`] → [`WeightedDecomposer`] | Section 6 | weighted session; [`WeightedDecomposer::with_delta`] picks the Δ-stepping bucket width |
+//! | [`Workspace::partition_view`] / [`Workspace::partition_weighted_view`] | Algorithm 1 / Section 6 | session machinery for pipelines that partition a *sequence* of views |
+//! | [`engine::partition_view_with_shifts`] | Algorithm 1 | the engine under externally supplied shifts |
+//! | [`partition_exact`] | Algorithm 2 | `O(nm)` literal reference oracle, for testing |
 //! | [`wengine::partition_weighted_exact`] | Section 6 | per-center Dijkstra reference oracle, for testing |
 //!
-//! The classic free functions survive as a documented **convenience
-//! layer** — thin wrappers over the same machinery, one fresh workspace
-//! per call, outputs bit-identical to the session path:
-//!
-//! | function | wraps |
-//! |----------|-------|
-//! | [`partition`] | session @ [`Traversal::TopDownPar`] |
-//! | [`partition_sequential`] | session @ [`Traversal::TopDownSeq`] |
-//! | [`partition_hybrid`] | session @ [`Traversal::Auto`] |
-//! | [`engine::partition_view`] | session @ `opts.traversal` |
-//! | [`partition_with_retry`] | [`Decomposer::run_with_retry`] |
-//! | [`partition_exact`] | Algorithm 2 oracle (no session needed) |
-//!
 //! All variants are deterministic given `DecompOptions::seed` — every
-//! strategy, every view, every thread count, and every entry point
-//! (session or free function) returns **identical** assignments, which
-//! the test suite exploits heavily.
+//! strategy, every view, every thread count, and both call shapes return
+//! **identical** assignments, which the test suite exploits heavily.
 //!
 //! ## Example
 //!
@@ -117,42 +102,34 @@ pub mod decomposer;
 pub mod decomposition;
 pub mod engine;
 pub mod exact;
-pub mod hybrid;
 pub mod options;
-pub mod parallel;
 pub mod profile;
-pub mod retry;
-pub mod sequential;
 pub mod shift;
 pub mod stats;
 pub mod verify;
 pub mod weighted;
 pub mod wengine;
 
-pub use decomposer::{Decomposer, DecomposerBuilder, WeightedDecomposer, Workspace};
+pub use decomposer::{
+    partition, partition_weighted, Decomposer, DecomposerBuilder, RetryOutcome, WeightedDecomposer,
+    Workspace,
+};
 pub use decomposition::Decomposition;
 pub use engine::{
-    partition_view, partition_view_reusing, partition_view_with_shifts, EngineScratch,
-    PartitionTelemetry,
+    partition_view_reusing, partition_view_with_shifts, EngineScratch, PartitionTelemetry,
 };
 pub use exact::partition_exact;
-pub use hybrid::partition_hybrid;
 pub use options::{
     ConfigError, DecompOptions, Determinism, RetryPolicy, ShiftStrategy, TieBreak, Traversal,
     DEFAULT_ALPHA, MAX_GRAPH_SIZE,
 };
-pub use parallel::partition;
 pub use profile::{
     LatencySummary, ProfileReport, RunSample, WeightedProfileReport, WeightedRunSample,
 };
-pub use retry::{partition_with_retry, partition_with_retry_view, RetryOutcome};
-pub use sequential::partition_sequential;
 pub use shift::ExpShifts;
 pub use stats::DecompositionStats;
 pub use verify::{verify_decomposition, VerifyReport};
-pub use weighted::{
-    partition_weighted, partition_weighted_parallel, verify_weighted, WeightedDecomposition,
-};
+pub use weighted::{verify_weighted, WeightedDecomposition};
 pub use wengine::{
     compute_parents_weighted, partition_weighted_exact, validate_weights, WeightedScratch,
     WeightedTelemetry,

@@ -81,8 +81,7 @@ impl std::str::FromStr for Traversal {
     type Err = String;
 
     /// Parses a CLI token. `hybrid` is accepted as an alias of `auto` (the
-    /// direction-optimizing engine is what [`crate::partition_hybrid`]
-    /// runs).
+    /// direction-optimizing top-down/bottom-up engine).
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "auto" | "hybrid" => Ok(Traversal::Auto),
@@ -194,6 +193,9 @@ pub enum ConfigError {
         /// The offending weight.
         weight: f64,
     },
+    /// A [`RetryPolicy`] allowed zero attempts, so
+    /// [`crate::Decomposer::run_with_retry`] would have nothing to return.
+    ZeroRetryAttempts,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -211,6 +213,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "edge ({u},{v}) has invalid weight {weight} (edge weights must be finite and positive)"
             ),
+            ConfigError::ZeroRetryAttempts => {
+                write!(f, "retry policy max_attempts must be at least 1")
+            }
         }
     }
 }
@@ -307,9 +312,9 @@ impl DecompOptions {
     }
 
     /// [`validate`](DecompOptions::validate), panicking on violation — the
-    /// single panic point for infallible entry layers (the classic free
-    /// functions and `(beta, seed)` convenience signatures) whose
-    /// signatures predate the typed [`ConfigError`]. Fallible callers
+    /// single panic point for infallible entry layers (the one-shot
+    /// [`crate::partition`] calls and `(beta, seed)` convenience
+    /// signatures) whose signatures predate the typed [`ConfigError`]. Fallible callers
     /// should prefer `DecomposerBuilder` and get the error as a value.
     pub fn assert_valid(&self) {
         if let Err(e) = self.validate() {
@@ -365,7 +370,7 @@ impl DecompOptions {
     }
 }
 
-/// Policy for [`crate::partition_with_retry`] (the proof of Theorem 1.2
+/// Policy for [`crate::Decomposer::run_with_retry`] (the proof of Theorem 1.2
 /// repeats the partition until both guarantees hold; each attempt succeeds
 /// with constant probability, so the expected number of repeats is `O(1)`).
 #[derive(Clone, Debug, PartialEq)]

@@ -69,7 +69,7 @@ impl std::fmt::Display for DecompositionStats {
 mod tests {
     use super::*;
     use crate::options::DecompOptions;
-    use crate::parallel::partition;
+    use crate::partition;
     use mpx_graph::gen;
 
     #[test]

@@ -90,8 +90,8 @@ impl VerifyReport {
 
     /// The repo's canonical engineering form of the Theorem 1.1 radius /
     /// round bound: `⌈4·ln(max(n, 2))/β⌉ + 2`. The constant is generous
-    /// (the guarantee is probabilistic; [`crate::partition_with_retry`]
-    /// is the enforcement path) so concrete runs are expected to satisfy
+    /// (the guarantee is probabilistic;
+    /// [`crate::Decomposer::run_with_retry`] is the enforcement path) so concrete runs are expected to satisfy
     /// it essentially always. `mpx profile`, the block-decomposition
     /// checks, and the fast-mode invariant suite all share this one
     /// derivation.
@@ -238,7 +238,7 @@ pub fn verify_decomposition<V: GraphView>(view: &V, d: &Decomposition) -> Verify
 mod tests {
     use super::*;
     use crate::options::DecompOptions;
-    use crate::parallel::partition;
+    use crate::partition;
     use mpx_graph::{gen, CsrGraph, NO_VERTEX};
 
     fn opts(beta: f64, seed: u64) -> DecompOptions {

@@ -15,17 +15,13 @@
 //! with deterministic request aggregation; it produces **bit-identical**
 //! decompositions to the sequential Dijkstra.
 //!
-//! This module holds the output type ([`WeightedDecomposition`]), the
-//! classic free-function entry points ([`partition_weighted`] /
-//! [`partition_weighted_parallel`] — thin wrappers that validate weights
-//! and call the strategy-routed engine in [`crate::wengine`]), and the
-//! verifier. Sessions ([`crate::DecomposerBuilder::build_weighted`]) and
-//! [`crate::Workspace::partition_weighted_view`] run the same engine with
-//! amortized scratch.
+//! This module holds the output type ([`WeightedDecomposition`]) and the
+//! verifier. The strategy-routed engine lives in [`crate::wengine`]; it
+//! runs through [`crate::partition_weighted`] and the weighted session
+//! ([`crate::DecomposerBuilder::build_weighted`]).
 
 use crate::decomposition::cut_edges_of_view;
-use crate::options::{DecompOptions, Traversal};
-use crate::wengine::{self, HeapEntry};
+use crate::wengine::HeapEntry;
 use mpx_graph::{GraphView, Vertex, WeightedGraphView};
 use std::collections::BinaryHeap;
 
@@ -83,52 +79,11 @@ impl WeightedDecomposition {
     }
 }
 
-/// Sequential weighted partition: exponentially shifted multi-source
-/// Dijkstra (paper Section 6), over any [`WeightedGraphView`].
-///
-/// # Panics
-///
-/// Panics on invalid options or on a view carrying non-finite or
-/// non-positive weights (the message of the typed
-/// [`crate::ConfigError`]); fallible callers should go through
-/// [`crate::DecomposerBuilder`] and get the error as a value.
-pub fn partition_weighted<W: WeightedGraphView>(
-    g: &W,
-    opts: &DecompOptions,
-) -> WeightedDecomposition {
-    assert_valid_weights(g);
-    let opts = opts.clone().with_traversal(Traversal::TopDownSeq);
-    wengine::partition_weighted_view(g, &opts, None).0
-}
-
-/// Parallel weighted partition via Δ-stepping with deterministic request
-/// aggregation, over any [`WeightedGraphView`]. Produces a decomposition
-/// **bit-identical** to [`partition_weighted`].
-///
-/// `delta` is the bucket width; a reasonable default is the mean edge
-/// weight (pass `None` to use it). Panics as [`partition_weighted`] does.
-pub fn partition_weighted_parallel<W: WeightedGraphView>(
-    g: &W,
-    opts: &DecompOptions,
-    delta: Option<f64>,
-) -> WeightedDecomposition {
-    assert_valid_weights(g);
-    let opts = opts.clone().with_traversal(Traversal::TopDownPar);
-    wengine::partition_weighted_view(g, &opts, delta).0
-}
-
-/// [`crate::wengine::validate_weights`], panicking on violation — the
-/// single panic point for the infallible free functions above, mirroring
-/// [`DecompOptions::assert_valid`].
-fn assert_valid_weights<W: WeightedGraphView>(g: &W) {
-    if let Err(e) = wengine::validate_weights(g) {
-        panic!("invalid weighted graph: {e}");
-    }
-}
-
 /// Verifies a weighted decomposition: partition well-formedness, the
 /// strong-diameter property (restricted intra-cluster Dijkstra reproduces
-/// the recorded distances), and returns the cut statistics.
+/// the recorded distances). A malformed decomposition — wrong-length
+/// vectors, a center out of range — is reported as an error, never
+/// indexed.
 pub fn verify_weighted<W: WeightedGraphView>(
     g: &W,
     d: &WeightedDecomposition,
@@ -137,7 +92,13 @@ pub fn verify_weighted<W: WeightedGraphView>(
     if d.assignment.len() != n {
         return Err("assignment length mismatch".into());
     }
+    if d.dist_to_center.len() != n {
+        return Err("dist_to_center length mismatch".into());
+    }
     for &c in &d.centers {
+        if c as usize >= n {
+            return Err(format!("center {c} out of range (n = {n})"));
+        }
         if d.assignment[c as usize] != c {
             return Err(format!("center {c} not self-assigned"));
         }
@@ -196,6 +157,8 @@ pub fn verify_weighted<W: WeightedGraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::{DecompOptions, Traversal};
+    use crate::{partition_weighted, DecomposerBuilder};
     use mpx_graph::gen;
     use mpx_graph::{CsrGraph, WeightedCsrGraph};
     use rand::rngs::StdRng;
@@ -256,8 +219,8 @@ mod tests {
         for seed in 0..6u64 {
             let g = random_weighted(&gen::gnm(200, 600, seed), seed + 50);
             let o = opts(0.15, seed);
-            let a = partition_weighted(&g, &o);
-            let b = partition_weighted_parallel(&g, &o, None);
+            let a = partition_weighted(&g, &o.clone().with_traversal(Traversal::TopDownSeq));
+            let b = partition_weighted(&g, &o.with_traversal(Traversal::TopDownPar));
             assert_eq!(a.assignment, b.assignment, "seed {seed}");
             for v in 0..g.num_vertices() {
                 assert_eq!(
@@ -273,9 +236,13 @@ mod tests {
     fn delta_stepping_various_widths() {
         let g = random_weighted(&gen::grid2d(12, 12), 3);
         let o = opts(0.2, 4);
-        let reference = partition_weighted(&g, &o);
+        let reference = partition_weighted(&g, &o.clone().with_traversal(Traversal::TopDownSeq));
         for delta in [0.05, 0.5, 2.0, 100.0] {
-            let d = partition_weighted_parallel(&g, &o, Some(delta));
+            let d = DecomposerBuilder::from_options(o.clone())
+                .build_weighted(&g)
+                .unwrap()
+                .with_delta(Some(delta))
+                .run();
             assert_eq!(reference.assignment, d.assignment, "delta {delta}");
         }
     }
@@ -323,7 +290,7 @@ mod tests {
     #[test]
     fn empty_weighted_graph() {
         let g = WeightedCsrGraph::from_edges(0, &[]);
-        let d = partition_weighted_parallel(&g, &opts(0.2, 0), None);
+        let d = partition_weighted(&g, &opts(0.2, 0));
         assert_eq!(d.num_clusters(), 0);
     }
 }

@@ -25,8 +25,9 @@
 //! Like [`crate::engine`], all arenas live in a reusable scratch
 //! ([`WeightedScratch`], owned by [`crate::Workspace`]) so repeated runs
 //! amortize allocation; and like the unweighted engine, this module does
-//! not validate inputs — the session/builder/free-function entry layers
-//! enforce weight validity via [`validate_weights`] first.
+//! not validate inputs — the entry layers ([`crate::partition_weighted`]
+//! and the weighted session builder) enforce weight validity via
+//! [`validate_weights`] first.
 
 use crate::options::{ConfigError, DecompOptions, Determinism, Traversal};
 use crate::shift::ExpShifts;
@@ -141,8 +142,8 @@ impl WeightedScratch {
 
 /// Rejects a weighted view carrying a non-finite or non-positive edge
 /// weight with a typed [`ConfigError::InvalidWeight`] naming the first
-/// offending edge (lowest `(u, v)`). Every weighted partition entry point
-/// — the free functions, the builder runs, and session builds — routes
+/// offending edge (lowest `(u, v)`). Both weighted partition entry points
+/// — [`crate::partition_weighted`] and the session builds — route
 /// through this check, so bad weights can never silently propagate NaN
 /// distances into a decomposition.
 pub fn validate_weights<W: WeightedGraphView>(view: &W) -> Result<(), ConfigError> {
@@ -252,32 +253,6 @@ pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
     let d = WeightedDecomposition::from_raw(assignment, dist_to_center);
     telemetry.clusters = d.num_clusters();
     (d, telemetry)
-}
-
-/// One-shot form of [`partition_weighted_view_reusing`]: fresh shifts from
-/// `opts`, fresh scratch. The engine behind the classic free functions
-/// ([`crate::partition_weighted`] & co.).
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`DecompOptions::validate`]. Does **not**
-/// validate weights — callers do ([`validate_weights`]).
-pub fn partition_weighted_view<W: WeightedGraphView>(
-    view: &W,
-    opts: &DecompOptions,
-    delta: Option<f64>,
-) -> (WeightedDecomposition, WeightedTelemetry) {
-    opts.assert_valid();
-    let shifts = ExpShifts::generate(view.num_vertices(), opts);
-    let mut scratch = WeightedScratch::new();
-    partition_weighted_view_reusing(
-        view,
-        &shifts,
-        opts.traversal,
-        delta,
-        opts.determinism,
-        &mut scratch,
-    )
 }
 
 /// Sequential exponentially shifted multi-source Dijkstra (paper
@@ -739,6 +714,7 @@ pub fn compute_parents_weighted<W: WeightedGraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition_weighted;
     use mpx_graph::{gen, WeightedCsrGraph, WeightedInducedView};
 
     fn random_weighted(g: &mpx_graph::CsrGraph, seed: u64) -> WeightedCsrGraph {
@@ -778,8 +754,11 @@ mod tests {
                 Traversal::TopDownSeq,
                 Traversal::BottomUp,
             ] {
-                let (d, t) =
-                    partition_weighted_view(&g, &o.clone().with_traversal(traversal), None);
+                let (d, t) = crate::Workspace::new().partition_weighted_view(
+                    &g,
+                    &o.clone().with_traversal(traversal),
+                    None,
+                );
                 assert_eq!(d.assignment, exact.assignment, "{traversal:?} seed {seed}");
                 for v in 0..g.num_vertices() {
                     assert_eq!(
@@ -893,8 +872,8 @@ mod tests {
         let edges: Vec<(Vertex, Vertex, f64)> = mpx_graph::weighted_view_edges(&view).collect();
         let sub = WeightedCsrGraph::from_edges(view.active().len(), &edges);
         let o = opts(0.25, 3);
-        let (via_view, _) = partition_weighted_view(&view, &o, None);
-        let (via_sub, _) = partition_weighted_view(&sub, &o, None);
+        let via_view = partition_weighted(&view, &o);
+        let via_sub = partition_weighted(&sub, &o);
         assert_eq!(via_view, via_sub);
     }
 
@@ -945,7 +924,7 @@ mod tests {
     #[test]
     fn parents_form_shortest_path_trees() {
         let g = random_weighted(&gen::grid2d(9, 9), 8);
-        let (d, _) = partition_weighted_view(&g, &opts(0.3, 5), None);
+        let d = partition_weighted(&g, &opts(0.3, 5));
         let parents = compute_parents_weighted(&g, &d);
         for (v, &parent) in parents.iter().enumerate() {
             if d.assignment[v] == v as Vertex {

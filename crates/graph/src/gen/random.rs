@@ -100,8 +100,10 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> CsrGraph {
 /// Random `d`-regular graph via the configuration (pairing) model with
 /// retries until a simple matching is found. `n * d` must be even.
 ///
-/// For constant `d` the expected number of retries is `O(e^{(d²-1)/4})`,
-/// small for the `d ≤ 10` range used in experiments.
+/// For constant `d` the expected number of retries is about
+/// `e^{(d²-1)/4}`: roughly 40 at `d = 4` and 400 at `d = 5`, but
+/// thousands at `d = 6`. The retry budget is 1000 attempts, so `d ≤ 5` is
+/// the practical range; larger degrees usually exhaust it and panic.
 pub fn random_regular(n: usize, d: usize, seed: u64) -> CsrGraph {
     assert!((n * d).is_multiple_of(2), "n*d must be even");
     assert!(d < n, "degree must be < n");

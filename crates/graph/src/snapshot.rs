@@ -902,7 +902,7 @@ pub mod filebuf {
 /// A zero-copy, memory-mapped `.mpx` snapshot.
 ///
 /// Implements [`crate::GraphView`], so it plugs straight into the decomposition
-/// engine: `partition_view(&mapped, &opts)` traverses the file's pages
+/// engine: `partition(&mapped, &opts)` traverses the file's pages
 /// without materializing a [`CsrGraph`]. Opening validates everything:
 /// the header, the exact file length, the payload checksum, and the full
 /// adjacency structure (monotonic offsets; sorted, deduplicated,

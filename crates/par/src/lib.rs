@@ -1,35 +1,12 @@
-//! # mpx-par — parallel primitives for the MPX workspace
+//! # mpx-par — counter-based randomness for the MPX workspace
 //!
-//! The paper's Algorithm 1 is "one parallel BFS with staggered starts". This
-//! crate supplies the machinery that makes such a BFS fast and deterministic
-//! on a shared-memory machine:
-//!
-//! * [`AtomicBitset`] — lock-free membership bits (visited sets, frontier
-//!   dedup) with one `AtomicU64` per 64 vertices.
-//! * [`scan`] — sequential and parallel exclusive prefix sums, the standard
-//!   building block for compaction.
-//! * [`bfs`] — a level-synchronous, CAS-claiming parallel BFS engine
-//!   (multi-source, parent-recording, telemetry-instrumented). This is the
-//!   `O(Δ log n)` depth / `O(m)` work routine the paper cites (\[18, 21, 8\]).
-//! * [`pool`] — scoped rayon thread pools so experiments can sweep thread
-//!   counts (`T7` scaling table).
-//! * [`rng`] — SplitMix64 and counter-based per-index randomness, so that
-//!   random quantities (like the paper's shifts `δ_u`) can be generated
-//!   independently per vertex in parallel, deterministically given a seed.
-//! * [`telemetry`] — cache-padded work/depth counters used as PRAM proxies.
+//! The paper's shifts `δ_u ~ Exp(β)` are drawn "IN PARALLEL ... at each
+//! vertex" (Algorithm 1 step 1), yet must be reproducible. [`rng`] gives
+//! every index an independent 64-bit value `hash(seed, i)`, so random
+//! quantities can be generated per vertex in any order, on any number of
+//! threads, with identical results.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bfs;
-pub mod bitset;
-pub mod pool;
 pub mod rng;
-pub mod scan;
-pub mod telemetry;
-
-pub use bfs::{par_bfs, par_bfs_from, par_bfs_parents, BfsResult};
-pub use bitset::AtomicBitset;
-pub use pool::{default_threads, with_threads};
-pub use rng::SplitMix64;
-pub use telemetry::Telemetry;

@@ -527,5 +527,13 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+        // Unless overridden by MPX_THREADS, this is the machine's logical
+        // CPU count — not a thread-local constant some installed pool set.
+        if std::env::var("MPX_THREADS").is_err() {
+            let machine = std::thread::available_parallelism()
+                .map(usize::from)
+                .unwrap_or(1);
+            assert_eq!(Pool::new(3).install(default_threads), machine);
+        }
     }
 }

@@ -16,8 +16,9 @@
 //!   Epochs nest: an inner epoch's regions also count toward the outer
 //!   one.
 //!
-//! Telemetry layers (e.g. `mpx-par`, `mpx-trace` sessions) should prefer
-//! epochs; the global snapshot API remains for whole-process reporting.
+//! Telemetry layers (e.g. traced decomposition runs, `mpx bench`) should
+//! prefer epochs; the global snapshot API remains for whole-process
+//! reporting.
 //! The one boundary: regions initiated *by other threads on behalf of*
 //! the caller (there is no such path in this workspace — the pool's
 //! `parallel_for` always records on the initiating thread) would not be

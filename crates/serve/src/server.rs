@@ -127,7 +127,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let workers = mpx_par::default_threads().max(1);
+        let workers = mpx_runtime::default_threads().max(1);
         ServerConfig {
             workers,
             queue_depth: 2 * workers,

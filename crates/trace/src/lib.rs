@@ -11,8 +11,9 @@
 //!   stack;
 //! * **instant events** — [`event!`] records a single timestamped mark;
 //! * a **counter registry** on the collected [`Trace`] that absorbs
-//!   engine telemetry (`mpx_par::Telemetry`) and epoch-scoped
-//!   `mpx_runtime::stats` deltas as first-class metrics;
+//!   engine telemetry (the decomposition engines' round, relaxation and
+//!   cluster counts) and epoch-scoped `mpx_runtime::stats` deltas as
+//!   first-class metrics;
 //! * **exporters**: a human-readable aggregated phase tree
 //!   ([`Trace::to_human`]), machine-readable JSON ([`Trace::to_json`]),
 //!   and the Chrome `trace_event` format ([`Trace::to_chrome_json`])

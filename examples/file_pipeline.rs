@@ -56,8 +56,8 @@ fn main() {
     // 5. Partition straight off the mapping, then verify against the
     //    in-memory path: labels must be bit-identical.
     let opts = DecompOptions::new(0.1).with_seed(7);
-    let (from_file, _) = partition_view(&mapped, &opts);
-    let (from_memory, _) = partition_view(&g, &opts);
+    let from_file = partition(&mapped, &opts);
+    let from_memory = partition(&g, &opts);
     assert_eq!(
         from_file.assignment(),
         from_memory.assignment(),

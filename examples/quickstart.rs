@@ -65,12 +65,19 @@ fn main() {
         session.workspace().runs(),
     );
 
-    // Determinism across the whole engine: the classic free functions are
-    // wrappers over the same machinery, every traversal strategy returns
-    // identical labels.
-    let opts = DecompOptions::new(beta).with_seed(42);
-    assert_eq!(d, partition_hybrid(&g, &opts));
-    assert_eq!(d, partition(&g, &opts));
-    assert_eq!(d, partition_sequential(&g, &opts));
-    println!("free-function wrappers: identical output (same seed)");
+    // For a single decomposition, the one-shot call runs the same engine
+    // on a fresh workspace; every traversal strategy returns identical
+    // labels.
+    for strategy in [
+        Traversal::Auto,
+        Traversal::TopDownPar,
+        Traversal::TopDownSeq,
+        Traversal::BottomUp,
+    ] {
+        let opts = DecompOptions::new(beta)
+            .with_seed(42)
+            .with_traversal(strategy);
+        assert_eq!(d, partition(&g, &opts), "{strategy:?}");
+    }
+    println!("one-shot partition: identical output under all four strategies");
 }

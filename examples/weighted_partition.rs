@@ -37,8 +37,11 @@ fn main() {
         g.total_weight()
     );
 
-    // Free function: sequential multi-source shifted Dijkstra.
-    let opts = DecompOptions::new(0.1).with_seed(7);
+    // One-shot call, pinned to the sequential multi-source shifted
+    // Dijkstra.
+    let opts = DecompOptions::new(0.1)
+        .with_seed(7)
+        .with_traversal(Traversal::TopDownSeq);
     let d = partition_weighted(&g, &opts);
     println!(
         "\nsequential Dijkstra:  {} clusters, max radius {:.3}, cut fraction {:.4}",

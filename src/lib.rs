@@ -8,14 +8,13 @@
 //! This umbrella crate re-exports the whole workspace:
 //!
 //! * [`graph`] — CSR graphs, generators, I/O, sequential oracles.
-//! * [`par`] — parallel primitives (atomic bitsets, scans, parallel BFS,
-//!   thread-pool control, work/depth telemetry).
-//! * [`runtime`] — the std-only work pool underneath [`par`]: schedulers
-//!   (fixed-chunk, work-stealing) and utilization counters
-//!   ([`runtime::stats`]).
+//! * [`par`] — counter-based per-index randomness (the shifts' RNG).
+//! * [`runtime`] — the std-only work pool underneath the rayon facade:
+//!   dedicated pools ([`runtime::Pool`]), schedulers (fixed-chunk,
+//!   work-stealing) and utilization counters ([`runtime::stats`]).
 //! * [`decomp`] — **the paper's contribution**: low-diameter decompositions
-//!   via exponentially shifted shortest paths, in parallel, sequential,
-//!   exact-reference and weighted variants.
+//!   via exponentially shifted shortest paths — one engine with four
+//!   traversal strategies, a weighted engine, and exact reference oracles.
 //! * [`baselines`] — sequential ball growing and other comparison
 //!   decomposition algorithms.
 //! * [`apps`] — spanners, low-stretch spanning trees, Linial–Saks block
@@ -41,6 +40,9 @@
 //! bind a graph view, then run as many decompositions as you need — the
 //! session's scratch arenas are reused across runs, so serving repeated
 //! requests over one graph allocates (almost) nothing after the first.
+//! For a single decomposition there is one one-shot call per graph kind,
+//! [`decomp::partition`] and [`decomp::partition_weighted`], each bit-identical
+//! to a session run with the same options.
 //!
 //! ```
 //! use mpx::prelude::*;
@@ -64,12 +66,8 @@
 //! // Serve three more requests with fresh shifts, reusing the workspace;
 //! // each is bit-identical to an independent run with that seed.
 //! let runs = session.run_many(&[1, 2, 3]);
-//! assert_eq!(runs[1], partition_hybrid(&g, &DecompOptions::new(0.1).with_seed(2)));
+//! assert_eq!(runs[1], partition(&g, &DecompOptions::new(0.1).with_seed(2)));
 //! ```
-//!
-//! One-shot calls can keep using the classic free functions
-//! ([`decomp::partition`] & co.) — they are thin wrappers over the same
-//! session machinery.
 
 #![deny(missing_docs)]
 
@@ -89,10 +87,9 @@ pub use mpx_viz as viz;
 pub mod prelude {
     pub use mpx_compress::{CompressedCsr, MappedCompressedCsr, Reorder};
     pub use mpx_decomp::{
-        partition, partition_exact, partition_hybrid, partition_sequential, partition_view,
-        partition_with_retry, verify_decomposition, ConfigError, DecompOptions, Decomposer,
-        DecomposerBuilder, Decomposition, DecompositionStats, RetryPolicy, ShiftStrategy, TieBreak,
-        Traversal, VerifyReport, Workspace,
+        partition, partition_exact, partition_weighted, verify_decomposition, ConfigError,
+        DecompOptions, Decomposer, DecomposerBuilder, Decomposition, DecompositionStats,
+        RetryPolicy, ShiftStrategy, TieBreak, Traversal, VerifyReport, Workspace,
     };
     pub use mpx_graph::{
         CsrGraph, EdgeFilteredView, GraphBuilder, GraphFormat, GraphView, InducedView, LoadedGraph,

@@ -444,7 +444,7 @@ fn emit_trace(trace: &mpx::trace::Trace, sink: &TraceSink) -> Result<(), String>
 /// otherwise.
 fn with_thread_choice<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
     match threads {
-        Some(n) => mpx::par::with_threads(n, f),
+        Some(n) => mpx::runtime::Pool::new(n).install(f),
         None => f(),
     }
 }
@@ -488,9 +488,19 @@ fn parse_workload(spec: &str, seed: u64) -> Result<CsrGraph, String> {
             format!("workload '{spec}': {e}")
         })
     };
+    // A generator's precondition, checked here so a spec outside its
+    // domain is a clean error instead of the generator's panic.
+    let require = |ok: bool, what: &str| -> Result<(), String> {
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("workload '{spec}': {what}"))
+        }
+    };
     match parts[0] {
         "grid" => {
             let side = num(1)?;
+            require(side > 0, "grid side must be positive")?;
             bounded("grid size side*side", side.checked_mul(side))?;
             Ok(gen::grid2d(side, side))
         }
@@ -506,24 +516,40 @@ fn parse_workload(spec: &str, seed: u64) -> Result<CsrGraph, String> {
             let m = bounded("edge count", ef.checked_mul(1usize << scale))?;
             Ok(gen::rmat(scale as u32, m, 0.57, 0.19, 0.19, seed))
         }
-        "gnm" => Ok(gen::gnm(
-            bounded("vertex count", Some(num(1)?))?,
-            bounded("edge count", Some(num(2)?))?,
-            seed,
-        )),
+        "gnm" => {
+            let n = bounded("vertex count", Some(num(1)?))?;
+            let m = bounded("edge count", Some(num(2)?))?;
+            let pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
+            require(
+                m <= pairs / 2 || pairs <= 64,
+                "gnm edge count must be at most half of the n*(n-1)/2 vertex pairs",
+            )?;
+            Ok(gen::gnm(n, m, seed))
+        }
         "ba" => {
             let (n, m) = (num(1)?, num(2)?);
+            require(m >= 1, "ba attachment count m must be at least 1")?;
+            require(
+                n > m,
+                "ba needs more vertices than the attachment count (n > m)",
+            )?;
             bounded("edge count n*m", n.checked_mul(m))?;
             Ok(gen::barabasi_albert(n, m, seed))
         }
         "regular" => {
             let (n, d) = (num(1)?, num(2)?);
             bounded("edge count n*d", n.checked_mul(d))?;
+            require(d < n, "regular degree d must be less than n")?;
+            require((n * d).is_multiple_of(2), "regular needs n*d even")?;
             Ok(gen::random_regular(n, d, seed))
         }
         "path" => Ok(gen::path(bounded("vertex count", Some(num(1)?))?)),
         "sbm" => {
             let (n, k) = (num(1)?, num(2)?);
+            require(
+                (1..=n.max(1)).contains(&k),
+                "sbm block count k must be between 1 and n",
+            )?;
             // Expected edges ≈ p_in·n²/(2k) with p_in = 0.1.
             bounded(
                 "expected edge count",
@@ -1186,7 +1212,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         return bench_weighted(spec, beta, seed, &flags);
     }
     let threads = flags.threads;
-    let effective_threads = threads.unwrap_or_else(mpx::par::default_threads);
+    let effective_threads = threads.unwrap_or_else(mpx::runtime::default_threads);
 
     fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
         let start = Instant::now();
@@ -1276,7 +1302,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// on `agree` plus parallel-beats-sequential at ≥4 threads.
 fn bench_weighted(spec: &str, beta: f64, seed: u64, flags: &RunFlags) -> Result<(), String> {
     let threads = flags.threads;
-    let effective_threads = threads.unwrap_or_else(mpx::par::default_threads);
+    let effective_threads = threads.unwrap_or_else(mpx::runtime::default_threads);
 
     fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
         let start = Instant::now();
@@ -1379,10 +1405,10 @@ fn bench_weighted(spec: &str, beta: f64, seed: u64, flags: &RunFlags) -> Result<
 /// `mpx bench-session <workload> <beta> [seed] [--runs K] [--threads N]
 /// [--strategy S]` — measures the amortization the `Decomposer` session
 /// API buys: K decompositions with fresh per-run seeds, once as K
-/// independent fresh runs (a new workspace per call — the free-function
-/// cost model) and once through one session reusing its workspace
-/// (`run_many`). Asserts the two label sequences are identical and emits
-/// one JSON object with both timings. CI archives this as the
+/// independent fresh runs (a new workspace per call — the one-shot
+/// `partition` cost model) and once through one session reusing its
+/// workspace (`run_many`). Asserts the two label sequences are identical
+/// and emits one JSON object with both timings. CI archives this as the
 /// `BENCH_session_*.json` perf-trajectory evidence.
 fn cmd_bench_session(args: &[String]) -> Result<(), String> {
     let (args, flags) = extract_flags(args, &["threads", "strategy", "runs"])?;
@@ -1393,7 +1419,7 @@ fn cmd_bench_session(args: &[String]) -> Result<(), String> {
         .map_or(Ok(42), |s| s.parse().map_err(|_| "bad seed".to_string()))?;
     let runs = flags.runs.unwrap_or(16);
     let threads = flags.threads;
-    let effective_threads = threads.unwrap_or_else(mpx::par::default_threads);
+    let effective_threads = threads.unwrap_or_else(mpx::runtime::default_threads);
     let seeds: Vec<u64> = (0..runs as u64).map(|i| seed.wrapping_add(i)).collect();
 
     fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
@@ -1493,7 +1519,7 @@ fn cmd_bench_ingest(args: &[String]) -> Result<(), String> {
         );
     }
     let threads = flags.threads;
-    let effective_threads = threads.unwrap_or_else(mpx::par::default_threads);
+    let effective_threads = threads.unwrap_or_else(mpx::runtime::default_threads);
     let file_bytes = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
 
     fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
@@ -1665,7 +1691,7 @@ fn default_workload(spec: &str) -> String {
         "rmat" => "rmat:12:8",
         "gnm" => "gnm:50000:200000",
         "ba" => "ba:20000:8",
-        "regular" => "regular:20000:8",
+        "regular" => "regular:20000:4",
         "path" => "path:50000",
         "sbm" => "sbm:20000:10",
         other => other,
@@ -1705,7 +1731,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         .map_or(Ok(42), |s| s.parse().map_err(|_| "bad seed".to_string()))?;
     let runs = flags.runs.unwrap_or(8);
     let sink = resolve_trace(&flags.trace)?;
-    let effective_threads = flags.threads.unwrap_or_else(mpx::par::default_threads);
+    let effective_threads = flags.threads.unwrap_or_else(mpx::runtime::default_threads);
     let seeds: Vec<u64> = (0..runs as u64).map(|i| seed.wrapping_add(i)).collect();
     if flags.weighted {
         return profile_weighted(&spec, beta, seed, &seeds, effective_threads, &flags, sink);
@@ -1748,7 +1774,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let (n, m) = (g.num_vertices(), g.num_edges());
     // Theorem 1.1: radius (hence rounds) is O(log n / β) w.h.p. Reported
     // with generous constants rather than hard-failed — it is a
-    // probabilistic guarantee, and `partition_with_retry` is the
+    // probabilistic guarantee, and `Decomposer::run_with_retry` is the
     // enforcement path.
     let round_bound = VerifyReport::radius_bound(n, beta);
     let max_rounds = report.max_rounds();
@@ -2063,6 +2089,9 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
     let seed: u64 = args
         .get(3)
         .map_or(Ok(2013), |s| s.parse().map_err(|_| "bad seed".to_string()))?;
+    if side == 0 {
+        return Err("render-grid: side must be positive".into());
+    }
     let g = gen::grid2d(side, side);
     let d = mpx::decomp::partition(&g, &DecompOptions::new(beta).with_seed(seed));
     let img = mpx::viz::render_grid_partition(side, side, &d);

@@ -153,6 +153,36 @@ fn sbm_workload_generates() {
     std::fs::remove_file(graph_path).ok();
 }
 
+/// Asserts that `mpx args` fails the way every CLI error path does: exit
+/// code 2 and an `error:` line on stderr, never a panic.
+fn assert_clean_error(args: &[&str]) {
+    let out = mpx().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "mpx {args:?}: {stderr}");
+    assert!(stderr.contains("error:"), "mpx {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "mpx {args:?}: {stderr}");
+}
+
+#[test]
+fn generator_specs_outside_their_domain_error_cleanly() {
+    let out = tmp("domain.txt");
+    let out = out.to_str().unwrap();
+    for spec in [
+        "grid:0",
+        "ba:5:0",
+        "ba:3:5",
+        "regular:5:3",
+        "regular:4:9",
+        "sbm:10:0",
+        "sbm:5:10",
+        "gnm:100:4000",
+    ] {
+        assert_clean_error(&["gen", spec, out]);
+    }
+    assert_clean_error(&["render-grid", "0", "0.1", out]);
+    std::fs::remove_file(out).ok();
+}
+
 #[test]
 fn missing_file_reports_error() {
     let out = mpx()
@@ -543,6 +573,14 @@ fn profile_accepts_bare_family_names_and_weighted() {
     let v = mpx::trace::json::parse(&stdout).unwrap();
     assert_eq!(v.get("workload").and_then(|x| x.as_str()), Some("grid:200"));
     assert_eq!(v.get("n").and_then(|x| x.as_f64()), Some(40_000.0));
+
+    // The `regular` default must be a degree the generator can build.
+    let stdout = run_ok(&["profile", "regular", "0.1", "--runs", "2"]);
+    let v = mpx::trace::json::parse(&stdout).unwrap();
+    assert_eq!(
+        v.get("workload").and_then(|x| x.as_str()),
+        Some("regular:20000:4")
+    );
 
     let stdout = run_ok(&["profile", "grid:30", "0.4", "--runs", "2", "--weighted"]);
     let v = mpx::trace::json::parse(&stdout).unwrap();

@@ -9,7 +9,7 @@ use mpx::compress::{
     MappedCompressedCsr, Reorder,
 };
 use mpx::decomp::{
-    partition_view, verify_decomposition, DecompOptions, Determinism, Traversal, Workspace,
+    partition, verify_decomposition, DecompOptions, Determinism, Traversal, Workspace,
 };
 use mpx::graph::{gen, snapshot, CsrGraph, Vertex};
 use proptest::prelude::*;
@@ -58,8 +58,8 @@ fn v1_v2_and_reordered_v2_labels_are_byte_identical() {
             let opts = DecompOptions::new(0.12)
                 .with_seed(23)
                 .with_traversal(strategy);
-            let (reference, _) = partition_view(&v1, &opts);
-            let (compressed, _) = partition_view(&v2, &opts);
+            let reference = partition(&v1, &opts);
+            let compressed = partition(&v2, &opts);
             assert_eq!(
                 compressed.assignment(),
                 reference.assignment(),
@@ -241,7 +241,7 @@ proptest! {
         ],
     ) {
         let opts = DecompOptions::new(0.25).with_seed(seed);
-        let reference = partition_view(&g, &opts).0;
+        let reference = partition(&g, &opts);
         let p = tmp(&format!("prop-{seed}-{reorder}.mpx"));
         let perm = reorder_permutation(&g, reorder);
         let stored = match &perm {
@@ -257,7 +257,7 @@ proptest! {
                 let (d, _) = Workspace::new().partition_view_permuted(&c, &opts, &perm);
                 d.remap_labels(&perm)
             }
-            None => partition_view(&c, &opts).0,
+            None => partition(&c, &opts),
         };
         prop_assert_eq!(d.assignment(), reference.assignment());
         prop_assert_eq!(d.distances(), reference.distances());

@@ -1,13 +1,10 @@
 //! API-equivalence contract of the `Decomposer` session front door: every
-//! run through the builder is bit-identical to the legacy `partition*`
-//! free functions — across all four traversal strategies, across thread
-//! counts, across `CsrGraph`-vs-`MappedCsr` sources, and with `run_many`
-//! matching independent fresh runs seed for seed.
+//! run through the builder is bit-identical to the one-shot `partition`
+//! call — across all four traversal strategies, across thread counts,
+//! across `CsrGraph`, `MappedCsr` and `MappedCompressedCsr` sources, and
+//! with `run_many` matching independent fresh runs seed for seed.
 
-use mpx::decomp::{
-    partition_exact, partition_with_retry, partition_with_retry_view, DecomposerBuilder,
-    RetryPolicy,
-};
+use mpx::compress::{write_compressed_snapshot, MappedCompressedCsr};
 use mpx::graph::snapshot;
 use mpx::prelude::*;
 use proptest::prelude::*;
@@ -29,16 +26,9 @@ fn builder(beta: f64, seed: u64, strategy: Traversal) -> DecomposerBuilder {
     DecomposerBuilder::new(beta).seed(seed).traversal(strategy)
 }
 
-/// The legacy free function that pins `strategy`, where one exists;
-/// `partition_view` (which honors the options' traversal) otherwise.
-fn legacy(g: &CsrGraph, opts: &DecompOptions, strategy: Traversal) -> Decomposition {
-    let opts = opts.clone().with_traversal(strategy);
-    match strategy {
-        Traversal::TopDownPar => partition(g, &opts),
-        Traversal::TopDownSeq => partition_sequential(g, &opts),
-        Traversal::Auto => partition_hybrid(g, &opts),
-        Traversal::BottomUp => partition_view(g, &opts).0,
-    }
+/// The one-shot call under `strategy`.
+fn legacy<V: GraphView>(g: &V, opts: &DecompOptions, strategy: Traversal) -> Decomposition {
+    partition(g, &opts.clone().with_traversal(strategy))
 }
 
 #[test]
@@ -57,29 +47,48 @@ fn session_matches_legacy_functions_across_families_strategies_and_threads() {
         for strategy in STRATEGIES {
             let want = legacy(&g, &opts, strategy);
             for threads in [1usize, 4] {
-                let got = mpx::par::with_threads(threads, || {
-                    builder(beta, seed, strategy).build(&g).unwrap().run()
-                });
+                let got = mpx::runtime::Pool::new(threads)
+                    .install(|| builder(beta, seed, strategy).build(&g).unwrap().run());
                 assert_eq!(got, want, "strategy {strategy:?} threads {threads}");
             }
         }
     }
 }
 
+/// Sessions over a `CsrGraph` and over its mapped snapshot agree, and the
+/// one-shot call over the mapped v1 snapshot and over a mapped compressed
+/// v2 snapshot of the same graph equals the session run.
 #[test]
 fn session_labels_identical_between_csr_and_mapped_snapshot() {
     let g = mpx::graph::gen::gnm(2000, 9000, 7);
     let path = tmp("csr-vs-mmap.mpx");
+    let path2 = tmp("csr-vs-mmap.v2.mpx");
     snapshot::write_snapshot(&g, &path).unwrap();
+    write_compressed_snapshot(&g, None, &path2).unwrap();
     let mapped = mpx::graph::MappedCsr::open(&path).unwrap();
+    let compressed = MappedCompressedCsr::open(&path2).unwrap();
     let seeds: Vec<u64> = (0..4).collect();
     for strategy in STRATEGIES {
         let b = builder(0.3, 0, strategy);
         let via_csr = b.build(&g).unwrap().run_many(&seeds);
         let via_map = b.build(&mapped).unwrap().run_many(&seeds);
         assert_eq!(via_csr, via_map, "strategy {strategy:?}");
+        for (&seed, session) in seeds.iter().zip(&via_csr) {
+            let opts = DecompOptions::new(0.3).with_seed(seed);
+            assert_eq!(
+                &legacy(&mapped, &opts, strategy),
+                session,
+                "one-shot over MappedCsr, strategy {strategy:?} seed {seed}"
+            );
+            assert_eq!(
+                &legacy(&compressed, &opts, strategy),
+                session,
+                "one-shot over MappedCompressedCsr, strategy {strategy:?} seed {seed}"
+            );
+        }
     }
     std::fs::remove_file(path).ok();
+    std::fs::remove_file(path2).ok();
 }
 
 #[test]
@@ -88,9 +97,11 @@ fn retry_session_works_over_a_mapped_snapshot() {
     let path = tmp("retry.mpx");
     snapshot::write_snapshot(&g, &path).unwrap();
     let mapped = mpx::graph::MappedCsr::open(&path).unwrap();
-    let opts = DecompOptions::new(0.1).with_seed(5);
-    let on_graph = partition_with_retry(&g, &opts, &RetryPolicy::default());
-    let on_map = partition_with_retry_view(&mapped, &opts, &RetryPolicy::default());
+    let b = DecomposerBuilder::new(0.1)
+        .seed(5)
+        .retry_policy(RetryPolicy::default());
+    let on_graph = b.build(&g).unwrap().run_with_retry();
+    let on_map = b.build(&mapped).unwrap().run_with_retry();
     assert_eq!(on_graph.decomposition, on_map.decomposition);
     assert_eq!(on_graph.attempts, on_map.attempts);
     assert_eq!(on_graph.accepted, on_map.accepted);
@@ -109,9 +120,8 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On arbitrary graphs, the session output equals every legacy entry
-    /// point — including the O(nm) Algorithm 2 oracle — for every
-    /// traversal strategy.
+    /// On arbitrary graphs, the session output equals the one-shot call
+    /// and the O(nm) Algorithm 2 oracle, for every traversal strategy.
     #[test]
     fn session_equals_all_legacy_paths_on_arbitrary_graphs(
         g in arb_graph(90, 260),

@@ -1,14 +1,14 @@
 //! Engine matrix smoke tests: every [`Traversal`] strategy must be
-//! **bit-identical** (a) to the classic `partition` entry point on full
-//! graphs and (b) between a zero-copy `InducedView` and the materialized
+//! **bit-identical** (a) to the one-shot `partition` call on full graphs
+//! and (b) between a zero-copy `InducedView` and the materialized
 //! `induced_subgraph` of the same mask — across graph families, seeds and
 //! 1/2/4/8 worker threads. This is the contract that lets callers treat
 //! the traversal strategy as a pure wall-clock knob and the views as free
 //! of semantic cost.
 
-use mpx::decomp::{partition, partition_view, DecompOptions, Traversal};
+use mpx::decomp::{partition, DecompOptions, Traversal, Workspace};
 use mpx::graph::{gen, CsrGraph, InducedView};
-use mpx::par::with_threads;
+use mpx::runtime::Pool;
 
 const STRATEGIES: [Traversal; 4] = [
     Traversal::Auto,
@@ -48,7 +48,7 @@ fn strategies_bit_identical_across_families_seeds_threads() {
             for threads in [1usize, 2, 4, 8] {
                 for strategy in STRATEGIES {
                     let opts = base_opts.clone().with_traversal(strategy);
-                    let d = with_threads(threads, || partition_view(&g, &opts).0);
+                    let d = Pool::new(threads).install(|| partition(&g, &opts));
                     assert_eq!(
                         baseline.assignment(),
                         d.assignment(),
@@ -73,12 +73,8 @@ fn induced_view_bit_identical_to_materialized_subgraph() {
                     let opts = DecompOptions::new(0.25)
                         .with_seed(seed)
                         .with_traversal(strategy);
-                    let (via_view, via_sub) = with_threads(threads, || {
-                        (
-                            partition_view(&view, &opts).0,
-                            partition_view(&sub, &opts).0,
-                        )
-                    });
+                    let (via_view, via_sub) = Pool::new(threads)
+                        .install(|| (partition(&view, &opts), partition(&sub, &opts)));
                     assert_eq!(
                         via_view.assignment(),
                         via_sub.assignment(),
@@ -96,9 +92,11 @@ fn engine_telemetry_strategy_profiles_differ_but_outputs_agree() {
     // outputs equal, work profiles distinct — proof the strategies are real.
     let g = gen::gnm(2000, 30_000, 4);
     let opts = DecompOptions::new(0.5).with_seed(2);
-    let (d_td, t_td) = partition_view(&g, &opts.clone().with_traversal(Traversal::TopDownPar));
-    let (d_auto, t_auto) = partition_view(&g, &opts.clone().with_traversal(Traversal::Auto));
-    let (d_bu, t_bu) = partition_view(&g, &opts.clone().with_traversal(Traversal::BottomUp));
+    let mut ws = Workspace::new();
+    let mut run = |t: Traversal| ws.partition_view(&g, &opts.clone().with_traversal(t));
+    let (d_td, t_td) = run(Traversal::TopDownPar);
+    let (d_auto, t_auto) = run(Traversal::Auto);
+    let (d_bu, t_bu) = run(Traversal::BottomUp);
     assert_eq!(d_td, d_auto);
     assert_eq!(d_td, d_bu);
     assert_eq!(t_td.bottom_up_rounds, 0);

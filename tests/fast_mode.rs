@@ -20,7 +20,7 @@
 
 use mpx::decomp::{verify_decomposition, DecomposerBuilder, Determinism, Traversal, VerifyReport};
 use mpx::graph::{gen, CsrGraph};
-use mpx::par::with_threads;
+use mpx::runtime::Pool;
 
 /// Every CLI strategy token (hybrid is an alias of auto — kept distinct
 /// here so the token surface itself is exercised).
@@ -57,7 +57,7 @@ fn fast_runs_hold_invariants_across_families_strategies_threads() {
             for threads in THREAD_COUNTS {
                 for seed in SEEDS {
                     let ctx = format!("{name} --strategy {token} --threads {threads} seed {seed}");
-                    let (exact, fast) = with_threads(threads, || {
+                    let (exact, fast) = Pool::new(threads).install(|| {
                         (
                             run(&g, strategy, Determinism::BitExact, seed),
                             run(&g, strategy, Determinism::Fast, seed),
@@ -123,7 +123,7 @@ fn bitexact_labels_match_pinned_hashes_across_thread_counts() {
     let g = gen::grid2d(30, 30);
     let expected: [(u64, u64); 3] = [(1, PIN_SEED_1), (2, PIN_SEED_2), (3, PIN_SEED_3)];
     for threads in THREAD_COUNTS {
-        with_threads(threads, || {
+        Pool::new(threads).install(|| {
             let mut session = DecomposerBuilder::new(BETA).build(&g).unwrap();
             for (seed, pin) in expected {
                 let d = session.run_with_seed(seed);
@@ -149,7 +149,7 @@ fn interleaved_fast_runs_do_not_perturb_bitexact_outputs() {
     let pins: Vec<_> = (1..=3u64).map(|s| baseline.run_with_seed(s)).collect();
 
     for threads in THREAD_COUNTS {
-        with_threads(threads, || {
+        Pool::new(threads).install(|| {
             let mut session = DecomposerBuilder::new(BETA).build(&g).unwrap();
             for round in 0..4u64 {
                 for (i, seed) in (1..=3u64).enumerate() {

@@ -3,7 +3,7 @@
 //! snapshots drive the engine to byte-identical labels under every
 //! traversal strategy, and malformed inputs die with clean errors.
 
-use mpx::decomp::{partition_view, DecompOptions, Traversal};
+use mpx::decomp::{partition, DecompOptions, Traversal};
 use mpx::graph::{gen, io, snapshot, CsrGraph, GraphFormat, TextParser, Vertex};
 use proptest::prelude::*;
 
@@ -23,7 +23,7 @@ const ALL_FORMATS: [(GraphFormat, &str); 4] = [
 /// Partition labels of a graph (fixed β/seed for comparisons).
 fn labels(g: &CsrGraph) -> Vec<Vertex> {
     let opts = DecompOptions::new(0.2).with_seed(13);
-    partition_view(g, &opts).0.assignment().to_vec()
+    partition(g, &opts).assignment().to_vec()
 }
 
 #[test]
@@ -58,8 +58,8 @@ fn mapped_snapshot_partitions_identically_under_every_strategy() {
         let opts = DecompOptions::new(0.15)
             .with_seed(5)
             .with_traversal(strategy);
-        let (from_file, _) = partition_view(&mapped, &opts);
-        let (from_memory, _) = partition_view(&g, &opts);
+        let from_file = partition(&mapped, &opts);
+        let from_memory = partition(&g, &opts);
         assert_eq!(
             from_file.assignment(),
             from_memory.assignment(),
@@ -187,14 +187,14 @@ proptest! {
     #[test]
     fn roundtrip_preserves_partition_labels(g in arb_graph(120, 400), seed in 0u64..1000) {
         let opts = DecompOptions::new(0.25).with_seed(seed);
-        let reference = partition_view(&g, &opts).0.assignment().to_vec();
+        let reference = partition(&g, &opts).assignment().to_vec();
         for (format, ext) in ALL_FORMATS {
             let p = tmp(&format!("prop-{seed}.{ext}"));
             io::write_graph(&g, &p, format).unwrap();
             for parser in [TextParser::Sequential, TextParser::Parallel] {
                 let h = io::read_graph_as(&p, format, parser).unwrap();
                 prop_assert_eq!(&h, &g, "{:?}/{:?} lossy", format, parser);
-                let got = partition_view(&h, &opts).0.assignment().to_vec();
+                let got = partition(&h, &opts).assignment().to_vec();
                 prop_assert_eq!(&got, &reference, "{:?}/{:?} labels differ", format, parser);
             }
             std::fs::remove_file(p).ok();

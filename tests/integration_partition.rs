@@ -1,12 +1,13 @@
-//! Cross-crate integration tests of the partition routine: every public
-//! entry point, on every graph family, checked by the full verifier.
+//! Cross-crate integration tests of the partition routine: the one-shot
+//! call, the retry session and the exact oracle, on every graph family,
+//! checked by the full verifier.
 
 use mpx::decomp::{
-    partition, partition_exact, partition_sequential, partition_with_retry, verify_decomposition,
-    DecompOptions, RetryPolicy, TieBreak, VerifyReport,
+    partition, partition_exact, verify_decomposition, DecompOptions, DecomposerBuilder,
+    RetryPolicy, TieBreak, Traversal, VerifyReport,
 };
 use mpx::graph::gen::{self, Workload};
-use mpx::par::with_threads;
+use mpx::runtime::Pool;
 
 #[test]
 fn all_workloads_all_betas_valid() {
@@ -41,8 +42,8 @@ fn three_implementations_agree_end_to_end() {
     for seed in 0..5u64 {
         let g = gen::gnm(120, 400, seed);
         let opts = DecompOptions::new(0.15).with_seed(seed);
-        let par = partition(&g, &opts);
-        let seq = partition_sequential(&g, &opts);
+        let par = partition(&g, &opts.clone().with_traversal(Traversal::TopDownPar));
+        let seq = partition(&g, &opts.clone().with_traversal(Traversal::TopDownSeq));
         let exact = partition_exact(&g, &opts);
         assert_eq!(par, seq);
         assert_eq!(par, exact);
@@ -53,8 +54,8 @@ fn three_implementations_agree_end_to_end() {
 fn thread_count_does_not_change_output() {
     let g = gen::rmat(12, 8 << 12, 0.57, 0.19, 0.19, 5);
     let opts = DecompOptions::new(0.1).with_seed(99);
-    let one = with_threads(1, || partition(&g, &opts));
-    let many = with_threads(16, || partition(&g, &opts));
+    let one = Pool::new(1).install(|| partition(&g, &opts));
+    let many = Pool::new(16).install(|| partition(&g, &opts));
     assert_eq!(one, many);
 }
 
@@ -64,11 +65,12 @@ fn retry_driver_delivers_theorem_1_2() {
     // and radius bounds hold simultaneously.
     let g = gen::grid2d(60, 60);
     for beta in [0.05, 0.2] {
-        let out = partition_with_retry(
-            &g,
-            &DecompOptions::new(beta).with_seed(1),
-            &RetryPolicy::default(),
-        );
+        let out = DecomposerBuilder::new(beta)
+            .seed(1)
+            .retry_policy(RetryPolicy::default())
+            .build(&g)
+            .unwrap()
+            .run_with_retry();
         assert!(out.accepted, "β={beta} never accepted");
         let d = &out.decomposition;
         assert!(d.cut_edges(&g) as f64 <= out.cut_threshold);

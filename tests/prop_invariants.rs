@@ -1,10 +1,9 @@
 //! Property-based tests (proptest) of the core invariants, on arbitrary
 //! random graphs and parameters.
 
-use mpx::decomp::parallel::partition_with_shifts;
-use mpx::decomp::sequential::partition_sequential_with_shifts;
 use mpx::decomp::{
-    partition, partition_sequential, verify_decomposition, DecompOptions, ExpShifts, TieBreak,
+    partition, partition_view_with_shifts, verify_decomposition, DecompOptions, ExpShifts,
+    TieBreak, Traversal, DEFAULT_ALPHA,
 };
 use mpx::graph::{algo, CsrGraph, Vertex};
 use proptest::prelude::*;
@@ -54,8 +53,8 @@ proptest! {
     ) {
         let opts = DecompOptions::new(beta).with_seed(seed).with_tie_break(tb);
         let shifts = ExpShifts::generate(g.num_vertices(), &opts);
-        let (par, _) = partition_with_shifts(&g, &shifts);
-        let seq = partition_sequential_with_shifts(&g, &shifts);
+        let (par, _) = partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, DEFAULT_ALPHA);
+        let (seq, _) = partition_view_with_shifts(&g, &shifts, Traversal::TopDownSeq, DEFAULT_ALPHA);
         prop_assert_eq!(par, seq);
     }
 
@@ -69,7 +68,7 @@ proptest! {
     ) {
         let opts = DecompOptions::new(beta).with_seed(seed);
         let shifts = ExpShifts::generate(g.num_vertices(), &opts);
-        let (d, _) = partition_with_shifts(&g, &shifts);
+        let (d, _) = partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, DEFAULT_ALPHA);
         prop_assert!((d.max_radius() as f64) <= shifts.delta_max + 1.0);
     }
 
@@ -159,6 +158,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let opts = DecompOptions::new(beta).with_seed(seed);
-        prop_assert_eq!(partition(&g, &opts), partition_sequential(&g, &opts));
+        let seq = opts.clone().with_traversal(Traversal::TopDownSeq);
+        prop_assert_eq!(partition(&g, &opts), partition(&g, &seq));
     }
 }

@@ -4,10 +4,9 @@
 //! equivalent to their references under arbitrary inputs.
 
 use mpx::compress::{write_compressed_snapshot, MappedCompressedCsr};
-use mpx::decomp::weighted::{partition_weighted, partition_weighted_parallel, verify_weighted};
 use mpx::decomp::{
-    partition, partition_hybrid, verify_decomposition, DecompOptions, Decomposition, Determinism,
-    ShiftStrategy, Workspace,
+    partition, partition_weighted, verify_decomposition, verify_weighted, DecompOptions,
+    DecomposerBuilder, Decomposition, Determinism, ShiftStrategy, Traversal, Workspace,
 };
 use mpx::graph::snapshot::{write_snapshot, MappedCsr};
 use mpx::graph::{gen, CsrGraph, GraphView, Vertex, WeightedCsrGraph, INFINITY, NO_VERTEX};
@@ -319,7 +318,10 @@ proptest! {
             ShiftStrategy::SampledExponential
         };
         let opts = DecompOptions::new(beta).with_seed(seed).with_shift_strategy(strat);
-        prop_assert_eq!(partition(&g, &opts), partition_hybrid(&g, &opts));
+        prop_assert_eq!(
+            partition(&g, &opts.clone().with_traversal(Traversal::TopDownPar)),
+            partition(&g, &opts.with_traversal(Traversal::Auto))
+        );
     }
 
     /// Weighted Δ-stepping equals weighted Dijkstra on arbitrary weighted
@@ -340,8 +342,12 @@ proptest! {
             .collect();
         let wg = WeightedCsrGraph::from_edges(g.num_vertices(), &edges);
         let opts = DecompOptions::new(0.2).with_seed(seed);
-        let a = partition_weighted(&wg, &opts);
-        let b = partition_weighted_parallel(&wg, &opts, Some(2f64.powi(delta_exp)));
+        let a = partition_weighted(&wg, &opts.clone().with_traversal(Traversal::TopDownSeq));
+        let b = DecomposerBuilder::from_options(opts.with_traversal(Traversal::TopDownPar))
+            .build_weighted(&wg)
+            .unwrap()
+            .with_delta(Some(2f64.powi(delta_exp)))
+            .run();
         prop_assert_eq!(&a.assignment, &b.assignment);
         prop_assert!(verify_weighted(&wg, &a).is_ok());
     }
@@ -417,6 +423,36 @@ fn out_of_range_parent_is_reported_not_followed() {
     let r = verify_decomposition(&g, &d);
     assert_eq!(r.errors, vec!["vertex 1: invalid parent 2".to_string()]);
     assert!(!bfs_oracle_valid(&g, &d));
+}
+
+/// A weighted center past the vertex range is reported, never indexed.
+#[test]
+fn weighted_out_of_range_center_is_reported_not_indexed() {
+    let wg = WeightedCsrGraph::unit_weights(&gen::grid2d(6, 6));
+    let mut d = DecomposerBuilder::new(0.2)
+        .build_weighted(&wg)
+        .unwrap()
+        .run();
+    d.centers.push(1000);
+    assert_eq!(
+        verify_weighted(&wg, &d),
+        Err("center 1000 out of range (n = 36)".to_string())
+    );
+}
+
+/// A short weighted distance vector is reported, never indexed.
+#[test]
+fn weighted_short_distance_vector_is_reported_not_indexed() {
+    let wg = WeightedCsrGraph::unit_weights(&gen::grid2d(6, 6));
+    let mut d = DecomposerBuilder::new(0.2)
+        .build_weighted(&wg)
+        .unwrap()
+        .run();
+    d.dist_to_center.truncate(3);
+    assert_eq!(
+        verify_weighted(&wg, &d),
+        Err("dist_to_center length mismatch".to_string())
+    );
 }
 
 /// Directed sanity check outside proptest: a decomposition with a vertex

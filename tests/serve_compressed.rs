@@ -7,7 +7,7 @@
 mod serve_common;
 
 use mpx::compress::{apply_permutation, reorder_permutation, write_compressed_snapshot, Reorder};
-use mpx::decomp::{partition_view, DecompOptions, Traversal};
+use mpx::decomp::{partition, DecompOptions, Traversal};
 use mpx::graph::gen;
 use mpx::serve::protocol::PartitionRequest;
 use mpx::serve::Client;
@@ -37,7 +37,7 @@ fn compressed_snapshots_serve_byte_identical_labels() {
             let opts = DecompOptions::new(0.3)
                 .with_seed(seed)
                 .with_traversal(traversal);
-            let reference = partition_view(&g, &opts).0;
+            let reference = partition(&g, &opts);
             let mut replies = Vec::new();
             for snapshot in 0..3u32 {
                 let mut req = PartitionRequest::new(snapshot, seed, 0.3);

@@ -1,45 +1,36 @@
-//! Smoke test for the determinism contract: the parallel, sequential,
-//! hybrid (direction-optimizing) and exact-reference implementations must
-//! produce **identical** assignments for the same options — on a grid and
-//! on a GNM graph, across several seeds — and the parallel implementation
-//! must additionally be **bit-identical across thread counts** (1/2/4/8)
-//! on every tested graph family, now that the `mpx-runtime` engine makes
-//! parallelism real. This is the invariant every later performance PR
-//! must preserve.
+//! Smoke test for the determinism contract: every traversal strategy
+//! (parallel, sequential, hybrid direction-optimizing, bottom-up) and the
+//! exact reference must produce **identical** assignments for the same
+//! options — on a grid and on a GNM graph, across several seeds — and the
+//! parallel strategy must additionally be **bit-identical across thread
+//! counts** (1/2/4/8) on every tested graph family, now that the
+//! `mpx-runtime` engine makes parallelism real. This is the invariant
+//! every later performance PR must preserve.
 
-use mpx::decomp::{
-    partition, partition_exact, partition_hybrid, partition_sequential, verify_decomposition,
-    DecompOptions,
-};
+use mpx::decomp::{partition, partition_exact, verify_decomposition, DecompOptions, Traversal};
 use mpx::graph::{gen, CsrGraph};
-use mpx::par::with_threads;
+use mpx::runtime::Pool;
 
 fn assert_all_variants_identical(g: &CsrGraph, name: &str) {
     for seed in [1u64, 42, 20130723] {
         for beta in [0.1, 0.25] {
             let opts = DecompOptions::new(beta).with_seed(seed);
-            let par = partition(g, &opts);
-            let seq = partition_sequential(g, &opts);
-            let hyb = partition_hybrid(g, &opts);
             let exact = partition_exact(g, &opts);
+            for strategy in [
+                Traversal::TopDownPar,
+                Traversal::TopDownSeq,
+                Traversal::Auto,
+                Traversal::BottomUp,
+            ] {
+                let d = partition(g, &opts.clone().with_traversal(strategy));
+                assert_eq!(
+                    d.assignment(),
+                    exact.assignment(),
+                    "{name}: {strategy:?} != exact (seed {seed}, beta {beta})"
+                );
+            }
 
-            assert_eq!(
-                par.assignment(),
-                seq.assignment(),
-                "{name}: parallel != sequential (seed {seed}, beta {beta})"
-            );
-            assert_eq!(
-                par.assignment(),
-                hyb.assignment(),
-                "{name}: parallel != hybrid (seed {seed}, beta {beta})"
-            );
-            assert_eq!(
-                par.assignment(),
-                exact.assignment(),
-                "{name}: parallel != exact (seed {seed}, beta {beta})"
-            );
-
-            let report = verify_decomposition(g, &par);
+            let report = verify_decomposition(g, &exact);
             assert!(
                 report.is_valid(),
                 "{name}: invalid decomposition (seed {seed}, beta {beta}): {:?}",
@@ -67,8 +58,10 @@ fn all_variants_identical_on_gnm() {
 /// collect/reduce order thread-independent; this test pins both.
 fn assert_thread_sweep_identical(g: &CsrGraph, name: &str) {
     for seed in [3u64, 20130723] {
-        let opts = DecompOptions::new(0.2).with_seed(seed);
-        let baseline = with_threads(1, || partition(g, &opts));
+        let opts = DecompOptions::new(0.2)
+            .with_seed(seed)
+            .with_traversal(Traversal::TopDownPar);
+        let baseline = Pool::new(1).install(|| partition(g, &opts));
         let report = verify_decomposition(g, &baseline);
         assert!(
             report.is_valid(),
@@ -76,7 +69,7 @@ fn assert_thread_sweep_identical(g: &CsrGraph, name: &str) {
             report.errors
         );
         for threads in [2usize, 4, 8] {
-            let other = with_threads(threads, || partition(g, &opts));
+            let other = Pool::new(threads).install(|| partition(g, &opts));
             assert_eq!(
                 baseline.assignment(),
                 other.assignment(),

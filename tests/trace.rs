@@ -29,16 +29,17 @@ fn traced_labels_identical_across_strategies_and_threads() {
     for token in STRATEGIES {
         let strategy: Traversal = token.parse().unwrap();
         for threads in [1usize, 4] {
-            let (untraced, traced, telemetry, trace) = mpx::par::with_threads(threads, || {
-                let mut session = DecomposerBuilder::new(0.2)
-                    .seed(11)
-                    .traversal(strategy)
-                    .build(&g)
-                    .unwrap();
-                let untraced = session.run_with_seed(11);
-                let (traced, telemetry, trace) = session.run_with_seed_traced(11);
-                (untraced, traced, telemetry, trace)
-            });
+            let (untraced, traced, telemetry, trace) =
+                mpx::runtime::Pool::new(threads).install(|| {
+                    let mut session = DecomposerBuilder::new(0.2)
+                        .seed(11)
+                        .traversal(strategy)
+                        .build(&g)
+                        .unwrap();
+                    let untraced = session.run_with_seed(11);
+                    let (traced, telemetry, trace) = session.run_with_seed_traced(11);
+                    (untraced, traced, telemetry, trace)
+                });
             assert_eq!(
                 traced, untraced,
                 "tracing perturbed labels (strategy {token}, {threads} threads)"

@@ -7,8 +7,8 @@
 //! sizes.
 
 use mpx::decomp::{
-    partition, partition_weighted, partition_weighted_exact, partition_weighted_parallel,
-    verify_weighted, DecompOptions, DecomposerBuilder, Traversal, WeightedDecomposition,
+    partition, partition_weighted, partition_weighted_exact, verify_weighted, DecompOptions,
+    DecomposerBuilder, Traversal, WeightedDecomposition,
 };
 use mpx::graph::{gen, snapshot, CsrGraph, MappedWeightedCsr, Vertex, WeightedCsrGraph};
 use proptest::prelude::*;
@@ -25,6 +25,26 @@ fn random_lengths(g: &CsrGraph, seed: u64) -> WeightedCsrGraph {
         })
         .collect();
     WeightedCsrGraph::from_edges(g.num_vertices(), &edges)
+}
+
+const STRATEGIES: [Traversal; 4] = [
+    Traversal::Auto,
+    Traversal::TopDownPar,
+    Traversal::TopDownSeq,
+    Traversal::BottomUp,
+];
+
+/// One Δ-stepping run with bucket width `delta` (`None` = mean weight).
+fn delta_stepping(
+    g: &WeightedCsrGraph,
+    opts: &DecompOptions,
+    delta: Option<f64>,
+) -> WeightedDecomposition {
+    DecomposerBuilder::from_options(opts.clone().with_traversal(Traversal::TopDownPar))
+        .build_weighted(g)
+        .expect("valid weighted graph")
+        .with_delta(delta)
+        .run()
 }
 
 fn assert_bit_identical(a: &WeightedDecomposition, b: &WeightedDecomposition, what: &str) {
@@ -60,12 +80,7 @@ fn all_strategies_match_exact_reference_across_families() {
         let opts = DecompOptions::new(0.15).with_seed(5);
         let exact = partition_weighted_exact(&g, &opts);
         verify_weighted(&g, &exact).unwrap_or_else(|e| panic!("{name}: exact invalid: {e}"));
-        for strategy in [
-            Traversal::Auto,
-            Traversal::TopDownPar,
-            Traversal::TopDownSeq,
-            Traversal::BottomUp,
-        ] {
+        for strategy in STRATEGIES {
             let mut session = DecomposerBuilder::new(0.15)
                 .seed(5)
                 .traversal(strategy)
@@ -83,16 +98,17 @@ fn all_strategies_match_exact_reference_across_families() {
 fn bucket_width_never_changes_the_answer() {
     let g = random_lengths(&gen::gnm(200, 800, 3), 23);
     let opts = DecompOptions::new(0.2).with_seed(9);
-    let reference = partition_weighted(&g, &opts);
+    let reference = partition_weighted(&g, &opts.clone().with_traversal(Traversal::TopDownSeq));
     for delta in [None, Some(0.1), Some(1.0), Some(7.5), Some(1e6)] {
-        let d = partition_weighted_parallel(&g, &opts, delta);
+        let d = delta_stepping(&g, &opts, delta);
         assert_bit_identical(&reference, &d, &format!("delta={delta:?}"));
     }
 }
 
 /// A weighted snapshot fed back through the engine — memory-mapped,
 /// traversed zero-copy — answers bit-identically to the in-memory graph
-/// it was written from.
+/// it was written from, and the one-shot `partition_weighted` over either
+/// source equals the session run, under every strategy.
 #[test]
 fn mmap_snapshot_matches_in_memory_graph() {
     let g = random_lengths(&gen::gnm(250, 900, 6), 31);
@@ -100,12 +116,16 @@ fn mmap_snapshot_matches_in_memory_graph() {
     path.push(format!("mpx-wtest-{}.mpx", std::process::id()));
     snapshot::write_weighted_snapshot(&g, &path).expect("write snapshot");
     let mapped = MappedWeightedCsr::open(&path).expect("map snapshot");
-    for strategy in [Traversal::TopDownSeq, Traversal::TopDownPar] {
+    for strategy in STRATEGIES {
         let builder = DecomposerBuilder::new(0.12).seed(13).traversal(strategy);
         let owned = builder.build_weighted(&g).expect("owned session").run();
         let zero_copy = builder.build_weighted(&mapped).expect("mmap session").run();
         assert_bit_identical(&owned, &zero_copy, strategy.as_str());
         verify_weighted(&mapped, &zero_copy).expect("valid over the mapping");
+        let opts = builder.options().unwrap();
+        let what = format!("one-shot {}", strategy.as_str());
+        assert_bit_identical(&owned, &partition_weighted(&g, &opts), &what);
+        assert_bit_identical(&owned, &partition_weighted(&mapped, &opts), &what);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -120,7 +140,7 @@ fn unit_weights_reproduce_the_unweighted_engine() {
         let g = WeightedCsrGraph::unit_weights(&skeleton);
         let opts = DecompOptions::new(0.25).with_seed(seed);
         let unweighted = partition(&skeleton, &opts);
-        let weighted = partition_weighted_parallel(&g, &opts, None);
+        let weighted = partition_weighted(&g, &opts);
         assert_eq!(
             weighted.assignment,
             unweighted.assignment().to_vec(),
@@ -162,8 +182,8 @@ proptest! {
         // under- and over-bucketed regimes.
         let delta = (delta_k > 0).then_some(delta_k as f64 * delta_k as f64 * 0.75);
         let opts = DecompOptions::new(beta).with_seed(seed);
-        let dij = partition_weighted(&g, &opts);
-        let ds = partition_weighted_parallel(&g, &opts, delta);
+        let dij = partition_weighted(&g, &opts.clone().with_traversal(Traversal::TopDownSeq));
+        let ds = delta_stepping(&g, &opts, delta);
         let exact = partition_weighted_exact(&g, &opts);
         prop_assert_eq!(&dij.assignment, &ds.assignment);
         prop_assert_eq!(&dij.assignment, &exact.assignment);
