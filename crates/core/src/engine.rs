@@ -101,8 +101,10 @@ pub fn partition_view_with_shifts<V: GraphView>(
 }
 
 /// Below this many edge scans a round runs inline: the worker-pool
-/// fan-out and collect (about 1 ms) otherwise dominates thin-frontier,
-/// mesh-like searches by orders of magnitude.
+/// fan-out and collect (about 0.15 ms per round at 2 threads; traced on
+/// a 400×400 grid, rounds of ~9,700 arcs took 0.38 ms in parallel where
+/// inline rounds cost ~25 ns per arc) otherwise dominates thin-frontier,
+/// mesh-like searches, whose rounds mostly scan a few hundred arcs.
 const SEQ_ROUND_CUTOFF: u64 = 8192;
 
 /// Below this many vertices the scratch resets run inline; recursive

@@ -438,7 +438,8 @@ impl PartitionReply {
     }
 
     /// Decodes a reply payload, checking the label array length against
-    /// the declared vertex count.
+    /// the declared vertex count and rejecting flag bytes outside
+    /// {0, 1} and a nonzero reserved byte.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         if payload.len() < PARTITION_REPLY_LEN {
             return Err(WireError::BadPayload(format!(
@@ -446,12 +447,31 @@ impl PartitionReply {
                 payload.len()
             )));
         }
+        let flag = |offset: usize, name: &str| match payload[offset] {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::BadPayload(format!(
+                "partition reply {name} byte must be 0 or 1, got {b}"
+            ))),
+        };
+        let weighted = flag(60, "weighted")?;
+        let verified = flag(61, "verify")?;
+        let has_labels = flag(62, "has_labels")?;
+        if payload[63] != 0 {
+            return Err(WireError::BadPayload("nonzero reserved byte".into()));
+        }
         let n = u64::from_le_bytes(payload[12..20].try_into().unwrap());
-        let has_labels = payload[62] != 0;
-        let expected = PARTITION_REPLY_LEN + if has_labels { 4 * n as usize } else { 0 };
-        if payload.len() != expected {
+        let expected_len = if has_labels {
+            usize::try_from(n)
+                .ok()
+                .and_then(|n| n.checked_mul(4))
+                .and_then(|len| len.checked_add(PARTITION_REPLY_LEN))
+        } else {
+            Some(PARTITION_REPLY_LEN)
+        };
+        if expected_len != Some(payload.len()) {
             return Err(WireError::BadPayload(format!(
-                "partition reply length {} != expected {expected}",
+                "partition reply length {} does not hold n = {n} labels",
                 payload.len()
             )));
         }
@@ -470,8 +490,8 @@ impl PartitionReply {
             cut_edges: u64::from_le_bytes(payload[36..44].try_into().unwrap()),
             rounds: u64::from_le_bytes(payload[44..52].try_into().unwrap()),
             relaxations: u64::from_le_bytes(payload[52..60].try_into().unwrap()),
-            weighted: payload[60] != 0,
-            verified: payload[61] != 0,
+            weighted,
+            verified,
             labels,
         })
     }
@@ -531,13 +551,16 @@ impl StatsReply {
         out
     }
 
-    /// Decodes a stats payload.
+    /// Decodes a stats payload, rejecting nonzero reserved bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         if payload.len() != STATS_REPLY_LEN {
             return Err(WireError::BadPayload(format!(
                 "stats reply must be {STATS_REPLY_LEN} bytes, got {}",
                 payload.len()
             )));
+        }
+        if payload[76..80] != [0u8; 4] {
+            return Err(WireError::BadPayload("nonzero reserved bytes".into()));
         }
         let u32_at = |o: usize| u32::from_le_bytes(payload[o..o + 4].try_into().unwrap());
         let u64_at = |o: usize| u64::from_le_bytes(payload[o..o + 8].try_into().unwrap());
@@ -805,6 +828,33 @@ mod tests {
             PartitionReply::decode(&enc[..enc.len() - 4]),
             Err(WireError::BadPayload(_))
         ));
+        let bare = PartitionReply {
+            labels: None,
+            ..reply
+        }
+        .encode();
+        let corrupt = |offset: usize, bytes: &[u8]| {
+            let mut bad = bare.clone();
+            bad[offset..offset + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        let mut malformed = vec![
+            corrupt(63, &[7]),   // reserved byte
+            corrupt(60, &[9]),   // weighted outside {0, 1}
+            corrupt(61, &[200]), // verify outside {0, 1}
+        ];
+        // A label count whose byte length overflows must not panic or wrap.
+        for n in [1u64 << 62, u64::MAX] {
+            let mut bad = corrupt(12, &n.to_le_bytes());
+            bad[62] = 1;
+            malformed.push(bad);
+        }
+        for bad in malformed {
+            assert!(matches!(
+                PartitionReply::decode(&bad),
+                Err(WireError::BadPayload(_))
+            ));
+        }
     }
 
     #[test]
@@ -817,6 +867,14 @@ mod tests {
             ..StatsReply::default()
         };
         assert_eq!(StatsReply::decode(&stats.encode()).unwrap(), stats);
+        for offset in 76..80 {
+            let mut bad = stats.encode();
+            bad[offset] = 1;
+            assert!(matches!(
+                StatsReply::decode(&bad),
+                Err(WireError::BadPayload(_))
+            ));
+        }
         let err = ErrorReply::new(ErrorCode::Overloaded, "queue full (8 waiting)");
         assert_eq!(ErrorReply::decode(&err.encode()).unwrap(), err);
     }
