@@ -700,8 +700,9 @@ impl<'g, W: WeightedGraphView> WeightedDecomposer<'g, W> {
     }
 
     /// Switches the determinism contract for subsequent runs on this
-    /// session. On the weighted engine both modes are bit-identical, so
-    /// this knob trades nothing but the aggregation protocol.
+    /// session. On the weighted engine both modes run the same lock-free
+    /// reduction and are bit-identical, so this knob only picks the
+    /// scheduler (fixed chunk layout or work stealing).
     pub fn set_determinism(&mut self, d: Determinism) {
         self.opts.determinism = d;
     }

@@ -107,9 +107,10 @@ impl std::str::FromStr for Traversal {
 /// differ run-to-run under contention. Every Fast run still satisfies the
 /// paper's `(β, O(log n / β))` invariants — strong diameter, Lemma 4.1
 /// parents, radius bound — as checked by [`crate::verify_decomposition`].
-/// The weighted Δ-stepping engine's Fast path replaces the per-phase
-/// request sort with lock-free CAS application but computes the same
-/// minima, so weighted output stays bit-identical in both modes.
+/// The weighted Δ-stepping engine resolves requests with the same
+/// order-independent lock-free reduction in both modes; there the knob
+/// only picks the scheduler (fixed chunk layout or work stealing), so
+/// weighted output stays bit-identical in both modes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Determinism {
     /// Byte-identical labels across thread counts, strategies and runs

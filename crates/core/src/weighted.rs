@@ -12,8 +12,8 @@
 //! algorithm is harder to control since hop count is no longer closely
 //! related to diameter"). As an engineering extension the workspace has a
 //! bucketed Δ-stepping implementation whose relaxations run in parallel
-//! with deterministic request aggregation; it produces **bit-identical**
-//! decompositions to the sequential Dijkstra.
+//! through an order-independent lock-free reduction; it produces
+//! **bit-identical** decompositions to the sequential Dijkstra.
 //!
 //! This module holds the output type ([`WeightedDecomposition`]) and the
 //! verifier. The strategy-routed engine lives in [`crate::wengine`]; it
@@ -21,8 +21,8 @@
 //! ([`crate::DecomposerBuilder::build_weighted`]).
 
 use crate::decomposition::cut_edges_of_view;
-use crate::wengine::HeapEntry;
 use mpx_graph::{GraphView, Vertex, WeightedGraphView};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A low-diameter decomposition of a weighted graph.
@@ -104,22 +104,17 @@ pub fn verify_weighted<W: WeightedGraphView>(
         }
     }
     // Restricted multi-source Dijkstra from all centers within clusters.
+    // Lengths are positive and finite (every in-tree weighted view rejects
+    // others), so distances are non-negative and their bits order as
+    // `u64`s: the heap is keyed by `(dist bits, vertex)`.
     let mut dist = vec![f64::INFINITY; n];
     let mut heap = BinaryHeap::new();
     for &c in &d.centers {
         dist[c as usize] = 0.0;
-        heap.push(HeapEntry {
-            dist: 0.0,
-            root: c,
-            vertex: c,
-        });
+        heap.push(Reverse((0.0f64.to_bits(), c)));
     }
-    while let Some(HeapEntry {
-        dist: du,
-        vertex: u,
-        ..
-    }) = heap.pop()
-    {
+    while let Some(Reverse((bits, u))) = heap.pop() {
+        let du = f64::from_bits(bits);
         if du > dist[u as usize] {
             continue;
         }
@@ -130,11 +125,7 @@ pub fn verify_weighted<W: WeightedGraphView>(
             let cand = du + w;
             if cand < dist[v as usize] {
                 dist[v as usize] = cand;
-                heap.push(HeapEntry {
-                    dist: cand,
-                    root: d.assignment[v as usize],
-                    vertex: v,
-                });
+                heap.push(Reverse((cand.to_bits(), v)));
             }
         }
     }

@@ -1,16 +1,16 @@
 //! The weighted (Section 6) engine equivalence sweep: bucketed
 //! Δ-stepping ≡ sequential multi-source Dijkstra ≡ the per-root exact
 //! reference, bit for bit, across traversal strategies, bucket widths,
-//! graph families, and in-memory vs memory-mapped weighted snapshots.
-//! The CI matrix reruns this file under `MPX_THREADS=1` and
-//! `MPX_THREADS=4`, so the equivalences are also pinned across pool
-//! sizes.
+//! graph families, pool sizes, and in-memory vs memory-mapped weighted
+//! snapshots. The CI matrix also reruns this file under `MPX_THREADS=1`
+//! and `MPX_THREADS=4`.
 
 use mpx::decomp::{
     partition, partition_weighted, partition_weighted_exact, verify_weighted, DecompOptions,
     DecomposerBuilder, Traversal, WeightedDecomposition,
 };
 use mpx::graph::{gen, snapshot, CsrGraph, MappedWeightedCsr, Vertex, WeightedCsrGraph};
+use mpx::runtime::Pool;
 use proptest::prelude::*;
 
 /// Deterministic `U[0.25, 4]` lengths hashed from seed + endpoints — the
@@ -64,8 +64,10 @@ fn assert_bit_identical(a: &WeightedDecomposition, b: &WeightedDecomposition, wh
     }
 }
 
-/// Every traversal strategy, on every graph family, against the exact
-/// per-root reference: one engine-visible answer.
+/// Every traversal strategy, on every graph family and pool size, against
+/// the exact per-root reference: one engine-visible answer. Δ-stepping
+/// only materializes requests that beat their target's current label, so
+/// it generates at most about one request per edge, not one per arc.
 #[test]
 fn all_strategies_match_exact_reference_across_families() {
     let families: Vec<(&str, CsrGraph)> = vec![
@@ -77,17 +79,30 @@ fn all_strategies_match_exact_reference_across_families() {
     ];
     for (name, skeleton) in &families {
         let g = random_lengths(skeleton, 17);
+        let m = g.num_edges() as u64;
         let opts = DecompOptions::new(0.15).with_seed(5);
         let exact = partition_weighted_exact(&g, &opts);
         verify_weighted(&g, &exact).unwrap_or_else(|e| panic!("{name}: exact invalid: {e}"));
-        for strategy in STRATEGIES {
-            let mut session = DecomposerBuilder::new(0.15)
-                .seed(5)
-                .traversal(strategy)
-                .build_weighted(&g)
-                .expect("valid weighted graph");
-            let d = session.run();
-            assert_bit_identical(&exact, &d, &format!("{name}/{}", strategy.as_str()));
+        for threads in [1, 2, 8] {
+            for strategy in STRATEGIES {
+                let what = format!("{name}/{}/{threads} threads", strategy.as_str());
+                let (d, telemetry) = Pool::new(threads).install(|| {
+                    DecomposerBuilder::new(0.15)
+                        .seed(5)
+                        .traversal(strategy)
+                        .build_weighted(&g)
+                        .expect("valid weighted graph")
+                        .run_instrumented()
+                });
+                assert_bit_identical(&exact, &d, &what);
+                if strategy != Traversal::TopDownSeq {
+                    assert!(
+                        telemetry.relaxations <= m,
+                        "{what}: {} requests for {m} edges",
+                        telemetry.relaxations
+                    );
+                }
+            }
         }
     }
 }
@@ -99,9 +114,38 @@ fn bucket_width_never_changes_the_answer() {
     let g = random_lengths(&gen::gnm(200, 800, 3), 23);
     let opts = DecompOptions::new(0.2).with_seed(9);
     let reference = partition_weighted(&g, &opts.clone().with_traversal(Traversal::TopDownSeq));
-    for delta in [None, Some(0.1), Some(1.0), Some(7.5), Some(1e6)] {
+    for delta in [None, Some(1e-9), Some(0.1), Some(1.0), Some(7.5), Some(1e6)] {
         let d = delta_stepping(&g, &opts, delta);
         assert_bit_identical(&reference, &d, &format!("delta={delta:?}"));
+    }
+}
+
+/// Tiny lengths, or a tiny β, make `δ_max` huge against the mean length.
+/// Δ-stepping's bucket width is at least `δ_max / n`, so it holds at most
+/// `n + 1` buckets instead of one per mean length of start time, and its
+/// labels stay bit-identical to the sequential Dijkstra.
+#[test]
+fn tiny_lengths_and_tiny_beta_match_dijkstra() {
+    let skeleton = gen::grid2d(20, 20);
+    let scaled = |factor: f64| {
+        let edges: Vec<(Vertex, Vertex, f64)> = random_lengths(&skeleton, 3)
+            .edges()
+            .map(|(u, v, w)| (u, v, w * factor))
+            .collect();
+        WeightedCsrGraph::from_edges(skeleton.num_vertices(), &edges)
+    };
+    let cases = [
+        ("lengths x1e-8", scaled(1e-8), 0.1),
+        (
+            "beta 1e-12",
+            WeightedCsrGraph::unit_weights(&skeleton),
+            1e-12,
+        ),
+    ];
+    for (what, g, beta) in &cases {
+        let opts = DecompOptions::new(*beta).with_seed(1);
+        let reference = partition_weighted(g, &opts.clone().with_traversal(Traversal::TopDownSeq));
+        assert_bit_identical(&reference, &delta_stepping(g, &opts, None), what);
     }
 }
 
