@@ -19,11 +19,97 @@
 //! verifier. The strategy-routed engine lives in [`crate::wengine`]; it
 //! runs through [`crate::partition_weighted`] and the weighted session
 //! ([`crate::DecomposerBuilder::build_weighted`]).
+//!
+//! # The verifier: an exact arrival-time certificate
+//!
+//! Every engine computes, per vertex `v`, its **arrival** `a(v)`: the
+//! `f64` label the multi-source search settles, `start_c + w_1 + … + w_k`
+//! added left to right along a path from its center `c`.
+//! [`WeightedDecomposition`] carries it, and derives
+//! `dist_to_center(v) = a(v) − a(c)` from it. [`verify_weighted`] checks
+//! a concrete output in **one parallel pass over the vertices**. Each
+//! vertex `v`, with `c = assignment(v)`, scans its neighbours once and
+//! checks a local certificate; `w(u, v)` is the length of edge `uv`, and a
+//! *same-cluster* neighbour is one with `assignment(u) = c`:
+//!
+//! * **(C)** `c` is an in-range, self-assigned vertex; `a(v)` is finite;
+//!   and `dist_to_center(v)` is bit for bit `a(v) − a(c)`;
+//! * **(T)** no same-cluster neighbour `u` has `a(u) + w(u, v) < a(v)`;
+//! * **(P)** if `v ≠ c`, some same-cluster neighbour `u` has
+//!   `a(u) + w(u, v) = a(v)` exactly and `a(u) < a(v)`.
+//!
+//! Before the pass it checks the vector lengths and that `centers` lists
+//! exactly the self-assigned vertices, in ascending order.
+//!
+//! # Why the local check is the full check
+//!
+//! Write `C` for `v`'s cluster, and `⊕` for `f64` addition (round to
+//! nearest). Lengths are positive and finite (every weighted entry layer
+//! rejects others), so two facts about `⊕` hold: adding a positive
+//! length never lowers a value (`x ⊕ w ≥ x`), and a larger value never
+//! rounds to a smaller sum (`x ≤ y ⇒ x ⊕ w ≤ y ⊕ w`). For a path
+//! `c = x₀, x₁, …, x_k = v` inside `G[C]`, let its *sum* be
+//! `(…(a(c) ⊕ w₁) ⊕ w₂ …) ⊕ w_k`, added left to right from `a(c)`.
+//!
+//! * **`a(v)` is the sum of some path, from (P).** Each (P) step moves
+//!   to a same-cluster neighbour with a strictly smaller arrival, so
+//!   following predecessors from `v` never revisits a vertex and must end.
+//!   It ends inside `C` at a vertex that needs no predecessor — a
+//!   self-assigned vertex of `C`, which is `c`. Read backwards, the walk
+//!   is a path in `G[C]` whose every step is exact, so `a(v)` is its sum.
+//! * **`a(v)` is at most the sum of every path, from (T).** Along any
+//!   path in `G[C]`, (T) at `x_{i+1}` gives `a(x_{i+1}) ≤ a(x_i) ⊕ w_{i+1}`,
+//!   and monotonicity carries the bound forward: `a(v)` is at most the
+//!   path's sum.
+//! * **Conversely**, an engine output passes: each label is a minimum
+//!   over path sums, so (T) holds on every edge, and the neighbour whose
+//!   relaxation set `v`'s final label is an exact, same-cluster
+//!   predecessor — strictly earlier unless its length was absorbed (see
+//!   *Rounding*).
+//!
+//! So `a(v)` is exactly the smallest sum over paths from `c` to `v` inside
+//! the cluster (in particular, every cluster is connected: the strong
+//! diameter property). A Dijkstra restricted to each cluster and started
+//! at `a(c)` computes exactly that value — Dijkstra is exact for any
+//! monotone, non-decreasing path sum — so `dist_to_center` matches it bit
+//! for bit, through the same subtraction the engines perform. The
+//! certificate needs no queue and no tolerance.
+//!
+//! **Rounding.** Each `⊕` rounds by at most half a unit in the last place
+//! (ulp) of its result, and partial sums only grow, so a path sum differs
+//! from the real-number sum of the same path by at most about one
+//! `ulp(a(v))` per hop. Hence `a(v) − a(c)` is within about
+//! `hops · ulp(a(v))` (plus half an ulp of the final subtraction) of the
+//! real intra-cluster distance. When start times are large against the
+//! distances — a tiny β, or a second component whose vertices start near
+//! `δ_max` — that error is large relative to `dist_to_center`, so a check
+//! of `dist_to_center` against path sums started at 0 would need a
+//! tolerance that grows with start times it cannot see. The certificate
+//! compares what the engine computed with what it should have computed,
+//! so it needs none and accepts those outputs. One regime stays out of
+//! reach: a length below half an ulp of the arrivals around it
+//! (`x ⊕ w = x`) makes a vertex arrive no later than its predecessor, so
+//! (P) finds no strictly earlier neighbour and the output is rejected.
+//!
+//! # Cost
+//!
+//! `O(n + m)` work — every arc is read once, from its tail — with no
+//! queue and no scratch, split into parallel chunks of vertices. A
+//! violation is reported at the lowest vertex id that has one, naming the
+//! rule and the values, so the message does not depend on the thread
+//! count.
 
 use crate::decomposition::cut_edges_of_view;
 use mpx_graph::{GraphView, Vertex, WeightedGraphView};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use rayon::prelude::*;
+
+/// Smallest number of vertices one parallel chunk of
+/// [`WeightedDecomposition::from_raw`]'s `O(1)`-per-vertex passes handles.
+const PAR_MIN_LEN: usize = 4096;
+
+/// Smallest number of vertices one parallel chunk of the verifier's scan
+/// handles.
+const MIN_CHUNK: usize = 256;
 
 /// A low-diameter decomposition of a weighted graph.
 #[must_use = "a WeightedDecomposition carries the labels the partition computed"]
@@ -31,22 +117,42 @@ use std::collections::BinaryHeap;
 pub struct WeightedDecomposition {
     /// Center assigned to each vertex.
     pub assignment: Vec<Vertex>,
-    /// Weighted distance from each vertex to its center (within cluster, by
-    /// the weighted analogue of Lemma 4.1).
+    /// Weighted distance from each vertex to its center:
+    /// `arrival[v] − arrival[assignment[v]]`, realized by a path inside
+    /// the cluster (the weighted analogue of Lemma 4.1).
     pub dist_to_center: Vec<f64>,
-    /// Sorted list of distinct centers.
+    /// The self-assigned vertices (the centers), ascending.
     pub centers: Vec<Vertex>,
+    /// Absolute arrival time of each vertex: its center's start time
+    /// `δ_max − δ_c` plus the lengths of a shortest intra-cluster path,
+    /// added left to right in `f64` — the label the engine settled. At a
+    /// center it is the center's start time. [`verify_weighted`]
+    /// certifies these values exactly; see the module docs.
+    pub arrival: Vec<f64>,
 }
 
 impl WeightedDecomposition {
-    pub(crate) fn from_raw(assignment: Vec<Vertex>, dist_to_center: Vec<f64>) -> Self {
-        let mut centers = assignment.clone();
-        centers.sort_unstable();
-        centers.dedup();
+    /// Assembles a decomposition from each vertex's center and arrival
+    /// time: `dist_to_center[v] = arrival[v] − arrival[assignment[v]]`,
+    /// and the centers are the self-assigned vertices, ascending.
+    pub(crate) fn from_raw(assignment: Vec<Vertex>, arrival: Vec<f64>) -> Self {
+        let n = assignment.len();
+        debug_assert_eq!(arrival.len(), n);
+        let dist_to_center = (0..n)
+            .into_par_iter()
+            .with_min_len(PAR_MIN_LEN)
+            .map(|v| arrival[v] - arrival[assignment[v] as usize])
+            .collect();
+        let centers = (0..n as Vertex)
+            .into_par_iter()
+            .with_min_len(PAR_MIN_LEN)
+            .filter(|&v| assignment[v as usize] == v)
+            .collect();
         WeightedDecomposition {
             assignment,
             dist_to_center,
             centers,
+            arrival,
         }
     }
 
@@ -79,11 +185,35 @@ impl WeightedDecomposition {
     }
 }
 
-/// Verifies a weighted decomposition: partition well-formedness, the
-/// strong-diameter property (restricted intra-cluster Dijkstra reproduces
-/// the recorded distances). A malformed decomposition — wrong-length
-/// vectors, a center out of range — is reported as an error, never
-/// indexed.
+/// What one chunk of vertices contributes to the verdict.
+#[derive(Default)]
+struct Scan {
+    /// Self-assigned vertices seen.
+    centers: usize,
+    /// The chunk's first violation; the rest of the chunk is skipped.
+    violation: Option<String>,
+}
+
+impl Scan {
+    /// Combines the scans of consecutive vertex ranges, `self` first.
+    fn merge(self, other: Scan) -> Scan {
+        Scan {
+            centers: self.centers + other.centers,
+            violation: self.violation.or(other.violation),
+        }
+    }
+}
+
+/// Verifies a weighted decomposition: a partition into connected clusters
+/// whose recorded arrivals are exactly the shortest intra-cluster path
+/// sums from their centers' arrivals, with `dist_to_center` derived from
+/// them bit for bit. One parallel pass checks the local certificate (C),
+/// (T), (P) of the module docs at every vertex; it implies that every
+/// arrival is what a Dijkstra restricted to its cluster and started at
+/// its center's arrival computes, with no tolerance. A malformed
+/// decomposition — wrong-length vectors, a center out of range — is
+/// reported as an error, never indexed; a violation is reported at the
+/// lowest vertex id that has one.
 pub fn verify_weighted<W: WeightedGraphView>(
     g: &W,
     d: &WeightedDecomposition,
@@ -95,6 +225,9 @@ pub fn verify_weighted<W: WeightedGraphView>(
     if d.dist_to_center.len() != n {
         return Err("dist_to_center length mismatch".into());
     }
+    if d.arrival.len() != n {
+        return Err("arrival length mismatch".into());
+    }
     for &c in &d.centers {
         if c as usize >= n {
             return Err(format!("center {c} out of range (n = {n})"));
@@ -103,44 +236,79 @@ pub fn verify_weighted<W: WeightedGraphView>(
             return Err(format!("center {c} not self-assigned"));
         }
     }
-    // Restricted multi-source Dijkstra from all centers within clusters.
-    // Lengths are positive and finite (every in-tree weighted view rejects
-    // others), so distances are non-negative and their bits order as
-    // `u64`s: the heap is keyed by `(dist bits, vertex)`.
-    let mut dist = vec![f64::INFINITY; n];
-    let mut heap = BinaryHeap::new();
-    for &c in &d.centers {
-        dist[c as usize] = 0.0;
-        heap.push(Reverse((0.0f64.to_bits(), c)));
+    if let Some(w) = d.centers.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(format!(
+            "centers not strictly ascending: {} then {}",
+            w[0], w[1]
+        ));
     }
-    while let Some(Reverse((bits, u))) = heap.pop() {
-        let du = f64::from_bits(bits);
-        if du > dist[u as usize] {
-            continue;
+    let _span = mpx_trace::span!("verify.weighted", n = n, edges = g.total_degree());
+    let (assignment, arrival) = (&d.assignment[..], &d.arrival[..]);
+    let check = |v: Vertex| -> Option<String> {
+        let c = assignment[v as usize];
+        if c as usize >= n {
+            return Some(format!(
+                "vertex {v}: center {c} out of range (n = {n}) (rule C)"
+            ));
         }
-        for (v, w) in g.neighbors_weighted_iter(u) {
-            if d.assignment[v as usize] != d.assignment[u as usize] {
+        if assignment[c as usize] != c {
+            return Some(format!("vertex {v}: center {c} not self-assigned (rule C)"));
+        }
+        let av = arrival[v as usize];
+        if !av.is_finite() {
+            return Some(format!("vertex {v}: arrival {av} not finite (rule C)"));
+        }
+        let ac = arrival[c as usize];
+        let recorded = d.dist_to_center[v as usize];
+        if recorded.to_bits() != (av - ac).to_bits() {
+            return Some(format!(
+                "vertex {v}: recorded dist {recorded} but arrival {av} − center {c}'s \
+                 arrival {ac} = {} (rule C)",
+                av - ac
+            ));
+        }
+        let mut has_predecessor = v == c;
+        for (u, w) in g.neighbors_weighted_iter(v) {
+            if assignment[u as usize] != c {
                 continue;
             }
-            let cand = du + w;
-            if cand < dist[v as usize] {
-                dist[v as usize] = cand;
-                heap.push(Reverse((cand.to_bits(), v)));
+            let au = arrival[u as usize];
+            let via = au + w;
+            if via < av {
+                return Some(format!(
+                    "vertex {v}: arrival {av} but same-cluster neighbour {u} arrives at {au} \
+                     + length {w} = {via} (rule T)"
+                ));
             }
+            has_predecessor |= via == av && au < av;
         }
+        (!has_predecessor).then(|| {
+            format!(
+                "vertex {v}: arrival {av} but no same-cluster neighbour arrives earlier by \
+                 exactly its length (rule P)"
+            )
+        })
+    };
+    let scan = (0..n as Vertex)
+        .into_par_iter()
+        .with_min_len(MIN_CHUNK)
+        .fold(Scan::default, |mut s, v| {
+            if s.violation.is_none() {
+                s.centers += usize::from(assignment[v as usize] == v);
+                s.violation = check(v);
+            }
+            s
+        })
+        .reduce(Scan::default, Scan::merge);
+    if let Some(violation) = scan.violation {
+        return Err(violation);
     }
-    for (v, &dv) in dist.iter().enumerate() {
-        if !dv.is_finite() {
-            return Err(format!(
-                "vertex {v} disconnected from its center within cluster"
-            ));
-        }
-        if (dv - d.dist_to_center[v]).abs() > 1e-6 * (1.0 + dv.abs()) {
-            return Err(format!(
-                "vertex {v}: recorded dist {} vs intra-cluster dist {}",
-                d.dist_to_center[v], dv
-            ));
-        }
+    if scan.centers != d.centers.len() {
+        return Err(format!(
+            "centers lists {} vertices but {} are self-assigned",
+            d.centers.len(),
+            scan.centers
+        ));
     }
     Ok(())
 }

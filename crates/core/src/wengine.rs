@@ -231,7 +231,7 @@ pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
         }
     }
 
-    let (assignment, dist_to_center, mut telemetry) = match traversal {
+    let (assignment, arrival, mut telemetry) = match traversal {
         Traversal::TopDownSeq => dijkstra_multi_source(view, &start[..n], scratch),
         _ => {
             let delta = delta.unwrap_or_else(|| {
@@ -258,7 +258,7 @@ pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
     };
     scratch.start = start;
 
-    let d = WeightedDecomposition::from_raw(assignment, dist_to_center);
+    let d = WeightedDecomposition::from_raw(assignment, arrival);
     telemetry.clusters = d.num_clusters();
     (d, telemetry)
 }
@@ -266,7 +266,8 @@ pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
 /// Sequential exponentially shifted multi-source Dijkstra (paper
 /// Section 6 via the super-source reduction of Section 5): every vertex
 /// enters the heap at `start_u = δ_max − δ_u` carrying itself as root;
-/// root labels propagate along settled shortest paths.
+/// root labels propagate along settled shortest paths. Returns each
+/// vertex's root and arrival time.
 fn dijkstra_multi_source<W: WeightedGraphView>(
     view: &W,
     start: &[f64],
@@ -330,23 +331,19 @@ fn dijkstra_multi_source<W: WeightedGraphView>(
     spent.clear();
     scratch.heap = spent;
 
-    let assignment = root.to_vec();
-    let dist_to_center = (0..n)
-        .map(|v| dist[v] - start[assignment[v] as usize])
-        .collect();
     mpx_trace::event!("wengine.relax", count = relaxations, kind = "dijkstra");
     let telemetry = WeightedTelemetry {
         relaxations,
         ..WeightedTelemetry::default()
     };
-    (assignment, dist_to_center, telemetry)
+    (root.to_vec(), dist.to_vec(), telemetry)
 }
 
 /// Bucketed Δ-stepping: the fractional generalization of the unweighted
 /// engine's integer wake schedule. Produces the same labels as
 /// [`dijkstra_multi_source`], bit-for-bit, for every bucket width, thread
-/// count and scheduler. `width` must be at least `δ_max / n` so that the
-/// bucket indices stay `≤ n`.
+/// count and scheduler: each vertex's root and arrival time. `width` must
+/// be at least `δ_max / n` so that the bucket indices stay `≤ n`.
 fn delta_stepping<W: WeightedGraphView>(
     view: &W,
     start: &[f64],
@@ -542,11 +539,11 @@ fn delta_stepping<W: WeightedGraphView>(
     );
 
     let assignment: Vec<Vertex> = root.iter().map(|r| r.load(Ordering::Relaxed)).collect();
-    let dist_to_center: Vec<f64> = (0..n)
-        .into_par_iter()
-        .map(|v| f64::from_bits(tent[v].load(Ordering::Relaxed)) - start[assignment[v] as usize])
+    let arrival: Vec<f64> = tent
+        .par_iter()
+        .map(|t| f64::from_bits(t.load(Ordering::Relaxed)))
         .collect();
-    (assignment, dist_to_center, telemetry)
+    (assignment, arrival, telemetry)
 }
 
 /// The `O(n·(m + n log n))` weighted reference oracle: one independent
@@ -610,25 +607,32 @@ pub fn partition_weighted_exact<W: WeightedGraphView>(
         }
     }
 
-    let dist_to_center: Vec<f64> = (0..n)
-        .map(|v| best_dist[v] - start[best_root[v] as usize])
-        .collect();
-    WeightedDecomposition::from_raw(best_root, dist_to_center)
+    WeightedDecomposition::from_raw(best_root, best_dist)
 }
 
 /// Recovers the intra-cluster shortest-path-tree parent of every
-/// non-center vertex: a same-cluster neighbor `u` with
-/// `dist(u) + w(u,v) = dist(v)` (to relative tolerance `1e-9`), smallest
-/// `(weight, id)` among candidates. The weighted analogue of Lemma 4.1
-/// guarantees such a neighbor exists; its absence means the decomposition
-/// is corrupt, which panics. Shared by the low-stretch-tree and spanner
-/// pipelines.
+/// non-center vertex `v`: among the same-cluster neighbours `u` that
+/// arrive strictly earlier (`arrival(u) < arrival(v)`) and reach `v` along
+/// their edge — exactly (`arrival(u) + w(u,v) = arrival(v)` in `f64`) or
+/// to within a relative `1e-9` in distance (`dist(u) + w(u,v) ≈
+/// dist(v)`) — the one with the smallest `(weight, id)`. The tolerance
+/// keeps paths that tie in real numbers but not in `f64` (lengths 1 and
+/// 0.001 on an anisotropic grid), so the lightest of them wins; the exact
+/// predecessors keep a candidate where start times are so large that
+/// `dist` has lost the precision to tie (a tiny β, a second component).
+/// Requiring an earlier arrival makes the parents acyclic.
+///
+/// [`crate::verify_weighted`]'s rule (P) guarantees an exact predecessor
+/// on every decomposition it accepts; absent any candidate the
+/// decomposition is corrupt, which panics. Shared by the low-stretch-tree
+/// and spanner pipelines.
 pub fn compute_parents_weighted<W: WeightedGraphView>(
     view: &W,
     d: &WeightedDecomposition,
 ) -> Vec<Vertex> {
     let n = view.num_vertices();
     assert_eq!(d.assignment.len(), n);
+    assert_eq!(d.arrival.len(), n);
     (0..n as Vertex)
         .into_par_iter()
         .map(|v| {
@@ -636,14 +640,15 @@ pub fn compute_parents_weighted<W: WeightedGraphView>(
             if c == v {
                 return NO_VERTEX;
             }
-            let dv = d.dist_to_center[v as usize];
+            let (dv, av) = (d.dist_to_center[v as usize], d.arrival[v as usize]);
             let tol = 1e-9 * (1.0 + dv.abs());
             let mut best: Option<(f64, Vertex)> = None;
             for (u, w) in view.neighbors_weighted_iter(v) {
-                if d.assignment[u as usize] != c {
+                let au = d.arrival[u as usize];
+                if d.assignment[u as usize] != c || au >= av {
                     continue;
                 }
-                if (d.dist_to_center[u as usize] + w - dv).abs() <= tol {
+                if au + w == av || (d.dist_to_center[u as usize] + w - dv).abs() <= tol {
                     let key = (w, u);
                     if best.is_none_or(|b| key < b) {
                         best = Some(key);
@@ -891,9 +896,13 @@ mod tests {
             } else {
                 let p = parent;
                 assert_eq!(d.assignment[p as usize], d.assignment[v]);
+                assert!(d.arrival[p as usize] < d.arrival[v]);
                 let w = g.edge_weight(v as Vertex, p).unwrap();
                 let err = (d.dist_to_center[p as usize] + w - d.dist_to_center[v]).abs();
-                assert!(err <= 1e-9 * (1.0 + d.dist_to_center[v].abs()));
+                assert!(
+                    d.arrival[p as usize] + w == d.arrival[v]
+                        || err <= 1e-9 * (1.0 + d.dist_to_center[v].abs())
+                );
             }
         }
     }

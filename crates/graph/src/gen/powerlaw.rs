@@ -73,12 +73,17 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> CsrGraph {
             endpoints.push(j);
         }
     }
+    let mut chosen: Vec<Vertex> = Vec::with_capacity(m);
     for v in (m + 1)..n {
-        let mut chosen = std::collections::HashSet::with_capacity(m * 2);
-        // Rejection-sample m distinct targets.
+        // Rejection-sample m distinct targets, kept in draw order: their
+        // order feeds `endpoints` and so every later draw, which must be a
+        // function of the seed alone.
+        chosen.clear();
         while chosen.len() < m {
             let t = endpoints[rng.gen_range(0..endpoints.len())];
-            chosen.insert(t);
+            if !chosen.contains(&t) {
+                chosen.push(t);
+            }
         }
         for &t in &chosen {
             builder.add_edge(v as Vertex, t);
@@ -112,6 +117,12 @@ mod tests {
             rmat(7, 1000, 0.57, 0.19, 0.19, 9),
             rmat(7, 1000, 0.57, 0.19, 0.19, 9)
         );
+    }
+
+    #[test]
+    fn ba_deterministic() {
+        assert_eq!(barabasi_albert(200, 3, 7), barabasi_albert(200, 3, 7));
+        assert_eq!(barabasi_albert(60, 2, 1), barabasi_albert(60, 2, 1));
     }
 
     #[test]

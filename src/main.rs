@@ -1174,7 +1174,7 @@ fn partition_weighted_cmd(
         if loaded.is_mapped() { "mmap" } else { "owned" }
     );
     verify_weighted(&loaded, &d).map_err(|e| format!("verification FAILED: {e}"))?;
-    println!("verified: weighted partition + radius bound + shift consistency hold");
+    println!("verified: weighted partition + strong diameter + exact intra-cluster arrivals hold");
     if let Some(out) = labels_out {
         let mut f = std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| e.to_string())?);
         for v in 0..loaded.num_vertices() {
@@ -1852,7 +1852,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 /// Dijkstra under `--strategy sequential`). The consistency invariant
 /// checks `wengine.phase` span counts against `telemetry.phases` and the
 /// `wengine.relax` mark counts against `telemetry.relaxations`; the
-/// label check compares assignments and distance bits.
+/// label check compares the whole traced and untraced outputs (labels,
+/// distance and arrival bits); `verified` runs `verify_weighted` on the
+/// traced output under the same thread choice.
 fn profile_weighted(
     spec: &str,
     beta: f64,
@@ -1866,7 +1868,7 @@ fn profile_weighted(
         .seed(seed)
         .traversal(flags.strategy)
         .determinism(flags.determinism);
-    let (g, report, baseline, traced, telemetry, trace) =
+    let (g, report, baseline, traced, telemetry, trace, verdict) =
         with_thread_choice(flags.threads, || {
             let g = parse_weighted_workload(spec, seed)?;
             let mut session = builder.build_weighted(&g).map_err(|e| e.to_string())?;
@@ -1875,14 +1877,14 @@ fn profile_weighted(
             let baseline = outputs.swap_remove(0);
             let (traced, telemetry, trace) = session.run_with_seed_traced(seeds[0]);
             drop(session);
-            Ok::<_, String>((g, report, baseline, traced, telemetry, trace))
+            let verdict = verify_weighted(&g, &traced);
+            Ok::<_, String>((g, report, baseline, traced, telemetry, trace, verdict))
         })?;
-    let labels_match = traced.assignment == baseline.assignment
-        && traced
-            .dist_to_center
-            .iter()
-            .zip(&baseline.dist_to_center)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    // Every field is a pure function of the seed: `==` compares centers,
+    // distances and arrivals (no NaN or −0.0 arises, so equal values have
+    // equal bits).
+    let labels_match = traced == baseline;
+    let verified = verdict.is_ok();
     let span_phases = trace.span_count("wengine.phase") as u64;
     let mark_relax = trace.sum_mark_arg("wengine.relax", "count") as u64;
     let consistent = trace.is_balanced()
@@ -1939,13 +1941,16 @@ fn profile_weighted(
     }
     println!("],");
     println!(
-        "  \"checks\": {{ \"labels_match_traced\": {labels_match}, \"telemetry_consistent\": {consistent}, \"trace_balanced\": {} }},",
+        "  \"checks\": {{ \"labels_match_traced\": {labels_match}, \"telemetry_consistent\": {consistent}, \"trace_balanced\": {}, \"verified\": {verified} }},",
         trace.is_balanced()
     );
     println!("  \"trace\": {}", trace.to_json());
     println!("}}");
     if !labels_match {
         return Err("profile: traced labels differ from untraced labels".into());
+    }
+    if let Err(e) = verdict {
+        return Err(format!("profile: weighted verification FAILED: {e}"));
     }
     if !consistent {
         return Err(format!(

@@ -590,11 +590,13 @@ fn profile_accepts_bare_family_names_and_weighted() {
         assert!(wt.get(key).is_some(), "missing weighted_telemetry.{key}");
     }
     let checks = v.get("checks").expect("checks object");
-    assert_eq!(
-        checks.get("telemetry_consistent").and_then(|x| x.as_bool()),
-        Some(true),
-        "{stdout}"
-    );
+    for key in ["telemetry_consistent", "verified"] {
+        assert_eq!(
+            checks.get(key).and_then(|x| x.as_bool()),
+            Some(true),
+            "{key}: {stdout}"
+        );
+    }
 }
 
 #[test]

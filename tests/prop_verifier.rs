@@ -1,17 +1,24 @@
 //! Failure-injection property tests: the verifier must reject *every*
 //! corruption of a valid decomposition and agree with the restricted-BFS
-//! oracle on every mutation, and the hybrid/weighted variants must stay
-//! equivalent to their references under arbitrary inputs.
+//! oracle on every mutation, the weighted certificate must reject every
+//! mutation the restricted-Dijkstra oracle rejects, and the
+//! hybrid/weighted variants must stay equivalent to their references
+//! under arbitrary inputs.
 
 use mpx::compress::{write_compressed_snapshot, MappedCompressedCsr};
 use mpx::decomp::{
     partition, partition_weighted, verify_decomposition, verify_weighted, DecompOptions,
-    DecomposerBuilder, Decomposition, Determinism, ShiftStrategy, Traversal, Workspace,
+    DecomposerBuilder, Decomposition, Determinism, ShiftStrategy, Traversal, WeightedDecomposition,
+    Workspace,
 };
-use mpx::graph::snapshot::{write_snapshot, MappedCsr};
-use mpx::graph::{gen, CsrGraph, GraphView, Vertex, WeightedCsrGraph, INFINITY, NO_VERTEX};
+use mpx::graph::snapshot::{write_snapshot, write_weighted_snapshot, MappedCsr};
+use mpx::graph::{
+    gen, CsrGraph, GraphView, MappedWeightedCsr, Vertex, WeightedCsrGraph, WeightedGraphView,
+    INFINITY, NO_VERTEX,
+};
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -207,6 +214,195 @@ fn mutate(
         }
     }
     Some((a, dist, parent))
+}
+
+/// The restricted Dijkstra `verify_weighted` ran before the arrival
+/// certificate replaced it, kept as its oracle: a multi-source Dijkstra
+/// from every listed center at 0 over intra-cluster edges must reach each
+/// vertex, at its recorded distance to within a relative `1e-6`.
+fn weighted_dijkstra_oracle_valid<W: WeightedGraphView>(g: &W, d: &WeightedDecomposition) -> bool {
+    let n = g.num_vertices();
+    if d.assignment.len() != n || d.dist_to_center.len() != n {
+        return false;
+    }
+    if d.centers
+        .iter()
+        .any(|&c| c as usize >= n || d.assignment[c as usize] != c)
+    {
+        return false;
+    }
+    // Lengths are positive and finite, so distances are non-negative and
+    // their bits order as `u64`s: the heap is keyed by `(dist bits, vertex)`.
+    let mut dist = vec![f64::INFINITY; n];
+    let mut heap = BinaryHeap::new();
+    for &c in &d.centers {
+        dist[c as usize] = 0.0;
+        heap.push(Reverse((0.0f64.to_bits(), c)));
+    }
+    while let Some(Reverse((bits, u))) = heap.pop() {
+        let du = f64::from_bits(bits);
+        if du > dist[u as usize] {
+            continue;
+        }
+        for (v, w) in g.neighbors_weighted_iter(u) {
+            if d.assignment[v as usize] != d.assignment[u as usize] {
+                continue;
+            }
+            let cand = du + w;
+            if cand < dist[v as usize] {
+                dist[v as usize] = cand;
+                heap.push(Reverse((cand.to_bits(), v)));
+            }
+        }
+    }
+    dist.iter()
+        .zip(&d.dist_to_center)
+        .all(|(&dv, &recorded)| dv.is_finite() && (dv - recorded).abs() <= 1e-6 * (1.0 + dv.abs()))
+}
+
+/// Hashed `U[0.25, 4]` lengths on the edges of `g` (the benchmark's model).
+fn hashed_lengths(g: &CsrGraph, seed: u64) -> WeightedCsrGraph {
+    let edges: Vec<(Vertex, Vertex, f64)> = g
+        .edges()
+        .map(|(u, v)| {
+            let r = (mpx::par::rng::hash_index(seed, ((u as u64) << 32) | v as u64) >> 11) as f64
+                / (1u64 << 53) as f64;
+            (u, v, 0.25 + 3.75 * r)
+        })
+        .collect();
+    WeightedCsrGraph::from_edges(g.num_vertices(), &edges)
+}
+
+/// How [`mutate_weighted`] corrupts (or validly perturbs) a weighted
+/// decomposition.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum WeightedMutation {
+    Unchanged,
+    /// `dist_to_center[v] += by` at some vertex.
+    DistShift(f64),
+    /// A nonzero distance at a center.
+    CenterDist,
+    /// A non-center with a neighbour in another cluster joins that
+    /// cluster, keeping its arrival and distance.
+    JoinKeepingDistance,
+    /// The same move, arriving through that neighbour, with the distance
+    /// recomputed from the new arrival.
+    JoinRecomputed,
+    /// `arrival[v]` one unit in the last place up or down, every distance
+    /// recomputed from the arrivals.
+    ArrivalUlp,
+    /// A non-center's arrival raised to its sum through a later
+    /// same-cluster neighbour, its distance recomputed: an exact
+    /// predecessor, but not a shortest path.
+    LaterPredecessor,
+    /// A center missing from `centers`.
+    DropCenter,
+    /// A center listed twice.
+    RepeatCenter,
+}
+
+const WEIGHTED_MUTATIONS: [WeightedMutation; 16] = [
+    WeightedMutation::Unchanged,
+    WeightedMutation::DistShift(1e-12),
+    WeightedMutation::DistShift(-1e-12),
+    WeightedMutation::DistShift(1e-7),
+    WeightedMutation::DistShift(-1e-7),
+    WeightedMutation::DistShift(1e-3),
+    WeightedMutation::DistShift(-1e-3),
+    WeightedMutation::DistShift(1.0),
+    WeightedMutation::DistShift(-1.0),
+    WeightedMutation::CenterDist,
+    WeightedMutation::JoinKeepingDistance,
+    WeightedMutation::JoinRecomputed,
+    WeightedMutation::ArrivalUlp,
+    WeightedMutation::LaterPredecessor,
+    WeightedMutation::DropCenter,
+    WeightedMutation::RepeatCenter,
+];
+
+/// `d` after `mutation`, the victim chosen by `sel`; `None` when `d`
+/// offers no victim for it.
+fn mutate_weighted(
+    g: &WeightedCsrGraph,
+    d: &WeightedDecomposition,
+    mutation: WeightedMutation,
+    sel: u64,
+) -> Option<WeightedDecomposition> {
+    let n = g.num_vertices();
+    let pick = |len: usize| (len > 0).then(|| (sel % len as u64) as usize);
+    // A non-center `v` and a neighbour `u` at length `w` satisfying `keep`.
+    let arc = |keep: &dyn Fn(usize, Vertex, f64) -> bool| {
+        let arcs: Vec<(usize, Vertex, f64)> = (0..n)
+            .filter(|&v| d.assignment[v] != v as Vertex)
+            .flat_map(|v| {
+                g.neighbors_weighted_iter(v as Vertex)
+                    .map(move |(u, w)| (v, u, w))
+            })
+            .filter(|&(v, u, w)| keep(v, u, w))
+            .collect();
+        pick(arcs.len()).map(|i| arcs[i])
+    };
+    let mut m = d.clone();
+    match mutation {
+        WeightedMutation::Unchanged => {}
+        WeightedMutation::DistShift(by) => m.dist_to_center[pick(n)?] += by,
+        WeightedMutation::CenterDist => {
+            let c = d.centers[pick(d.centers.len())?] as usize;
+            m.dist_to_center[c] = [f64::from_bits(1), 1e-9, 0.5][(sel >> 32) as usize % 3];
+        }
+        WeightedMutation::JoinKeepingDistance | WeightedMutation::JoinRecomputed => {
+            let (v, u, w) = arc(&|v, u, _| d.assignment[u as usize] != d.assignment[v])?;
+            let c = d.assignment[u as usize];
+            m.assignment[v] = c;
+            if mutation == WeightedMutation::JoinRecomputed {
+                m.arrival[v] = d.arrival[u as usize] + w;
+                m.dist_to_center[v] = m.arrival[v] - d.arrival[c as usize];
+            }
+        }
+        WeightedMutation::ArrivalUlp => {
+            let v = pick(n)?;
+            m.arrival[v] = if sel >> 63 == 0 {
+                m.arrival[v].next_up()
+            } else {
+                m.arrival[v].next_down()
+            };
+            for x in 0..n {
+                m.dist_to_center[x] = m.arrival[x] - m.arrival[m.assignment[x] as usize];
+            }
+        }
+        WeightedMutation::LaterPredecessor => {
+            let (v, u, w) = arc(&|v, u, w| {
+                d.assignment[u as usize] == d.assignment[v]
+                    && d.arrival[u as usize] + w > d.arrival[v]
+            })?;
+            m.arrival[v] = d.arrival[u as usize] + w;
+            m.dist_to_center[v] = m.arrival[v] - d.arrival[d.assignment[v] as usize];
+        }
+        WeightedMutation::DropCenter => {
+            m.centers.remove(pick(d.centers.len())?);
+        }
+        WeightedMutation::RepeatCenter => {
+            let i = pick(d.centers.len())?;
+            m.centers.insert(i, d.centers[i]);
+        }
+    }
+    Some(m)
+}
+
+/// The certificate's verdict over `view`, failing the case if it accepts
+/// what the Dijkstra oracle rejects.
+fn certified_verdict<W: WeightedGraphView>(
+    view: &W,
+    d: &WeightedDecomposition,
+    ctx: &str,
+) -> Result<Result<(), String>, TestCaseError> {
+    let certificate = verify_weighted(view, d);
+    prop_assert!(
+        certificate.is_err() || weighted_dijkstra_oracle_valid(view, d),
+        "{}: the certificate accepts what the oracle rejects",
+        ctx
+    );
+    Ok(certificate)
 }
 
 /// A fresh temporary snapshot path (the file is unlinked right after it
@@ -409,6 +605,51 @@ proptest! {
                 ) {
                     prop_assert!(verdict, "{} must stay valid", ctx);
                 }
+            }
+        }
+    }
+
+    /// The weighted arrival certificate rejects every mutation the
+    /// restricted-Dijkstra oracle rejects, and it is exact, so it also
+    /// rejects mutations within the oracle's tolerance. Unmutated outputs
+    /// pass both. Verdicts and messages are the same over the in-memory
+    /// graph and a mapped weighted snapshot of it.
+    #[test]
+    fn certificate_rejects_whatever_the_dijkstra_oracle_rejects(
+        g in arb_graph(60, 150),
+        seed in 0u64..10_000,
+        beta_k in 0usize..3,
+        sel in any::<u64>(),
+    ) {
+        let beta = [0.05, 0.25, 0.8][beta_k];
+        let wg = hashed_lengths(&g, seed);
+        let path = tmp_snapshot("weighted");
+        write_weighted_snapshot(&wg, &path).unwrap();
+        let mapped = MappedWeightedCsr::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let d = partition_weighted(&wg, &DecompOptions::new(beta).with_seed(seed));
+        for (i, mutation) in WEIGHTED_MUTATIONS.into_iter().enumerate() {
+            let sel = sel.rotate_left(7 * i as u32);
+            let Some(bad) = mutate_weighted(&wg, &d, mutation, sel) else {
+                continue;
+            };
+            let ctx = format!("{mutation:?} at beta {beta}");
+            let verdict = certified_verdict(&wg, &bad, &ctx)?;
+            prop_assert_eq!(&certified_verdict(&mapped, &bad, &ctx)?, &verdict, "{} (mapped)", ctx);
+            if mutation == WeightedMutation::Unchanged {
+                prop_assert!(verdict.is_ok(), "{}: {:?}", ctx, verdict);
+                prop_assert!(weighted_dijkstra_oracle_valid(&wg, &bad), "{}", ctx);
+            }
+            // Exact: any change to a recorded distance or the center list is
+            // caught, however far inside the oracle's tolerance.
+            if matches!(
+                mutation,
+                WeightedMutation::DistShift(_)
+                    | WeightedMutation::CenterDist
+                    | WeightedMutation::DropCenter
+                    | WeightedMutation::RepeatCenter
+            ) {
+                prop_assert!(verdict.is_err(), "{}: accepted", ctx);
             }
         }
     }

@@ -6,8 +6,8 @@
 //! and `MPX_THREADS=4`.
 
 use mpx::decomp::{
-    partition, partition_weighted, partition_weighted_exact, verify_weighted, DecompOptions,
-    DecomposerBuilder, Traversal, WeightedDecomposition,
+    compute_parents_weighted, partition, partition_weighted, partition_weighted_exact,
+    verify_weighted, DecompOptions, DecomposerBuilder, Traversal, WeightedDecomposition,
 };
 use mpx::graph::{gen, snapshot, CsrGraph, MappedWeightedCsr, Vertex, WeightedCsrGraph};
 use mpx::runtime::Pool;
@@ -60,6 +60,14 @@ fn assert_bit_identical(a: &WeightedDecomposition, b: &WeightedDecomposition, wh
             x.to_bits(),
             y.to_bits(),
             "{what}: dist[{v}] {x} vs {y} not bit-identical"
+        );
+    }
+    assert_eq!(a.arrival.len(), b.arrival.len(), "{what}: arrival length");
+    for (v, (x, y)) in a.arrival.iter().zip(&b.arrival).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{what}: arrival[{v}] {x} vs {y} not bit-identical"
         );
     }
 }
@@ -123,7 +131,10 @@ fn bucket_width_never_changes_the_answer() {
 /// Tiny lengths, or a tiny β, make `δ_max` huge against the mean length.
 /// Δ-stepping's bucket width is at least `δ_max / n`, so it holds at most
 /// `n + 1` buckets instead of one per mean length of start time, and its
-/// labels stay bit-identical to the sequential Dijkstra.
+/// labels stay bit-identical to the sequential Dijkstra. The outputs pass
+/// the verifier and yield parents even where start times near `1e12`
+/// (the second of two components at β = 1e-12) leave `dist_to_center`
+/// too coarse to tie with a relative tolerance.
 #[test]
 fn tiny_lengths_and_tiny_beta_match_dijkstra() {
     let skeleton = gen::grid2d(20, 20);
@@ -134,6 +145,15 @@ fn tiny_lengths_and_tiny_beta_match_dijkstra() {
             .collect();
         WeightedCsrGraph::from_edges(skeleton.num_vertices(), &edges)
     };
+    // Two disjoint copies of `mpx gen grid:20 g.txt 1 --weighted`.
+    let two_components = {
+        let n = skeleton.num_vertices() as Vertex;
+        let edges: Vec<(Vertex, Vertex, f64)> = random_lengths(&skeleton, 1)
+            .edges()
+            .flat_map(|(u, v, w)| [(u, v, w), (u + n, v + n, w)])
+            .collect();
+        WeightedCsrGraph::from_edges(2 * n as usize, &edges)
+    };
     let cases = [
         ("lengths x1e-8", scaled(1e-8), 0.1),
         (
@@ -141,11 +161,15 @@ fn tiny_lengths_and_tiny_beta_match_dijkstra() {
             WeightedCsrGraph::unit_weights(&skeleton),
             1e-12,
         ),
+        ("two components, beta 1e-12", two_components, 1e-12),
     ];
     for (what, g, beta) in &cases {
         let opts = DecompOptions::new(*beta).with_seed(1);
         let reference = partition_weighted(g, &opts.clone().with_traversal(Traversal::TopDownSeq));
         assert_bit_identical(&reference, &delta_stepping(g, &opts, None), what);
+        verify_weighted(g, &reference).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let parents = compute_parents_weighted(g, &reference);
+        assert_eq!(parents.len(), g.num_vertices(), "{what}");
     }
 }
 
