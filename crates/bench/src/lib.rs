@@ -1,7 +1,6 @@
 //! # mpx-bench — the experiment harness
 //!
-//! One binary per figure/table of the reproduction (see `DESIGN.md` §3 for
-//! the experiment index):
+//! One binary per figure/table of the reproduction:
 //!
 //! | binary | experiment |
 //! |--------|------------|
@@ -17,9 +16,6 @@
 //! | `table_solver` | T11: CG vs Jacobi vs tree-PCG |
 //! | `table_weighted` | T12: Section 6 weighted partitions |
 //! | `exp_all` | runs everything above in sequence |
-//!
-//! Criterion benches (`cargo bench -p mpx-bench`) measure the wall-clock
-//! side: `partition`, `bfs`, `scaling`, `apps`, `solver`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -16,7 +16,7 @@
 //!   Epochs nest: an inner epoch's regions also count toward the outer
 //!   one.
 //!
-//! Telemetry layers (e.g. traced decomposition runs, `mpx bench`) should
+//! Telemetry layers (e.g. traced decomposition runs, perfbench) should
 //! prefer epochs; the global snapshot API remains for whole-process
 //! reporting.
 //! The one boundary: regions initiated *by other threads on behalf of*

@@ -15,7 +15,7 @@ use mpx::decomp::{
 use mpx::graph::{algo, gen, Vertex, WeightedCsrGraph};
 
 /// Deterministic `U[0.25, 4]` edge lengths hashed from seed + endpoints —
-/// the same length model `mpx bench --weighted` uses.
+/// the same length model `mpx gen --weighted` writes.
 fn random_lengths(g: &mpx::graph::CsrGraph, seed: u64) -> WeightedCsrGraph {
     let edges: Vec<(Vertex, Vertex, f64)> = g
         .edges()

@@ -8,11 +8,6 @@
 //! mpx inspect <graph>                        header + structure summary
 //! mpx partition <graph> <beta> [seed] [labels-out.txt] [--threads N] [--strategy S] [--parser P]
 //!                                            decompose + verify + stats
-//! mpx bench <workload> <beta> [seed] [--threads N] [--strategy S]
-//!                                            machine-readable JSON benchmark
-//! mpx bench-session <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S]
-//!                                            amortized-vs-fresh session JSON
-//! mpx bench-ingest <graph> [--threads N]     ingestion JSON benchmark
 //! mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--weighted] [--trace[=path]]
 //!                                            p50/p99 latency + round-bound JSON report
 //! mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]
@@ -23,11 +18,11 @@
 //!                                            Figure-1-style mosaic
 //! ```
 //!
-//! Workload syntax for `gen`/`bench`: `grid:<side>`,
+//! Workload syntax for `gen`/`profile`: `grid:<side>`,
 //! `rmat:<scale>:<edge_factor>`, `gnm:<n>:<m>`, `ba:<n>:<m>`,
 //! `regular:<n>:<d>`, `path:<n>`, `sbm:<n>:<k>` — or `file:<path>` to use
-//! an on-disk graph anywhere a generated workload is accepted (`bench`
-//! also accepts a bare path to an existing file).
+//! an on-disk graph anywhere a generated workload is accepted (a bare path
+//! to an existing file also works).
 //!
 //! Graph files may be plain edge lists, DIMACS `.gr`, METIS, or `.mpx`
 //! binary snapshots (see `docs/FORMATS.md`); formats are auto-detected by
@@ -42,8 +37,8 @@
 //! persisted so labels always come back in original ids. `inspect`,
 //! `partition` and `serve` auto-detect v2 snapshots, mmap them and let the
 //! engine stream-decode adjacency straight off the compressed pages —
-//! labels are byte-identical to the uncompressed path. `bench-ingest`
-//! reports the v1-vs-v2 size and decode-overhead columns CI gates on.
+//! labels are byte-identical to the uncompressed path. `convert --compress`
+//! reports bytes per arc and the size against the v1 layout.
 //!
 //! Thread count resolution: `--threads N` wins, else the `MPX_THREADS`
 //! environment variable, else the machine's logical CPU count.
@@ -51,8 +46,8 @@
 //! `--strategy` selects the engine traversal
 //! (`auto|parallel|sequential|bottomup|hybrid`, default `auto`); every
 //! strategy produces byte-identical labels — it is a wall-clock knob, and
-//! `mpx bench` reports the per-strategy engine telemetry (rounds,
-//! relaxations, bottom-up round count) to compare them.
+//! `mpx profile` reports each run's engine telemetry (rounds,
+//! relaxations) to compare them.
 //!
 //! `--trace[=path]` on `partition` (or the `MPX_TRACE=human|json|chrome`
 //! environment variable, which also selects the export format) collects a
@@ -64,18 +59,16 @@
 //! bare workload family name (`grid`, `rmat`, …) given to `profile`
 //! expands to a default spec, so `mpx profile grid 2.0` works as-is.
 //!
-//! `--weighted` switches `convert`/`inspect`/`partition`/`bench` to the
-//! Section 6 weighted pipeline: inputs are weighted edge lists (`u v w`
-//! records) or weighted `.mpx` snapshots (mmap'd zero-copy), the engine is
-//! the bucketed Δ-stepping multi-source shifted Dijkstra, and `mpx bench
-//! --weighted` times the sequential-Dijkstra and Δ-stepping strategies
-//! against each other (asserting bit-identical labels). Generated bench
-//! workloads get deterministic `U[0.25, 4]` edge lengths hashed from the
-//! seed and endpoints.
+//! `--weighted` switches `gen`/`convert`/`inspect`/`partition`/`profile`
+//! to the Section 6 weighted pipeline: inputs are weighted edge lists
+//! (`u v w` records) or weighted `.mpx` snapshots (mmap'd zero-copy), and
+//! the engine is the bucketed Δ-stepping multi-source shifted Dijkstra
+//! (`--strategy sequential` runs the heap Dijkstra; the labels are
+//! bit-identical). Generated weighted workloads get deterministic
+//! `U[0.25, 4]` edge lengths hashed from the seed and endpoints.
 
 use mpx::compress::{
-    apply_permutation, reorder_permutation, write_compressed_snapshot, CompressedCsr,
-    MappedCompressedCsr, Reorder,
+    apply_permutation, reorder_permutation, write_compressed_snapshot, MappedCompressedCsr, Reorder,
 };
 use mpx::decomp::{
     verify_decomposition, verify_weighted, ConfigError, DecompOptions, DecomposerBuilder,
@@ -85,7 +78,6 @@ use mpx::graph::{
     gen, io, snapshot, CsrGraph, GraphFormat, GraphView, TextParser, Vertex, WeightedCsrGraph,
 };
 use std::io::Write;
-use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -102,7 +94,7 @@ fn main() {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--parser auto|parallel|sequential] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D] [--parser P]\n  mpx bench <workload> <beta> [seed] [--weighted] [--threads N] [--strategy S] [--determinism D]\n  mpx bench-session <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S]\n  mpx bench-ingest <graph> [--threads N]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default) | parallel | sequential | bottomup | hybrid (alias of auto)\ndeterminism: bitexact (default; byte-identical across thread counts) | fast (lock-free CAS claiming + work stealing)\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx; inspect/partition/serve auto-detect v2 and stream-decode zero-copy"
+    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--parser auto|parallel|sequential] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D] [--parser P]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default) | parallel | sequential | bottomup | hybrid (alias of auto)\ndeterminism: bitexact (default; byte-identical across thread counts) | fast (lock-free CAS claiming + work stealing)\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx; inspect/partition/serve auto-detect v2 and stream-decode zero-copy"
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -112,9 +104,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("convert") => cmd_convert(&args[1..]),
         Some("inspect") => cmd_inspect(&args[1..]),
         Some("partition") => cmd_partition(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("bench-session") => cmd_bench_session(&args[1..]),
-        Some("bench-ingest") => cmd_bench_ingest(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("loadgen") => cmd_loadgen(&args[1..]),
@@ -124,8 +113,8 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Flags shared by `partition`, `bench`, `bench-session`, `convert` and
-/// `bench-ingest`.
+/// Flags shared by the subcommands; each one accepts only the subset it
+/// names to [`extract_flags`].
 struct RunFlags {
     threads: Option<usize>,
     strategy: Traversal,
@@ -619,9 +608,9 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         .map_or(Ok(42), |s| s.parse().map_err(|_| "bad seed".to_string()))?;
     let format = format_for_output(out);
     if flags.weighted {
-        // Same deterministic length model as `bench --weighted`, so
-        // `gen --weighted` + `partition --weighted` reproduce the bench's
-        // exact graph. Weighted writers: edge list or snapshot only.
+        // Same deterministic length model as `profile --weighted`, so
+        // `gen --weighted` + `partition --weighted` reproduce the profiled
+        // graph exactly. Weighted writers: edge list or snapshot only.
         let g = parse_weighted_workload(spec, seed)?;
         match format {
             GraphFormat::Snapshot => {
@@ -1033,11 +1022,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         return Err(format!("verification FAILED: {:?}", report.errors));
     }
     if let Some(out) = args.get(3) {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| e.to_string())?);
-        for v in 0..g.num_vertices() {
-            writeln!(f, "{}", d.center_of(v as u32)).map_err(|e| e.to_string())?;
-        }
-        println!("labels written to {out}");
+        write_labels(out, d.assignment())?;
     }
     Ok(())
 }
@@ -1114,11 +1099,7 @@ fn partition_compressed_cmd(
             Some(perm) => d.remap_labels(perm),
             None => d,
         };
-        let mut f = std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| e.to_string())?);
-        for v in 0..g.num_vertices() {
-            writeln!(f, "{}", labels.center_of(v as u32)).map_err(|e| e.to_string())?;
-        }
-        println!("labels written to {out}");
+        write_labels(out, labels.assignment())?;
     }
     Ok(())
 }
@@ -1176,510 +1157,32 @@ fn partition_weighted_cmd(
     verify_weighted(&loaded, &d).map_err(|e| format!("verification FAILED: {e}"))?;
     println!("verified: weighted partition + strong diameter + exact intra-cluster arrivals hold");
     if let Some(out) = labels_out {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| e.to_string())?);
-        for v in 0..loaded.num_vertices() {
-            writeln!(f, "{}", d.assignment[v]).map_err(|e| e.to_string())?;
-        }
-        println!("labels written to {out}");
+        write_labels(out, &d.assignment)?;
     }
     Ok(())
 }
 
-/// `mpx bench <workload> <beta> [seed] [--threads N] [--strategy S]` —
-/// runs the full decomposition pipeline on a generated graph and emits one
-/// JSON object on stdout: per-phase wall-clock, thread count, traversal
-/// strategy, partition statistics, engine telemetry and worker-pool
-/// utilization. This is the machine-readable baseline the perf-trajectory
-/// files (`BENCH_*.json`) are built from; CI archives one file per
-/// strategy so the trajectory distinguishes traversal modes.
-/// The runtime scheduler a determinism mode selects — recorded in bench
-/// and profile artifacts so BENCH JSON is self-describing.
+/// Writes one cluster center per line to `path`. The explicit flush
+/// reports a failed final write (a full disk, `/dev/full`) as an error;
+/// dropping the `BufWriter` would discard it.
+fn write_labels(path: &str, centers: &[Vertex]) -> Result<(), String> {
+    let err = |e: std::io::Error| format!("{path}: {e}");
+    let mut f = std::io::BufWriter::new(std::fs::File::create(path).map_err(err)?);
+    for c in centers {
+        writeln!(f, "{c}").map_err(err)?;
+    }
+    f.flush().map_err(err)?;
+    println!("labels written to {path}");
+    Ok(())
+}
+
+/// The runtime scheduler a determinism mode selects — recorded in the
+/// `profile` report so it is self-describing.
 fn scheduler_of(d: Determinism) -> &'static str {
     match d {
         Determinism::Fast => mpx_runtime::Scheduler::WorkStealing.as_str(),
         Determinism::BitExact => mpx_runtime::Scheduler::FixedChunk.as_str(),
     }
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (args, flags) = extract_flags(args, &["threads", "strategy", "determinism", "weighted"])?;
-    let spec = args.first().ok_or("bench: missing workload")?;
-    let beta = parse_beta(args.get(1).ok_or("bench: missing beta")?)?;
-    let seed: u64 = args
-        .get(2)
-        .map_or(Ok(42), |s| s.parse().map_err(|_| "bad seed".to_string()))?;
-    if flags.weighted {
-        return bench_weighted(spec, beta, seed, &flags);
-    }
-    let threads = flags.threads;
-    let effective_threads = threads.unwrap_or_else(mpx::runtime::default_threads);
-
-    fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-        let start = Instant::now();
-        let r = f();
-        (r, start.elapsed().as_secs_f64() * 1e3)
-    }
-
-    let builder = DecomposerBuilder::new(beta)
-        .seed(seed)
-        .traversal(flags.strategy)
-        .determinism(flags.determinism);
-    // The whole pipeline — including graph generation and verification,
-    // which have parallel inner loops — runs under the requested thread
-    // count so every phase's wall-clock is attributable to it. The
-    // partition phase runs through a `Decomposer` session (shift
-    // generation included, as in a real serving loop). The runtime-stats
-    // epoch opens inside the closure — on the thread that initiates the
-    // parallel regions — so the delta attributes exactly this pipeline's
-    // regions, never a concurrent caller's.
-    let (g, gen_ms, build_ms, d, telemetry, partition_ms, report, verify_ms, rt_delta) =
-        with_thread_choice(threads, || {
-            let rt_epoch = mpx_runtime::stats::begin_epoch();
-            let (g, gen_ms) = time_ms(|| parse_workload(spec, seed));
-            let g = g?;
-            let (session, build_ms) = time_ms(|| builder.build(&g));
-            let mut session = session.map_err(|e| e.to_string())?;
-            let ((d, telemetry), partition_ms) = time_ms(|| session.run_instrumented());
-            let (report, verify_ms) = time_ms(|| verify_decomposition(&g, &d));
-            drop(session);
-            Ok::<_, String>((
-                g,
-                gen_ms,
-                build_ms,
-                d,
-                telemetry,
-                partition_ms,
-                report,
-                verify_ms,
-                rt_epoch.finish(),
-            ))
-        })?;
-    let g = &g;
-    if !report.is_valid() {
-        return Err(format!("bench: verification FAILED: {:?}", report.errors));
-    }
-    let stats = DecompositionStats::compute(g, &d);
-
-    // Hand-rolled JSON: flat, stable key order, no external deps.
-    println!("{{");
-    println!("  \"workload\": \"{}\",", json_escape(spec));
-    println!("  \"beta\": {beta},");
-    println!("  \"seed\": {seed},");
-    println!("  \"threads\": {effective_threads},");
-    println!("  \"strategy\": \"{}\",", flags.strategy.as_str());
-    println!("  \"determinism\": \"{}\",", flags.determinism.as_str());
-    println!("  \"scheduler\": \"{}\",", scheduler_of(flags.determinism));
-    println!("  \"n\": {},", g.num_vertices());
-    println!("  \"m\": {},", g.num_edges());
-    println!(
-        "  \"phases_ms\": {{ \"gen\": {gen_ms:.3}, \"build\": {build_ms:.3}, \"partition\": {partition_ms:.3}, \"verify\": {verify_ms:.3} }},"
-    );
-    println!(
-        "  \"partition\": {{ \"clusters\": {}, \"max_radius\": {}, \"cut_edges\": {}, \"rounds\": {}, \"relaxations\": {}, \"bottom_up_rounds\": {}, \"cas_success\": {}, \"cas_retries\": {} }},",
-        d.num_clusters(),
-        d.max_radius(),
-        stats.cut_edges,
-        telemetry.rounds,
-        telemetry.relaxations,
-        telemetry.bottom_up_rounds,
-        telemetry.cas_success,
-        telemetry.cas_retries
-    );
-    println!(
-        "  \"runtime\": {{ \"par_regions\": {}, \"worker_participations\": {}, \"chunks_claimed\": {}, \"steals\": {} }}",
-        rt_delta.regions, rt_delta.participations, rt_delta.chunks, rt_delta.steals
-    );
-    println!("}}");
-    Ok(())
-}
-
-/// The `--weighted` arm of `bench`: times the *sequential* weighted
-/// engine (multi-source shifted Dijkstra) against the *parallel* one
-/// (bucketed Δ-stepping) on the same weighted workload and seed, asserts
-/// the labels are bit-identical, and emits one flat JSON object with both
-/// wall-clocks, the speedup, and the Δ-stepping telemetry. CI archives
-/// this as the `BENCH_weighted_*.json` perf-trajectory evidence and gates
-/// on `agree` plus parallel-beats-sequential at ≥4 threads.
-fn bench_weighted(spec: &str, beta: f64, seed: u64, flags: &RunFlags) -> Result<(), String> {
-    let threads = flags.threads;
-    let effective_threads = threads.unwrap_or_else(mpx::runtime::default_threads);
-
-    fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-        let start = Instant::now();
-        let r = f();
-        (r, start.elapsed().as_secs_f64() * 1e3)
-    }
-
-    let seq_builder = DecomposerBuilder::new(beta)
-        .seed(seed)
-        .traversal(Traversal::TopDownSeq);
-    let par_builder = DecomposerBuilder::new(beta)
-        .seed(seed)
-        .traversal(Traversal::TopDownPar)
-        .determinism(flags.determinism);
-    let (g, gen_ms, ds, seq_telemetry, sequential_ms, dp, par_telemetry, parallel_ms, verify_ms) =
-        with_thread_choice(threads, || {
-            let (g, gen_ms) = time_ms(|| parse_weighted_workload(spec, seed));
-            let g = g?;
-            // Warm both sessions (pool spin-up, shift generation, page
-            // faults) outside the timings, then time one instrumented run
-            // per strategy through its own session — the serving-loop cost
-            // model, matching the unweighted `bench` command.
-            let mut seq_session = seq_builder.build_weighted(&g).map_err(|e| e.to_string())?;
-            let _ = seq_session.run();
-            let ((ds, seq_telemetry), sequential_ms) = time_ms(|| seq_session.run_instrumented());
-            drop(seq_session);
-            let mut par_session = par_builder.build_weighted(&g).map_err(|e| e.to_string())?;
-            let _ = par_session.run();
-            let ((dp, par_telemetry), parallel_ms) = time_ms(|| par_session.run_instrumented());
-            drop(par_session);
-            let (report, verify_ms) = time_ms(|| verify_weighted(&g, &ds));
-            report.map_err(|e| format!("bench: verification FAILED: {e}"))?;
-            Ok::<_, String>((
-                g,
-                gen_ms,
-                ds,
-                seq_telemetry,
-                sequential_ms,
-                dp,
-                par_telemetry,
-                parallel_ms,
-                verify_ms,
-            ))
-        })?;
-    let agree = ds.assignment == dp.assignment
-        && ds
-            .dist_to_center
-            .iter()
-            .zip(&dp.dist_to_center)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-
-    // Hand-rolled JSON: flat, stable key order, no external deps.
-    println!("{{");
-    println!("  \"workload\": \"{}\",", json_escape(spec));
-    println!("  \"weighted\": true,");
-    println!("  \"beta\": {beta},");
-    println!("  \"seed\": {seed},");
-    println!("  \"threads\": {effective_threads},");
-    println!("  \"determinism\": \"{}\",", flags.determinism.as_str());
-    println!("  \"scheduler\": \"{}\",", scheduler_of(flags.determinism));
-    println!("  \"n\": {},", g.num_vertices());
-    println!("  \"m\": {},", g.num_edges());
-    println!(
-        "  \"phases_ms\": {{ \"gen\": {gen_ms:.3}, \"sequential\": {sequential_ms:.3}, \"parallel\": {parallel_ms:.3}, \"verify\": {verify_ms:.3} }},"
-    );
-    println!("  \"sequential_ms\": {sequential_ms:.3},");
-    println!("  \"parallel_ms\": {parallel_ms:.3},");
-    println!(
-        "  \"speedup\": {:.3},",
-        sequential_ms / parallel_ms.max(1e-9)
-    );
-    println!(
-        "  \"partition\": {{ \"clusters\": {}, \"max_radius\": {:.6}, \"cut_edges\": {}, \"sequential_relaxations\": {}, \"buckets\": {}, \"phases\": {}, \"parallel_relaxations\": {}, \"delta\": {:.6} }},",
-        ds.num_clusters(),
-        ds.max_radius(),
-        ds.cut_edges(&g),
-        seq_telemetry.relaxations,
-        par_telemetry.buckets,
-        par_telemetry.phases,
-        par_telemetry.relaxations,
-        par_telemetry.delta
-    );
-    println!(
-        "  \"weighted_telemetry\": {{ \"buckets\": {}, \"phases\": {}, \"relaxations\": {}, \"delta\": {:.6}, \"cas_success\": {}, \"cas_retries\": {} }},",
-        par_telemetry.buckets,
-        par_telemetry.phases,
-        par_telemetry.relaxations,
-        par_telemetry.delta,
-        par_telemetry.cas_success,
-        par_telemetry.cas_retries
-    );
-    println!("  \"agree\": {agree}");
-    println!("}}");
-    if !agree {
-        return Err("bench: Δ-stepping labels differ from sequential Dijkstra".to_string());
-    }
-    Ok(())
-}
-
-/// `mpx bench-session <workload> <beta> [seed] [--runs K] [--threads N]
-/// [--strategy S]` — measures the amortization the `Decomposer` session
-/// API buys: K decompositions with fresh per-run seeds, once as K
-/// independent fresh runs (a new workspace per call — the one-shot
-/// `partition` cost model) and once through one session reusing its
-/// workspace (`run_many`). Asserts the two label sequences are identical
-/// and emits one JSON object with both timings. CI archives this as the
-/// `BENCH_session_*.json` perf-trajectory evidence.
-fn cmd_bench_session(args: &[String]) -> Result<(), String> {
-    let (args, flags) = extract_flags(args, &["threads", "strategy", "runs"])?;
-    let spec = args.first().ok_or("bench-session: missing workload")?;
-    let beta = parse_beta(args.get(1).ok_or("bench-session: missing beta")?)?;
-    let seed: u64 = args
-        .get(2)
-        .map_or(Ok(42), |s| s.parse().map_err(|_| "bad seed".to_string()))?;
-    let runs = flags.runs.unwrap_or(16);
-    let threads = flags.threads;
-    let effective_threads = threads.unwrap_or_else(mpx::runtime::default_threads);
-    let seeds: Vec<u64> = (0..runs as u64).map(|i| seed.wrapping_add(i)).collect();
-
-    fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-        let start = Instant::now();
-        let r = f();
-        (r, start.elapsed().as_secs_f64() * 1e3)
-    }
-
-    let builder = DecomposerBuilder::new(beta)
-        .seed(seed)
-        .traversal(flags.strategy);
-    let (g, fresh, fresh_ms, amortized, amortized_ms, workspace_bytes) =
-        with_thread_choice(threads, || {
-            let g = parse_workload(spec, seed)?;
-            // Warm the pool and the page cache once, outside both timings.
-            let mut warm = builder.build(&g).map_err(|e| e.to_string())?;
-            let _ = warm.run();
-            drop(warm);
-            // Fresh: a new session (new workspace) per request.
-            let (fresh, fresh_ms) = time_ms(|| {
-                seeds
-                    .iter()
-                    .map(|&s| {
-                        builder
-                            .build(&g)
-                            .map(|mut session| session.run_with_seed(s))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-            });
-            let fresh = fresh.map_err(|e| e.to_string())?;
-            // Amortized: one session serves every request.
-            let mut session = builder.build(&g).map_err(|e| e.to_string())?;
-            let (amortized, amortized_ms) = time_ms(|| session.run_many(&seeds));
-            let workspace_bytes = session.workspace().scratch_bytes();
-            drop(session);
-            Ok::<_, String>((g, fresh, fresh_ms, amortized, amortized_ms, workspace_bytes))
-        })?;
-    if fresh != amortized {
-        return Err("bench-session: amortized labels differ from fresh labels".to_string());
-    }
-
-    // Hand-rolled JSON: flat, stable key order, no external deps.
-    println!("{{");
-    println!("  \"workload\": \"{}\",", json_escape(spec));
-    println!("  \"beta\": {beta},");
-    println!("  \"seed\": {seed},");
-    println!("  \"runs\": {runs},");
-    println!("  \"threads\": {effective_threads},");
-    println!("  \"strategy\": \"{}\",", flags.strategy.as_str());
-    println!("  \"n\": {},", g.num_vertices());
-    println!("  \"m\": {},", g.num_edges());
-    println!("  \"workspace_bytes\": {workspace_bytes},");
-    println!(
-        "  \"fresh_ms\": {{ \"total\": {fresh_ms:.3}, \"per_run\": {:.3} }},",
-        fresh_ms / runs as f64
-    );
-    println!(
-        "  \"amortized_ms\": {{ \"total\": {amortized_ms:.3}, \"per_run\": {:.3} }},",
-        amortized_ms / runs as f64
-    );
-    println!(
-        "  \"amortized_speedup\": {:.3},",
-        fresh_ms / amortized_ms.max(1e-9)
-    );
-    println!("  \"outputs_identical\": true");
-    println!("}}");
-    Ok(())
-}
-
-/// `mpx bench-ingest <graph> [--threads N]` — measures the ingestion
-/// pipeline on one on-disk text graph and emits a single JSON object:
-/// sequential vs parallel text parse (asserting the CSRs are identical),
-/// snapshot write, owned snapshot load, and zero-copy mmap open, plus the
-/// compressed v2 side of the same graph (encode, both decode paths,
-/// bytes/arc, and best-of-3 partition wall-clock over the raw vs the
-/// compressed mmap — the streaming-decode overhead CI gates on). This is
-/// the machine-readable evidence that (a) the parallel parser is a pure
-/// wall-clock optimization, (b) binary snapshots beat text parsing, and
-/// (c) compressed pages stay within budget of raw ones.
-fn cmd_bench_ingest(args: &[String]) -> Result<(), String> {
-    let (args, flags) = extract_flags(args, &["threads"])?;
-    let path = args.first().ok_or("bench-ingest: missing graph path")?;
-    let format = io::detect_format(path).map_err(|e| e.to_string())?;
-    if format == GraphFormat::Snapshot {
-        return Err(
-            "bench-ingest: input must be a text format (the snapshot side is generated)"
-                .to_string(),
-        );
-    }
-    if format == GraphFormat::Metis {
-        // METIS has no parallel reader (record meaning depends on line
-        // position); a seq-vs-par comparison would time the same parser
-        // twice and mislabel the result.
-        return Err(
-            "bench-ingest: METIS parses sequentially only; use an edge list or DIMACS file"
-                .to_string(),
-        );
-    }
-    let threads = flags.threads;
-    let effective_threads = threads.unwrap_or_else(mpx::runtime::default_threads);
-    let file_bytes = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
-
-    fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-        let start = Instant::now();
-        let r = f();
-        (r, start.elapsed().as_secs_f64() * 1e3)
-    }
-
-    // Warm the page cache before timing anything, so the first-timed
-    // parser does not pay the disk I/O the second one skips.
-    std::fs::read(path).map_err(|e| e.to_string())?;
-
-    // Every timed phase — including the snapshot checksum/validation,
-    // which has parallel inner loops — runs under the requested thread
-    // count so the JSON's "threads" describes the whole measurement.
-    #[allow(clippy::type_complexity)]
-    let (
-        par,
-        seq_ms,
-        par_ms,
-        snap_bytes,
-        snapshot_write_ms,
-        owned_load_ms,
-        mmap_open_ms,
-        v2_bytes,
-        bytes_per_arc,
-        v2_encode_ms,
-        v2_owned_load_ms,
-        v2_mmap_open_ms,
-        raw_partition_ms,
-        v2_partition_ms,
-    ) = with_thread_choice(threads, || {
-        let (seq, seq_ms) = time_ms(|| io::read_graph_as(path, format, TextParser::Sequential));
-        let (par, par_ms) = time_ms(|| io::read_graph_as(path, format, TextParser::Parallel));
-        let seq = seq.map_err(|e| e.to_string())?;
-        let par = par.map_err(|e| e.to_string())?;
-        if seq != par {
-            return Err("bench-ingest: parallel parse differs from sequential parse".into());
-        }
-
-        let mut snap_path = std::env::temp_dir();
-        snap_path.push(format!("mpx-bench-ingest-{}.mpx", std::process::id()));
-        let (write_res, snapshot_write_ms) = time_ms(|| snapshot::write_snapshot(&par, &snap_path));
-        write_res.map_err(|e| e.to_string())?;
-        let snap_bytes = std::fs::metadata(&snap_path)
-            .map_err(|e| e.to_string())?
-            .len();
-        let (owned, owned_load_ms) = time_ms(|| snapshot::read_snapshot(&snap_path));
-        let owned = owned.map_err(|e| e.to_string())?;
-        let (mapped, mmap_open_ms) = time_ms(|| snapshot::MappedCsr::open(&snap_path));
-        let mapped = mapped.map_err(|e| e.to_string())?;
-        let identical = owned == par && mapped.to_graph() == par;
-        if !identical {
-            std::fs::remove_file(&snap_path).ok();
-            return Err("bench-ingest: snapshot round-trip differs from parsed graph".to_string());
-        }
-
-        // The compressed v2 side of the same graph: encode, both
-        // decode paths, and the engine running straight off each
-        // mmap'd format (best-of-3) to price the streaming decode.
-        let mut v2_path = std::env::temp_dir();
-        v2_path.push(format!("mpx-bench-ingest-{}-v2.mpx", std::process::id()));
-        let (enc_res, v2_encode_ms) = time_ms(|| write_compressed_snapshot(&par, None, &v2_path));
-        enc_res.map_err(|e| e.to_string())?;
-        let v2_bytes = std::fs::metadata(&v2_path)
-            .map_err(|e| e.to_string())?
-            .len();
-        let (owned2, v2_owned_load_ms) = time_ms(|| CompressedCsr::open(&v2_path));
-        let owned2 = owned2.map_err(|e| e.to_string())?;
-        let (mapped2, v2_mmap_open_ms) = time_ms(|| MappedCompressedCsr::open(&v2_path));
-        let mapped2 = mapped2.map_err(|e| e.to_string())?;
-        let bytes_per_arc = mapped2.bytes_per_arc();
-        let identical2 = owned2.to_graph() == par && mapped2.to_graph() == par;
-        if !identical2 {
-            std::fs::remove_file(&snap_path).ok();
-            std::fs::remove_file(&v2_path).ok();
-            return Err(
-                "bench-ingest: compressed round-trip differs from parsed graph".to_string(),
-            );
-        }
-
-        let opts = DecompOptions::new(0.3).with_seed(42);
-        let mut ws = Workspace::new();
-        let best_of_3 = |ws: &mut Workspace, f: &dyn Fn(&mut Workspace)| {
-            (0..3)
-                .map(|_| time_ms(|| f(ws)).1)
-                .fold(f64::INFINITY, f64::min)
-        };
-        // Warm each view (page faults, shift buffers) before timing.
-        let d_raw = ws.partition_view(&mapped, &opts).0;
-        let raw_partition_ms = best_of_3(&mut ws, &|ws| {
-            let _ = ws.partition_view(&mapped, &opts);
-        });
-        let d_v2 = ws.partition_view(&mapped2, &opts).0;
-        let v2_partition_ms = best_of_3(&mut ws, &|ws| {
-            let _ = ws.partition_view(&mapped2, &opts);
-        });
-        let labels_agree = d_raw == d_v2;
-        std::fs::remove_file(&snap_path).ok();
-        std::fs::remove_file(&v2_path).ok();
-        if !labels_agree {
-            return Err(
-                "bench-ingest: labels over compressed pages differ from raw mmap".to_string(),
-            );
-        }
-        Ok((
-            par,
-            seq_ms,
-            par_ms,
-            snap_bytes,
-            snapshot_write_ms,
-            owned_load_ms,
-            mmap_open_ms,
-            v2_bytes,
-            bytes_per_arc,
-            v2_encode_ms,
-            v2_owned_load_ms,
-            v2_mmap_open_ms,
-            raw_partition_ms,
-            v2_partition_ms,
-        ))
-    })?;
-
-    // Hand-rolled JSON: flat, stable key order, no external deps.
-    println!("{{");
-    println!("  \"graph\": \"{}\",", json_escape(path));
-    println!("  \"format\": \"{format}\",");
-    println!("  \"threads\": {effective_threads},");
-    println!("  \"file_bytes\": {file_bytes},");
-    println!("  \"snapshot_bytes\": {snap_bytes},");
-    println!("  \"n\": {},", par.num_vertices());
-    println!("  \"m\": {},", par.num_edges());
-    println!("  \"parse_ms\": {{ \"sequential\": {seq_ms:.3}, \"parallel\": {par_ms:.3} }},");
-    println!("  \"parse_speedup\": {:.3},", seq_ms / par_ms.max(1e-9));
-    println!(
-        "  \"snapshot_ms\": {{ \"write\": {snapshot_write_ms:.3}, \"owned_load\": {owned_load_ms:.3}, \"mmap_open\": {mmap_open_ms:.3} }},"
-    );
-    println!(
-        "  \"text_vs_mmap_speedup\": {:.3},",
-        par_ms / mmap_open_ms.max(1e-9)
-    );
-    println!("  \"snapshot_v2_bytes\": {v2_bytes},");
-    println!("  \"bytes_per_arc\": {bytes_per_arc:.3},");
-    println!(
-        "  \"compression_ratio\": {:.3},",
-        v2_bytes as f64 / snap_bytes.max(1) as f64
-    );
-    println!(
-        "  \"snapshot_v2_ms\": {{ \"encode\": {v2_encode_ms:.3}, \"owned_load\": {v2_owned_load_ms:.3}, \"mmap_open\": {v2_mmap_open_ms:.3} }},"
-    );
-    println!(
-        "  \"partition_ms\": {{ \"raw_mmap\": {raw_partition_ms:.3}, \"compressed_mmap\": {v2_partition_ms:.3} }},"
-    );
-    println!(
-        "  \"decode_overhead\": {:.3},",
-        v2_partition_ms / raw_partition_ms.max(1e-9)
-    );
-    println!("  \"outputs_identical\": true");
-    println!("}}");
-    Ok(())
 }
 
 /// Expands a bare workload family name to a default spec so
@@ -2094,10 +1597,10 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
     let seed: u64 = args
         .get(3)
         .map_or(Ok(2013), |s| s.parse().map_err(|_| "bad seed".to_string()))?;
-    if side == 0 {
-        return Err("render-grid: side must be positive".into());
-    }
-    let g = gen::grid2d(side, side);
+    // Built through the workload parser so a side that is zero or whose
+    // side² exceeds the graph-size cap is the same typed error as `gen`.
+    let g =
+        parse_workload(&format!("grid:{side}"), seed).map_err(|e| format!("render-grid: {e}"))?;
     let d = mpx::decomp::partition(&g, &DecompOptions::new(beta).with_seed(seed));
     let img = mpx::viz::render_grid_partition(side, side, &d);
     img.write(out).map_err(|e| e.to_string())?;

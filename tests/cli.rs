@@ -179,7 +179,12 @@ fn generator_specs_outside_their_domain_error_cleanly() {
     ] {
         assert_clean_error(&["gen", spec, out]);
     }
-    assert_clean_error(&["render-grid", "0", "0.1", out]);
+    // render-grid builds its grid through the same size check as `gen`: a
+    // side whose square exceeds the cap, or overflows, is a typed error
+    // rather than an allocation abort or a capacity-overflow panic.
+    for side in ["0", "100000", "5000000000"] {
+        assert_clean_error(&["render-grid", side, "0.1", out]);
+    }
     std::fs::remove_file(out).ok();
 }
 
@@ -190,6 +195,30 @@ fn missing_file_reports_error() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+
+    // A labels file that cannot be written is an error on every arm of
+    // `partition`, including the final buffered write that only fails
+    // when it is flushed.
+    #[cfg(target_os = "linux")]
+    {
+        let txt = tmp("full.txt");
+        let v2 = tmp("full-v2.mpx");
+        let weighted = tmp("full-w.txt");
+        let (txt_s, v2_s, w_s) = (
+            txt.to_str().unwrap(),
+            v2.to_str().unwrap(),
+            weighted.to_str().unwrap(),
+        );
+        run_ok(&["gen", "grid:20", txt_s]);
+        run_ok(&["convert", txt_s, v2_s, "--compress"]);
+        run_ok(&["gen", "grid:20", w_s, "7", "--weighted"]);
+        assert_clean_error(&["partition", txt_s, "0.2", "7", "/dev/full"]);
+        assert_clean_error(&["partition", v2_s, "0.2", "7", "/dev/full"]);
+        assert_clean_error(&["partition", w_s, "0.2", "7", "/dev/full", "--weighted"]);
+        for p in [txt, v2, weighted] {
+            std::fs::remove_file(p).ok();
+        }
+    }
 }
 
 /// Runs `mpx` with args, asserting success and returning stdout.
@@ -249,12 +278,14 @@ fn convert_inspect_and_mmap_partition_pipeline() {
         "labels differ across formats"
     );
 
-    // `bench` accepts the file as a workload.
+    // `profile` accepts the file as a workload.
     let json = run_ok(&[
-        "bench",
+        "profile",
         &format!("file:{}", txt.to_str().unwrap()),
         "0.2",
         "11",
+        "--runs",
+        "2",
     ]);
     assert!(json.contains("\"n\": 500"), "{json}");
 
@@ -336,25 +367,6 @@ fn convert_parser_flag_produces_identical_snapshots() {
 }
 
 #[test]
-fn bench_ingest_emits_json_and_asserts_parity() {
-    let txt = tmp("ingest.txt");
-    run_ok(&["gen", "gnm:2000:8000", txt.to_str().unwrap(), "1"]);
-    let json = run_ok(&["bench-ingest", txt.to_str().unwrap(), "--threads", "2"]);
-    for key in [
-        "\"parse_ms\"",
-        "\"sequential\"",
-        "\"parallel\"",
-        "\"parse_speedup\"",
-        "\"snapshot_ms\"",
-        "\"mmap_open\"",
-        "\"outputs_identical\": true",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
-    std::fs::remove_file(txt).ok();
-}
-
-#[test]
 fn flags_are_rejected_by_commands_that_do_not_consume_them() {
     let txt = tmp("flaggate.txt");
     run_ok(&["gen", "path:30", txt.to_str().unwrap()]);
@@ -384,7 +396,7 @@ fn flags_are_rejected_by_commands_that_do_not_consume_them() {
     );
     // ...but rejected where it means nothing, instead of silently ignored.
     let out = mpx()
-        .args(["bench", "grid:20", "0.2", "7", "--parser", "sequential"])
+        .args(["profile", "grid:20", "0.2", "7", "--parser", "sequential"])
         .output()
         .unwrap();
     assert!(!out.status.success());
@@ -480,25 +492,6 @@ fn weighted_pipeline_round_trips_and_strategies_agree() {
         "weighted labels differ across strategies/sources"
     );
 
-    // `bench --weighted` emits the sequential-vs-parallel JSON and
-    // asserts agreement itself.
-    let json = run_ok(&[
-        "bench",
-        &format!("file:{}", txt.to_str().unwrap()),
-        "0.2",
-        "9",
-        "--weighted",
-    ]);
-    for key in [
-        "\"weighted\": true",
-        "\"sequential_ms\"",
-        "\"parallel_ms\"",
-        "\"speedup\"",
-        "\"agree\": true",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
-
     for p in [txt, snap, back] {
         std::fs::remove_file(p).ok();
     }
@@ -587,7 +580,8 @@ fn profile_accepts_bare_family_names_and_weighted() {
     assert_eq!(v.get("weighted").and_then(|x| x.as_bool()), Some(true));
     let wt = v.get("weighted_telemetry").expect("weighted_telemetry");
     for key in ["buckets", "phases", "relaxations", "delta"] {
-        assert!(wt.get(key).is_some(), "missing weighted_telemetry.{key}");
+        let value = wt.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0);
+        assert!(value > 0.0, "weighted_telemetry.{key}: {stdout}");
     }
     let checks = v.get("checks").expect("checks object");
     for key in ["telemetry_consistent", "verified"] {
@@ -597,18 +591,6 @@ fn profile_accepts_bare_family_names_and_weighted() {
             "{key}: {stdout}"
         );
     }
-}
-
-#[test]
-fn bench_weighted_reports_weighted_telemetry() {
-    let stdout = run_ok(&["bench", "grid:30", "0.4", "--weighted"]);
-    let v = mpx::trace::json::parse(&stdout).unwrap();
-    assert_eq!(v.get("agree").and_then(|x| x.as_bool()), Some(true));
-    let wt = v.get("weighted_telemetry").expect("weighted_telemetry");
-    assert!(wt.get("buckets").and_then(|x| x.as_f64()).unwrap() > 0.0);
-    assert!(wt.get("phases").and_then(|x| x.as_f64()).unwrap() > 0.0);
-    assert!(wt.get("relaxations").and_then(|x| x.as_f64()).unwrap() > 0.0);
-    assert!(wt.get("delta").and_then(|x| x.as_f64()).unwrap() > 0.0);
 }
 
 #[test]

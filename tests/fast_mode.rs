@@ -13,10 +13,11 @@
 //! 3. quality statistics (cluster count, cut fraction) stay within
 //!    tolerance of the BitExact output for the same shifts;
 //!
-//! and, alongside, that BitExact output itself remains byte-identical
-//! across thread counts and unperturbed by interleaved Fast runs on the
-//! same session (no scratch cross-contamination) — pinned against
-//! pre-change label hashes.
+//! and, alongside, that BitExact never takes the CAS path (zero CAS
+//! successes and retries on every BitExact run of the sweep) and that its
+//! output remains byte-identical across thread counts and unperturbed by
+//! interleaved Fast runs on the same session (no scratch
+//! cross-contamination) — pinned against pre-change label hashes.
 
 use mpx::decomp::{verify_decomposition, DecomposerBuilder, Determinism, Traversal, VerifyReport};
 use mpx::graph::{gen, CsrGraph};
@@ -45,7 +46,15 @@ fn run(g: &CsrGraph, strategy: Traversal, determinism: Determinism, seed: u64) -
         .determinism(determinism)
         .build(g)
         .unwrap();
-    verify_decomposition(g, &session.run())
+    let (d, telemetry) = session.run_instrumented();
+    if determinism == Determinism::BitExact {
+        assert_eq!(
+            (telemetry.cas_success, telemetry.cas_retries),
+            (0, 0),
+            "BitExact took the CAS path ({strategy:?}, seed {seed})"
+        );
+    }
+    verify_decomposition(g, &d)
 }
 
 #[test]

@@ -42,7 +42,7 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// A deterministic weighted test graph: gnm topology with `U[0.25, 4]`
-/// lengths hashed from seed and endpoints (same recipe as `mpx bench
+/// lengths hashed from seed and endpoints (same recipe as `mpx gen
 /// --weighted`).
 pub fn weighted_gnm(n: usize, m: usize, seed: u64) -> mpx::graph::WeightedCsrGraph {
     let g = mpx::graph::gen::gnm(n, m, seed);
