@@ -15,7 +15,7 @@
 //! garbled stream must produce a clean error, not a silent wraparound).
 //!
 //! Everything here is pure slice-in/slice-out logic shared by the
-//! parallel encoder and both snapshot readers; the checked decode paths
+//! parallel encoder and the snapshot reader; the checked decode paths
 //! ([`validate_list`], [`decode_list`]) are what makes a corrupt v2
 //! payload fail typed instead of panicking.
 

@@ -13,18 +13,19 @@
 //! * [`write_compressed_snapshot`] — parallel encoder (per-vertex length
 //!   pass, prefix sum, disjoint-slice fill), optionally persisting a
 //!   `new id → original id` permutation section for reordered graphs.
-//! * [`CompressedCsr`] — owned reader (endianness-independent byte decode,
-//!   works on any target).
-//! * [`MappedCompressedCsr`] — zero-copy reader over the mmap'd file: the
-//!   engine's streaming decode iterators run straight off the file's
-//!   pages. Both readers implement [`mpx_graph::GraphView`], so every
-//!   session, app and `mpx serve` runs off compressed pages unchanged —
-//!   with labels bit-identical to the v1 path.
+//! * [`MappedCompressedCsr`] — zero-copy reader over the mmap'd file (an
+//!   owned aligned buffer where `mmap` is refused): the engine's streaming
+//!   decode iterators run straight off the file's pages. It implements
+//!   [`mpx_graph::GraphView`], so every session, app and `mpx serve` runs
+//!   off compressed pages unchanged — with labels bit-identical to the v1
+//!   path.
+//! * [`Snapshot`] — the one opener for every `.mpx` file: the header
+//!   picks the reader (raw v1, weighted v1 or compressed v2).
 //! * [`reorder`] — offline locality passes (degree sort, BFS order) whose
 //!   permutation rides in the optional v2 section so labels can be mapped
 //!   back to original ids.
 //!
-//! Opening validates everything the v1 loaders validate: header, exact
+//! Opening validates everything the v1 readers validate: header, exact
 //! file length, payload checksum, and the full adjacency structure decoded
 //! from the byte stream (strictly ascending, in-range, loop-free,
 //! symmetric, exact per-vertex byte consumption) — a corrupt-but-
@@ -32,13 +33,16 @@
 //! or an out-of-range neighbor.
 //!
 //! ```
-//! use mpx_compress::{write_compressed_snapshot, MappedCompressedCsr};
+//! use mpx_compress::{write_compressed_snapshot, Snapshot};
 //! use mpx_graph::{gen, GraphView};
 //! let g = gen::grid2d(8, 8);
 //! let mut path = std::env::temp_dir();
 //! path.push(format!("doc-v2-{}.mpx", std::process::id()));
 //! write_compressed_snapshot(&g, None, &path).unwrap();
-//! let c = MappedCompressedCsr::open(&path).unwrap();
+//! // The header says version 2, so the compressed reader opens it.
+//! let Snapshot::Compressed(c) = Snapshot::open(&path).unwrap() else {
+//!     panic!("not a v2 snapshot")
+//! };
 //! assert_eq!(c.num_vertices(), 64);
 //! let nbrs: Vec<u32> = c.neighbors_iter(0).collect();
 //! assert_eq!(nbrs.as_slice(), g.neighbors(0));
@@ -50,8 +54,10 @@
 
 pub mod codec;
 pub mod reorder;
+pub mod snapshot;
 pub mod snapshot2;
 
 pub use codec::DecodeNeighbors;
 pub use reorder::{apply_permutation, reorder_permutation, Reorder};
-pub use snapshot2::{write_compressed_snapshot, CompressedCsr, MappedCompressedCsr};
+pub use snapshot::Snapshot;
+pub use snapshot2::{write_compressed_snapshot, MappedCompressedCsr};

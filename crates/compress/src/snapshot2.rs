@@ -1,4 +1,4 @@
-//! The `.mpx` version-2 snapshot: writer and readers.
+//! The `.mpx` version-2 snapshot: writer and reader.
 //!
 //! Layout (full byte-level spec in `docs/FORMATS.md`): the same 64-byte
 //! header as version 1 — magic, `version = 2`, flags
@@ -22,7 +22,8 @@
 use crate::codec;
 use mpx_graph::snapshot::filebuf::FileBytes;
 use mpx_graph::snapshot::{
-    payload_checksum, SnapshotHeader, FLAG_COMPRESSED, FLAG_PERMUTED, HEADER_LEN, VERSION2,
+    check_payload, payload_checksum, SnapshotHeader, FLAG_COMPRESSED, FLAG_PERMUTED, HEADER_LEN,
+    VERSION2,
 };
 use mpx_graph::{CsrGraph, GraphView, Vertex};
 use rayon::prelude::*;
@@ -162,9 +163,9 @@ fn section_starts(h: &SnapshotHeader) -> (usize, usize, usize, usize) {
     (HEADER_LEN, deg, perm, enc)
 }
 
-/// Shared open-time validation over the decoded (or mapped) sections —
-/// the compressed twin of the v1 structural audit. A checksum only proves
-/// the bytes match what some writer produced, so everything is re-derived:
+/// Open-time validation over the mapped sections — the compressed twin of
+/// the v1 structural audit. A checksum only proves the bytes match what
+/// some writer produced, so everything is re-derived:
 /// monotonic byte offsets covering the stream exactly, degrees summing to
 /// `2m`, every list decoding to exactly its degree of strictly-ascending,
 /// in-range, loop-free neighbors consuming exactly its byte range,
@@ -187,11 +188,11 @@ fn validate_sections(
     if !offsets.par_windows(2).all(|w| w[0] <= w[1]) {
         return Err(bad("compressed snapshot byte-offsets not non-decreasing"));
     }
+    // `m` is not bounded by the file length, so `2m` may overflow.
     let total: u64 = degrees.par_iter().map(|&d| d as u64).sum();
-    if total != 2 * m {
+    if m.checked_mul(2) != Some(total) {
         return Err(bad(format!(
-            "compressed snapshot degrees sum to {total}, header implies {}",
-            2 * m
+            "compressed snapshot degrees sum to {total}, header implies 2m for m = {m}"
         )));
     }
     let list = |v: usize| &enc[offsets[v] as usize..offsets[v + 1] as usize];
@@ -229,202 +230,41 @@ fn validate_sections(
     Ok(())
 }
 
-fn require_v2(header: &SnapshotHeader) -> io::Result<()> {
-    // `SnapshotHeader::parse` already enforced FLAG_COMPRESSED for v2 and
-    // the v1 flag rules otherwise; this is the entry-point check.
-    if header.version != VERSION2 {
-        return Err(bad(format!(
-            "snapshot is version {} (raw CSR); use MappedCsr::open or read_snapshot \
-             from mpx-graph for v1 files",
-            header.version
-        )));
-    }
-    Ok(())
-}
-
-fn check_len_and_checksum(header: &SnapshotHeader, bytes: &[u8]) -> io::Result<()> {
-    let expect = header.expected_file_len()?;
-    if bytes.len() != expect {
-        return Err(bad(format!(
-            "snapshot length mismatch: file has {} bytes, header implies {expect}",
-            bytes.len()
-        )));
-    }
-    let got = payload_checksum(&bytes[HEADER_LEN..]);
-    if got != header.checksum {
-        return Err(bad(format!(
-            "snapshot checksum mismatch: stored {:#018x}, computed {got:#018x}",
-            header.checksum
-        )));
-    }
-    Ok(())
-}
-
-/// An owned, fully validated version-2 snapshot: the sections are decoded
-/// into vectors byte-by-byte, so it works on any target (the
-/// endianness-independent twin of [`MappedCompressedCsr`]). Neighbor
-/// lists stay byte-coded and decode on the fly through
-/// [`codec::DecodeNeighbors`].
-pub struct CompressedCsr {
-    n: usize,
-    m: u64,
-    offsets: Vec<u64>,
-    degrees: Vec<u32>,
-    perm: Option<Vec<Vertex>>,
-    enc: Vec<u8>,
-    header: SnapshotHeader,
-}
-
-impl CompressedCsr {
-    /// Opens and fully checks a compressed snapshot.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<CompressedCsr> {
-        let _span = mpx_trace::span!("compress.decode", mapped = false);
-        let bytes = std::fs::read(path)?;
-        let header = SnapshotHeader::parse(&bytes)?;
-        require_v2(&header)?;
-        check_len_and_checksum(&header, &bytes)?;
-        let n = header.n as usize;
-        let (off_at, deg_at, perm_at, enc_at) = section_starts(&header);
-        let mut offsets = Vec::with_capacity(n + 1);
-        for c in bytes[off_at..deg_at].chunks_exact(8) {
-            offsets.push(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let mut degrees = Vec::with_capacity(n);
-        for c in bytes[deg_at..perm_at].chunks_exact(4) {
-            degrees.push(u32::from_le_bytes(c.try_into().unwrap()));
-        }
-        let perm = header.is_permuted().then(|| {
-            bytes[perm_at..enc_at]
-                .chunks_exact(4)
-                .map(|c| Vertex::from_le_bytes(c.try_into().unwrap()))
-                .collect::<Vec<_>>()
-        });
-        let enc = bytes[enc_at..].to_vec();
-        validate_sections(n, header.m, &offsets, &degrees, perm.as_deref(), &enc)?;
-        Ok(CompressedCsr {
-            n,
-            m: header.m,
-            offsets,
-            degrees,
-            perm,
-            enc,
-            header,
-        })
-    }
-
-    /// The decoded header.
-    pub fn header(&self) -> &SnapshotHeader {
-        &self.header
-    }
-
-    /// The `new id → original id` permutation section, when the snapshot
-    /// was reordered.
-    pub fn permutation(&self) -> Option<&[Vertex]> {
-        self.perm.as_deref()
-    }
-
-    /// Vertex count `n`.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Undirected edge count `m`.
-    pub fn num_edges(&self) -> usize {
-        self.m as usize
-    }
-
-    /// Encoded adjacency bytes per arc (`enc_len / 2m`).
-    pub fn bytes_per_arc(&self) -> f64 {
-        if self.m == 0 {
-            0.0
-        } else {
-            self.enc.len() as f64 / (2 * self.m) as f64
-        }
-    }
-
-    /// Streaming decoder over the neighbors of `v`.
-    #[inline]
-    pub fn neighbors_decoded(&self, v: Vertex) -> codec::DecodeNeighbors<'_> {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        codec::DecodeNeighbors::new(v, self.degrees[v as usize], &self.enc[lo..hi])
-    }
-
-    /// Materializes an owned [`CsrGraph`] (decodes every list; for
-    /// callers needing the full owned API, e.g. the verifier).
-    pub fn to_graph(&self) -> CsrGraph {
-        decode_to_graph(self.n, &self.offsets, &self.degrees, &self.enc)
-    }
-}
-
-impl std::fmt::Debug for CompressedCsr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompressedCsr")
-            .field("n", &self.n)
-            .field("m", &self.m)
-            .field("enc_len", &self.enc.len())
-            .field("permuted", &self.perm.is_some())
-            .finish()
-    }
-}
-
-impl GraphView for CompressedCsr {
-    type Neighbors<'a> = codec::DecodeNeighbors<'a>;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        self.degrees[v as usize] as usize
-    }
-
-    #[inline]
-    fn total_degree(&self) -> u64 {
-        2 * self.m
-    }
-
-    #[inline]
-    fn neighbors_iter(&self, v: Vertex) -> Self::Neighbors<'_> {
-        self.neighbors_decoded(v)
-    }
-}
-
 /// A zero-copy, memory-mapped version-2 snapshot.
 ///
 /// The compressed twin of `mpx_graph::MappedCsr`: implements
 /// [`GraphView`] with streaming decode iterators straight over the file's
 /// pages, so the engine, sessions and `mpx serve` traverse the compressed
-/// bytes with no materialization. Opening validates everything (see
-/// [`CompressedCsr`]); requires a little-endian target like the v1 mapped
-/// reader, with [`CompressedCsr::open`] as the portable fallback.
+/// bytes with no materialization. Opening validates everything: header,
+/// exact length, checksum, then every section — byte offsets, degrees,
+/// each list's encoding, symmetry and, when present, the permutation.
+/// Like the v1 reader it holds the bytes in an owned aligned buffer where
+/// `mmap` is refused, and refuses big-endian targets.
 pub struct MappedCompressedCsr {
     buf: FileBytes,
     header: SnapshotHeader,
-    mapped: bool,
 }
 
 impl MappedCompressedCsr {
     /// Opens and fully checks a compressed snapshot (see type docs).
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<MappedCompressedCsr> {
-        if cfg!(target_endian = "big") {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "zero-copy snapshots require a little-endian target; use CompressedCsr::open",
+        let _span = mpx_trace::span!("compress.decode");
+        Self::from_buf(FileBytes::map_or_read(path.as_ref())?)
+    }
+
+    /// Audits file bytes however they were loaded: mapped, or the owned
+    /// copy an `mmap` refusal leaves. Length and checksum come before any
+    /// typed cast of the sections.
+    fn from_buf(buf: FileBytes) -> io::Result<MappedCompressedCsr> {
+        let header = SnapshotHeader::parse(buf.bytes())?;
+        if header.version != VERSION2 {
+            return Err(bad(
+                "snapshot is version 1 (raw CSR); open it with Snapshot::open, or with \
+                 MappedCsr or MappedWeightedCsr from mpx-graph",
             ));
         }
-        let _span = mpx_trace::span!("compress.decode", mapped = true);
-        let (buf, mapped) = FileBytes::map_or_read(path.as_ref())?;
-        let header = SnapshotHeader::parse(buf.bytes())?;
-        require_v2(&header)?;
-        check_len_and_checksum(&header, buf.bytes())?;
-        let g = MappedCompressedCsr {
-            buf,
-            header,
-            mapped,
-        };
+        check_payload(&header, buf.bytes())?;
+        let g = MappedCompressedCsr { buf, header };
         validate_sections(
             header.n as usize,
             header.m,
@@ -443,7 +283,7 @@ impl MappedCompressedCsr {
 
     /// Whether the bytes are an actual `mmap` (vs the owned fallback).
     pub fn is_mapped(&self) -> bool {
-        self.mapped
+        self.buf.is_mapped()
     }
 
     /// Vertex count `n`.
@@ -492,24 +332,45 @@ impl MappedCompressedCsr {
         &self.buf.bytes()[enc_at..]
     }
 
-    /// Streaming decoder over the neighbors of `v` — reads the file's
-    /// pages directly.
-    #[inline]
-    pub fn neighbors_decoded(&self, v: Vertex) -> codec::DecodeNeighbors<'_> {
-        let offsets = self.offsets();
-        let lo = offsets[v as usize] as usize;
-        let hi = offsets[v as usize + 1] as usize;
-        codec::DecodeNeighbors::new(v, self.degrees()[v as usize], &self.enc()[lo..hi])
-    }
-
-    /// Materializes an owned [`CsrGraph`].
+    /// Materializes an owned [`CsrGraph`], decoding every list in
+    /// parallel vertex blocks.
     pub fn to_graph(&self) -> CsrGraph {
-        decode_to_graph(
+        let (n, offsets, degrees, enc) = (
             self.num_vertices(),
             self.offsets(),
             self.degrees(),
             self.enc(),
-        )
+        );
+        let mut tgt_offsets = Vec::with_capacity(n + 1);
+        let mut acc = 0usize;
+        tgt_offsets.push(0usize);
+        for &d in degrees {
+            acc += d as usize;
+            tgt_offsets.push(acc);
+        }
+        let mut targets = vec![0 as Vertex; acc];
+        let nblocks = n.div_ceil(BLOCK).max(1);
+        let bounds: Vec<usize> = (0..=nblocks)
+            .map(|b| tgt_offsets[(b * BLOCK).min(n)])
+            .collect();
+        split_blocks(&mut targets, &bounds)
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(b, slice)| {
+                let lo = b * BLOCK;
+                let hi = ((b + 1) * BLOCK).min(n);
+                let mut pos = 0usize;
+                for v in lo..hi {
+                    let range = &enc[offsets[v] as usize..offsets[v + 1] as usize];
+                    for t in codec::DecodeNeighbors::new(v as Vertex, degrees[v], range) {
+                        slice[pos] = t;
+                        pos += 1;
+                    }
+                }
+            });
+        // The sections were fully validated at open time, so this cannot fail.
+        CsrGraph::try_from_csr(tgt_offsets, targets)
+            .expect("validated snapshot decoded to valid CSR")
     }
 }
 
@@ -520,7 +381,7 @@ impl std::fmt::Debug for MappedCompressedCsr {
             .field("m", &self.header.m)
             .field("enc_len", &self.header.enc_len)
             .field("permuted", &self.header.is_permuted())
-            .field("mapped", &self.mapped)
+            .field("mapped", &self.is_mapped())
             .finish()
     }
 }
@@ -543,44 +404,13 @@ impl GraphView for MappedCompressedCsr {
         2 * self.header.m
     }
 
+    /// Streams the byte-coded list of `v` straight off the file's pages.
     #[inline]
     fn neighbors_iter(&self, v: Vertex) -> Self::Neighbors<'_> {
-        self.neighbors_decoded(v)
+        let offsets = self.offsets();
+        let bytes = &self.enc()[offsets[v as usize] as usize..offsets[v as usize + 1] as usize];
+        codec::DecodeNeighbors::new(v, self.degrees()[v as usize], bytes)
     }
-}
-
-/// Decodes every list into a fresh CSR, in parallel vertex blocks (the
-/// shared back end of both readers' `to_graph`).
-fn decode_to_graph(n: usize, offsets: &[u64], degrees: &[u32], enc: &[u8]) -> CsrGraph {
-    let mut tgt_offsets = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    tgt_offsets.push(0usize);
-    for &d in degrees {
-        acc += d as usize;
-        tgt_offsets.push(acc);
-    }
-    let mut targets = vec![0 as Vertex; acc];
-    let nblocks = n.div_ceil(BLOCK).max(1);
-    let bounds: Vec<usize> = (0..=nblocks)
-        .map(|b| tgt_offsets[(b * BLOCK).min(n)])
-        .collect();
-    split_blocks(&mut targets, &bounds)
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(b, slice)| {
-            let lo = b * BLOCK;
-            let hi = ((b + 1) * BLOCK).min(n);
-            let mut pos = 0usize;
-            for v in lo..hi {
-                let range = &enc[offsets[v] as usize..offsets[v + 1] as usize];
-                for t in codec::DecodeNeighbors::new(v as Vertex, degrees[v], range) {
-                    slice[pos] = t;
-                    pos += 1;
-                }
-            }
-        });
-    // The sections were fully validated at open time, so this cannot fail.
-    CsrGraph::try_from_csr(tgt_offsets, targets).expect("validated snapshot decoded to valid CSR")
 }
 
 #[cfg(test)]
@@ -595,8 +425,43 @@ mod tests {
         p
     }
 
+    /// The owned buffer an `mmap` refusal falls back to, over `p`'s bytes.
+    fn owned_copy(p: &Path) -> FileBytes {
+        let bytes = std::fs::read(p).unwrap();
+        let words = bytes
+            .chunks(8)
+            .map(|c| {
+                let mut w = [0u8; 8];
+                w[..c.len()].copy_from_slice(c);
+                u64::from_ne_bytes(w)
+            })
+            .collect();
+        FileBytes::Owned {
+            words,
+            len: bytes.len(),
+        }
+    }
+
+    /// Opens `p` mapped and through the owned fallback: both must read the
+    /// same graph and permutation, or fail with the same typed error.
+    fn open_both(p: &Path) -> io::Result<MappedCompressedCsr> {
+        let mapped = MappedCompressedCsr::open(p);
+        match (&mapped, MappedCompressedCsr::from_buf(owned_copy(p))) {
+            (Ok(a), Ok(b)) => {
+                assert!(!b.is_mapped());
+                assert_eq!(a.to_graph(), b.to_graph());
+                assert_eq!(a.permutation(), b.permutation());
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!((a.kind(), a.to_string()), (b.kind(), b.to_string()))
+            }
+            (a, b) => panic!("mapped open gave {a:?}, owned gave {b:?}"),
+        }
+        mapped
+    }
+
     #[test]
-    fn roundtrip_both_readers_across_families() {
+    fn roundtrip_mapped_and_owned_across_families() {
         for (name, g) in [
             ("empty", CsrGraph::empty(5)),
             ("grid", gen::grid2d(17, 9)),
@@ -609,15 +474,16 @@ mod tests {
         ] {
             let p = tmp(&format!("rt-{name}.mpx"));
             write_compressed_snapshot(&g, None, &p).unwrap();
-            let owned = CompressedCsr::open(&p).unwrap();
-            let mapped = MappedCompressedCsr::open(&p).unwrap();
-            assert_eq!(owned.to_graph(), g, "{name}: owned decode lossy");
-            assert_eq!(mapped.to_graph(), g, "{name}: mapped decode lossy");
-            assert!(owned.permutation().is_none());
-            for v in 0..g.num_vertices() as Vertex {
-                assert_eq!(GraphView::degree(&mapped, v), g.degree(v));
-                let nbrs: Vec<Vertex> = mapped.neighbors_iter(v).collect();
-                assert_eq!(nbrs.as_slice(), g.neighbors(v), "{name}: vertex {v}");
+            let mapped = open_both(&p).unwrap();
+            assert_eq!(mapped.to_graph(), g, "{name}: decode lossy");
+            assert!(mapped.permutation().is_none());
+            let owned = MappedCompressedCsr::from_buf(owned_copy(&p)).unwrap();
+            for c in [&mapped, &owned] {
+                for v in 0..g.num_vertices() as Vertex {
+                    assert_eq!(GraphView::degree(c, v), g.degree(v));
+                    let nbrs: Vec<Vertex> = c.neighbors_iter(v).collect();
+                    assert_eq!(nbrs.as_slice(), g.neighbors(v), "{name}: vertex {v}");
+                }
             }
             std::fs::remove_file(p).ok();
         }
@@ -630,19 +496,30 @@ mod tests {
         let h = apply_permutation(&g, &perm);
         let p = tmp("perm.mpx");
         write_compressed_snapshot(&h, Some(&perm), &p).unwrap();
-        for read_perm in [
-            CompressedCsr::open(&p)
-                .unwrap()
-                .permutation()
-                .map(<[Vertex]>::to_vec),
-            MappedCompressedCsr::open(&p)
-                .unwrap()
-                .permutation()
-                .map(<[Vertex]>::to_vec),
-        ] {
-            assert_eq!(read_perm.as_deref(), Some(perm.as_slice()));
+        let c = open_both(&p).unwrap();
+        assert_eq!(c.permutation(), Some(perm.as_slice()));
+        assert!(c.header().is_permuted());
+        std::fs::remove_file(p).ok();
+    }
+
+    /// Every truncation and every byte flip of a reordered file — a
+    /// superset of the workspace's v2 corruption matrix, same file — is
+    /// refused the same way by the owned fallback as by the mapping.
+    #[test]
+    fn owned_fallback_fails_like_the_mapping_on_every_corruption() {
+        let g = gen::gnm(300, 1200, 7);
+        let p = tmp("matrix.mpx");
+        let perm = reorder_permutation(&g, Reorder::Bfs).unwrap();
+        write_compressed_snapshot(&apply_permutation(&g, &perm), Some(&perm), &p).unwrap();
+        let good = std::fs::read(&p).unwrap();
+        for at in 0..good.len() {
+            std::fs::write(&p, &good[..at]).unwrap();
+            assert!(open_both(&p).is_err(), "accepted a {at}-byte truncation");
+            let mut bytes = good.clone();
+            bytes[at] ^= 0xa5;
+            std::fs::write(&p, &bytes).unwrap();
+            assert!(open_both(&p).is_err(), "accepted a flip at byte {at}");
         }
-        assert!(CompressedCsr::open(&p).unwrap().header().is_permuted());
         std::fs::remove_file(p).ok();
     }
 
@@ -676,12 +553,10 @@ mod tests {
         let p2 = tmp("isv2.mpx");
         mpx_graph::snapshot::write_snapshot(&g, &p1).unwrap();
         write_compressed_snapshot(&g, None, &p2).unwrap();
-        let e = CompressedCsr::open(&p1).unwrap_err();
+        let e = open_both(&p1).unwrap_err();
         assert!(e.to_string().contains("version 1"), "{e}");
-        let e = mpx_graph::snapshot::read_snapshot(&p2).unwrap_err();
+        let e = mpx_graph::snapshot::MappedCsr::open(&p2).unwrap_err();
         assert!(e.to_string().contains("mpx-compress"), "{e}");
-        assert!(mpx_graph::snapshot::MappedCsr::open(&p2).is_err());
-        assert!(MappedCompressedCsr::open(&p1).is_err());
         std::fs::remove_file(p1).ok();
         std::fs::remove_file(p2).ok();
     }

@@ -2,7 +2,7 @@
 //! table reports).
 
 use crate::decomposition::Decomposition;
-use mpx_graph::{CsrGraph, Dist};
+use mpx_graph::{Dist, GraphView};
 
 /// Quantitative summary of one decomposition, aligned with Definition 1.1:
 /// the pair to watch is (`cut_fraction` vs `β`, `max_radius` vs
@@ -29,19 +29,26 @@ pub struct DecompositionStats {
 }
 
 impl DecompositionStats {
-    /// Computes all statistics in `O(n + m)`.
-    pub fn compute(g: &CsrGraph, d: &Decomposition) -> Self {
+    /// Computes all statistics in `O(n + m)` over any view of the
+    /// decomposed graph. The averages of an empty graph are 0.
+    pub fn compute<V: GraphView>(g: &V, d: &Decomposition) -> Self {
         let sizes = d.cluster_sizes();
-        let n = d.num_vertices().max(1);
-        let cut = d.cut_edges(g);
-        let m = g.num_edges();
+        let n = d.num_vertices();
+        let cut = d.cut_edges_view(g);
+        let m = g.total_degree() / 2;
+        let (avg_cluster, avg_radius) = if n == 0 {
+            (0.0, 0.0)
+        } else {
+            let dist_sum: f64 = d.distances().iter().map(|&x| x as f64).sum();
+            (n as f64 / d.num_clusters() as f64, dist_sum / n as f64)
+        };
         DecompositionStats {
             num_clusters: d.num_clusters(),
             min_cluster: sizes.iter().copied().min().unwrap_or(0),
             max_cluster: sizes.iter().copied().max().unwrap_or(0),
-            avg_cluster: n as f64 / d.num_clusters().max(1) as f64,
+            avg_cluster,
             max_radius: d.max_radius(),
-            avg_radius: d.distances().iter().map(|&x| x as f64).sum::<f64>() / n as f64,
+            avg_radius,
             cut_edges: cut,
             cut_fraction: if m == 0 { 0.0 } else { cut as f64 / m as f64 },
         }
@@ -70,7 +77,7 @@ mod tests {
     use super::*;
     use crate::options::DecompOptions;
     use crate::partition;
-    use mpx_graph::gen;
+    use mpx_graph::{gen, CsrGraph};
 
     #[test]
     fn stats_consistency() {
@@ -110,11 +117,18 @@ mod tests {
 
     #[test]
     fn display_renders() {
-        let g = gen::path(10);
-        let d = partition(&g, &DecompOptions::new(0.3));
-        let s = DecompositionStats::compute(&g, &d);
-        let text = format!("{s}");
-        assert!(text.contains("clusters="));
-        assert!(text.contains("cut="));
+        for g in [gen::path(10), CsrGraph::empty(0)] {
+            let d = partition(&g, &DecompOptions::new(0.3));
+            let s = DecompositionStats::compute(&g, &d);
+            let text = format!("{s}");
+            assert!(text.contains("clusters="));
+            assert!(text.contains("cut="));
+            if g.num_vertices() == 0 {
+                assert!(
+                    text.contains("size[0..0 avg 0.0] radius[max 0 avg 0.00]"),
+                    "{text}"
+                );
+            }
+        }
     }
 }

@@ -28,9 +28,9 @@
 //! buffered output per the HPC I/O guidance (never write a big graph
 //! through an unbuffered handle).
 //!
-//! The one-stop entry points are [`read_graph`] (auto-detect, fastest
-//! parser) and [`load_graph`] (like `read_graph`, but keeps `.mpx`
-//! snapshots memory-mapped):
+//! The one-stop entry point is [`read_graph`] (auto-detect, fastest
+//! parser; a `.mpx` snapshot stays zero-copy when opened with
+//! [`MappedCsr::open`] or `mpx_compress::Snapshot::open` instead):
 //!
 //! ```
 //! use mpx_graph::{gen, io};
@@ -44,12 +44,9 @@
 //! ```
 
 use crate::csr::{CsrGraph, Vertex};
-use crate::snapshot::{self, MappedCsr, MappedWeightedCsr};
-use crate::view::GraphView;
+use crate::snapshot::{self, MappedCsr};
 use crate::weighted::WeightedCsrGraph;
-use crate::wview::WeightedGraphView;
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -195,8 +192,8 @@ impl std::str::FromStr for TextParser {
 
 /// Reads a graph of any supported format into an owned [`CsrGraph`],
 /// auto-detecting the format and using the fastest available parser
-/// (parallel for edge lists and DIMACS, `mmap`-free owned decode for
-/// snapshots). See [`load_graph`] to keep snapshots zero-copy.
+/// (parallel for edge lists and DIMACS; for snapshots, a copy out of the
+/// checked mapping — [`MappedCsr::open`] keeps one zero-copy instead).
 pub fn read_graph<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
     let format = detect_format(&path)?;
     read_graph_as(path, format, TextParser::Auto)
@@ -209,7 +206,7 @@ pub fn read_graph_as<P: AsRef<Path>>(
     parser: TextParser,
 ) -> io::Result<CsrGraph> {
     match (format, parser.resolve()) {
-        (GraphFormat::Snapshot, _) => snapshot::read_snapshot(path),
+        (GraphFormat::Snapshot, _) => Ok(MappedCsr::open(path)?.to_graph()),
         (GraphFormat::EdgeList, TextParser::Parallel) => read_edge_list_parallel(path),
         (GraphFormat::EdgeList, TextParser::Sequential) => read_edge_list(path),
         (GraphFormat::Dimacs, TextParser::Parallel) => read_dimacs_parallel(path),
@@ -227,238 +224,6 @@ pub fn write_graph<P: AsRef<Path>>(g: &CsrGraph, path: P, format: GraphFormat) -
         GraphFormat::Dimacs => write_dimacs(g, path),
         GraphFormat::Metis => write_metis(g, path),
     }
-}
-
-/// A graph loaded from disk: either memory-mapped (snapshots) or owned
-/// (decoded text formats). Implements [`GraphView`], so it feeds the
-/// decomposition engine either way — the `.mpx` path never copies the
-/// CSR arrays out of the page cache.
-#[derive(Debug)]
-pub enum LoadedGraph {
-    /// A zero-copy mapped snapshot.
-    Mapped(MappedCsr),
-    /// An owned in-memory graph.
-    Owned(CsrGraph),
-}
-
-impl LoadedGraph {
-    /// Vertex count.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            LoadedGraph::Mapped(m) => m.num_vertices(),
-            LoadedGraph::Owned(g) => g.num_vertices(),
-        }
-    }
-
-    /// Undirected edge count.
-    pub fn num_edges(&self) -> usize {
-        match self {
-            LoadedGraph::Mapped(m) => m.num_edges(),
-            LoadedGraph::Owned(g) => g.num_edges(),
-        }
-    }
-
-    /// Whether this is a zero-copy mapping.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, LoadedGraph::Mapped(m) if m.is_mapped())
-    }
-
-    /// An owned view of the graph: borrows when already owned,
-    /// materializes a [`CsrGraph`] from a mapping (needed by callers that
-    /// want the full owned API, e.g. the decomposition verifier).
-    pub fn as_csr(&self) -> Cow<'_, CsrGraph> {
-        match self {
-            LoadedGraph::Mapped(m) => Cow::Owned(m.to_graph()),
-            LoadedGraph::Owned(g) => Cow::Borrowed(g),
-        }
-    }
-}
-
-impl GraphView for LoadedGraph {
-    type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, Vertex>>;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        LoadedGraph::num_vertices(self)
-    }
-
-    #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        match self {
-            LoadedGraph::Mapped(m) => GraphView::degree(m, v),
-            LoadedGraph::Owned(g) => g.degree(v),
-        }
-    }
-
-    #[inline]
-    fn total_degree(&self) -> u64 {
-        2 * self.num_edges() as u64
-    }
-
-    #[inline]
-    fn neighbors_iter(&self, v: Vertex) -> Self::Neighbors<'_> {
-        match self {
-            LoadedGraph::Mapped(m) => m.neighbors(v).iter().copied(),
-            LoadedGraph::Owned(g) => g.neighbors(v).iter().copied(),
-        }
-    }
-}
-
-/// Loads a graph for traversal, auto-detecting the format and keeping
-/// `.mpx` snapshots memory-mapped (zero-copy). Text formats are parsed
-/// with the given parser choice. On targets where mapping is unsupported
-/// the snapshot is decoded into an owned graph instead.
-pub fn load_graph_with<P: AsRef<Path>>(path: P, parser: TextParser) -> io::Result<LoadedGraph> {
-    let path = path.as_ref();
-    match detect_format(path)? {
-        GraphFormat::Snapshot => match MappedCsr::open(path) {
-            Ok(m) => Ok(LoadedGraph::Mapped(m)),
-            Err(e) if e.kind() == io::ErrorKind::Unsupported => {
-                Ok(LoadedGraph::Owned(snapshot::read_snapshot(path)?))
-            }
-            Err(e) => Err(e),
-        },
-        f => Ok(LoadedGraph::Owned(read_graph_as(path, f, parser)?)),
-    }
-}
-
-/// [`load_graph_with`] using the default [`TextParser::Auto`] choice.
-pub fn load_graph<P: AsRef<Path>>(path: P) -> io::Result<LoadedGraph> {
-    load_graph_with(path, TextParser::Auto)
-}
-
-/// A **weighted** graph loaded from disk: either a memory-mapped weighted
-/// snapshot or an owned [`WeightedCsrGraph`]. Implements both
-/// [`GraphView`] and [`WeightedGraphView`], so it feeds the weighted
-/// decomposition engine either way.
-#[derive(Debug)]
-pub enum WeightedLoadedGraph {
-    /// A zero-copy mapped weighted snapshot.
-    Mapped(MappedWeightedCsr),
-    /// An owned in-memory weighted graph.
-    Owned(WeightedCsrGraph),
-}
-
-impl WeightedLoadedGraph {
-    /// Vertex count.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            WeightedLoadedGraph::Mapped(m) => m.num_vertices(),
-            WeightedLoadedGraph::Owned(g) => g.num_vertices(),
-        }
-    }
-
-    /// Undirected edge count.
-    pub fn num_edges(&self) -> usize {
-        match self {
-            WeightedLoadedGraph::Mapped(m) => m.num_edges(),
-            WeightedLoadedGraph::Owned(g) => g.num_edges(),
-        }
-    }
-
-    /// Whether this is a zero-copy mapping.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, WeightedLoadedGraph::Mapped(m) if m.is_mapped())
-    }
-
-    /// An owned view: borrows when already owned, materializes a
-    /// [`WeightedCsrGraph`] from a mapping.
-    pub fn as_weighted_csr(&self) -> Cow<'_, WeightedCsrGraph> {
-        match self {
-            WeightedLoadedGraph::Mapped(m) => Cow::Owned(m.to_graph()),
-            WeightedLoadedGraph::Owned(g) => Cow::Borrowed(g),
-        }
-    }
-}
-
-impl GraphView for WeightedLoadedGraph {
-    type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, Vertex>>;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        WeightedLoadedGraph::num_vertices(self)
-    }
-
-    #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        match self {
-            WeightedLoadedGraph::Mapped(m) => GraphView::degree(m, v),
-            WeightedLoadedGraph::Owned(g) => g.degree(v),
-        }
-    }
-
-    #[inline]
-    fn total_degree(&self) -> u64 {
-        2 * self.num_edges() as u64
-    }
-
-    #[inline]
-    fn neighbors_iter(&self, v: Vertex) -> Self::Neighbors<'_> {
-        match self {
-            WeightedLoadedGraph::Mapped(m) => m.neighbors(v).iter().copied(),
-            WeightedLoadedGraph::Owned(g) => g.neighbors(v).iter().copied(),
-        }
-    }
-}
-
-impl WeightedGraphView for WeightedLoadedGraph {
-    type WeightedNeighbors<'a> = std::iter::Zip<
-        std::iter::Copied<std::slice::Iter<'a, Vertex>>,
-        std::iter::Copied<std::slice::Iter<'a, f64>>,
-    >;
-
-    #[inline]
-    fn neighbors_weighted_iter(&self, v: Vertex) -> Self::WeightedNeighbors<'_> {
-        match self {
-            WeightedLoadedGraph::Mapped(m) => m
-                .neighbors(v)
-                .iter()
-                .copied()
-                .zip(m.weights_of(v).iter().copied()),
-            WeightedLoadedGraph::Owned(g) => g
-                .neighbors(v)
-                .iter()
-                .copied()
-                .zip(g.weights_of(v).iter().copied()),
-        }
-    }
-
-    #[inline]
-    fn total_weight(&self) -> f64 {
-        match self {
-            WeightedLoadedGraph::Mapped(m) => WeightedGraphView::total_weight(m),
-            WeightedLoadedGraph::Owned(g) => g.total_weight(),
-        }
-    }
-}
-
-/// Loads a weighted graph for traversal: weighted `.mpx` snapshots stay
-/// memory-mapped (owned decode where mapping is unsupported); anything
-/// else is parsed as a weighted edge list (`u v w` records). The weighted
-/// twin of [`load_graph_with`].
-pub fn load_weighted_graph_with<P: AsRef<Path>>(
-    path: P,
-    _parser: TextParser,
-) -> io::Result<WeightedLoadedGraph> {
-    let path = path.as_ref();
-    match detect_format(path)? {
-        GraphFormat::Snapshot => match MappedWeightedCsr::open(path) {
-            Ok(m) => Ok(WeightedLoadedGraph::Mapped(m)),
-            Err(e) if e.kind() == io::ErrorKind::Unsupported => Ok(WeightedLoadedGraph::Owned(
-                snapshot::read_weighted_snapshot(path)?,
-            )),
-            Err(e) => Err(e),
-        },
-        GraphFormat::EdgeList => Ok(WeightedLoadedGraph::Owned(read_weighted_edge_list(path)?)),
-        other => Err(bad(format!(
-            "no weighted reader for {other} files (use a weighted edge list or .mpx snapshot)"
-        ))),
-    }
-}
-
-/// [`load_weighted_graph_with`] with the default parser choice.
-pub fn load_weighted_graph<P: AsRef<Path>>(path: P) -> io::Result<WeightedLoadedGraph> {
-    load_weighted_graph_with(path, TextParser::Auto)
 }
 
 // ---------------------------------------------------------------------------
@@ -1340,33 +1105,6 @@ mod tests {
                     assert_eq!(sniffed, expect, "{name} by sniffing");
                 }
                 std::fs::remove_file(bare).ok();
-            }
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn read_graph_and_load_graph_all_formats() {
-        let g = gen::gnm(300, 900, 5);
-        for (name, format) in [
-            ("a.mpx", GraphFormat::Snapshot),
-            ("a.txt", GraphFormat::EdgeList),
-            ("a.gr", GraphFormat::Dimacs),
-            ("a.metis", GraphFormat::Metis),
-        ] {
-            let p = tmp(name);
-            write_graph(&g, &p, format).unwrap();
-            assert_eq!(read_graph(&p).unwrap(), g, "{name} read_graph");
-            let loaded = load_graph(&p).unwrap();
-            assert_eq!(loaded.num_vertices(), g.num_vertices());
-            assert_eq!(loaded.num_edges(), g.num_edges());
-            assert_eq!(loaded.as_csr().as_ref(), &g, "{name} load_graph");
-            if format == GraphFormat::Snapshot && cfg!(all(unix, target_pointer_width = "64")) {
-                assert!(loaded.is_mapped(), "snapshot should be mmap-backed");
-            }
-            for v in 0..g.num_vertices() as Vertex {
-                let via: Vec<Vertex> = loaded.neighbors_iter(v).collect();
-                assert_eq!(via.as_slice(), g.neighbors(v));
             }
             std::fs::remove_file(p).ok();
         }

@@ -26,9 +26,11 @@
 //!   by [`WeightedCsrGraph`], [`WeightedInducedView`] (zero-copy vertex
 //!   subsets) and [`MappedWeightedCsr`] (mmap'd weighted snapshots).
 //! * [`snapshot`] — the `.mpx` binary CSR snapshot format: versioned,
-//!   checksummed, and loadable zero-copy via [`MappedCsr`] (`mmap`); a
-//!   flags bit adds an `f64` weight payload, loadable via
-//!   [`MappedWeightedCsr`].
+//!   checksummed, and loadable zero-copy via [`MappedCsr`] (`mmap`, with
+//!   an owned aligned buffer where `mmap` is refused); a flags bit adds an
+//!   `f64` weight payload, loadable via [`MappedWeightedCsr`]. The
+//!   compressed version 2 and `Snapshot::open`, which picks the reader a
+//!   header needs, live in `mpx-compress`.
 //! * [`algo`] — sequential oracles (BFS, Dijkstra, connected components,
 //!   union-find, diameter estimation) used to verify the parallel code.
 //!
@@ -56,7 +58,7 @@ pub mod wview;
 
 pub use builder::GraphBuilder;
 pub use csr::{induced_materializations, CsrGraph, Vertex, NO_VERTEX};
-pub use io::{GraphFormat, LoadedGraph, TextParser, WeightedLoadedGraph};
+pub use io::{GraphFormat, TextParser};
 pub use snapshot::{MappedCsr, MappedWeightedCsr};
 pub use view::{view_edges, EdgeFilteredView, GraphView, InducedView};
 pub use weighted::{WeightedCsrGraph, WeightedGraphBuilder};

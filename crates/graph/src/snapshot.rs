@@ -2,11 +2,13 @@
 //!
 //! Text formats (edge lists, DIMACS, METIS) pay integer parsing on every
 //! load. A snapshot instead stores the CSR arrays of a [`CsrGraph`]
-//! verbatim — little-endian, aligned, checksummed — so loading is either
-//! one `mmap` (zero-copy, [`MappedCsr`]) or one sequential read
-//! ([`read_snapshot`], the safe owned fallback). A mapped snapshot
-//! implements [`crate::GraphView`], so the decomposition engine traverses the
-//! file's pages directly; nothing is parsed and nothing is copied.
+//! verbatim — little-endian, aligned, checksummed — so loading is one
+//! `mmap` ([`MappedCsr`]) and the arrays are cast in place; where `mmap`
+//! is refused the same reader holds the bytes in an owned aligned buffer.
+//! A mapped snapshot implements [`crate::GraphView`], so the decomposition
+//! engine traverses the file's pages directly; nothing is parsed and
+//! nothing is copied. Because the arrays are cast, not decoded, the
+//! readers refuse big-endian targets with an `Unsupported` error.
 //!
 //! # File layout (version 1)
 //!
@@ -31,17 +33,16 @@
 //!
 //! Weighted snapshots set the [`FLAG_WEIGHTED`] flags bit and append one
 //! `f64` per arc, parallel to the targets array. They are written by
-//! [`write_weighted_snapshot`] and loaded by [`read_weighted_snapshot`]
-//! (owned) or [`MappedWeightedCsr::open`] (zero-copy); the unweighted
-//! loaders refuse them with a clear error rather than silently dropping
-//! the weights.
+//! [`write_weighted_snapshot`] and loaded by [`MappedWeightedCsr::open`];
+//! the unweighted reader refuses them with a clear error rather than
+//! silently dropping the weights.
 //!
 //! **Version 2** ([`VERSION2`], [`FLAG_COMPRESSED`]) keeps the same
 //! 64-byte header shape but stores the adjacency delta-varint byte-coded
-//! (see `docs/FORMATS.md`). This module parses v2 headers (so `inspect`
-//! and format dispatch work from the graph crate alone) but the codec,
-//! writer and readers live in the `mpx-compress` crate; the raw-CSR
-//! loaders here refuse v2 files with an error naming those readers.
+//! (see `docs/FORMATS.md`). This module parses v2 headers, but the codec,
+//! writer and reader live in the `mpx-compress` crate, whose
+//! `Snapshot::open` picks the reader any header needs; the readers here
+//! refuse v2 files with an error naming it.
 //!
 //! ```
 //! use mpx_graph::{gen, snapshot, GraphView};
@@ -50,13 +51,12 @@
 //! path.push(format!("doc-snap-{}.mpx", std::process::id()));
 //! snapshot::write_snapshot(&g, &path).unwrap();
 //!
-//! // Owned load: decodes into a regular CsrGraph, works everywhere.
-//! assert_eq!(snapshot::read_snapshot(&path).unwrap(), g);
-//!
-//! // Zero-copy load: the engine traverses the mapped file directly.
+//! // The engine traverses the mapped file directly.
 //! let mapped = snapshot::MappedCsr::open(&path).unwrap();
 //! assert_eq!(mapped.num_vertices(), 64);
 //! assert_eq!(mapped.neighbors(0), g.neighbors(0));
+//! // An owned copy, for callers that need the full `CsrGraph` API.
+//! assert_eq!(mapped.to_graph(), g);
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
@@ -114,19 +114,6 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// The raw-CSR loaders in this module only understand version 1; a
-/// version-2 (compressed) file must go through the `mpx-compress` crate,
-/// and the error says so.
-fn require_v1(header: &SnapshotHeader) -> io::Result<()> {
-    if header.version != VERSION {
-        return Err(bad(
-            "snapshot is compressed (version 2); use CompressedCsr::open or \
-             MappedCompressedCsr::open from the mpx-compress crate",
-        ));
-    }
-    Ok(())
 }
 
 /// FNV-1a over one chunk.
@@ -394,45 +381,7 @@ impl SnapshotHeader {
 /// # std::fs::remove_file(&path).ok();
 /// ```
 pub fn write_snapshot<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()> {
-    let _span = mpx_trace::span!("snapshot.write", n = g.num_vertices(), m = g.num_edges());
-    let mut file = File::create(path)?;
-    let mut header = SnapshotHeader {
-        version: VERSION,
-        flags: 0,
-        n: g.num_vertices() as u64,
-        m: g.num_edges() as u64,
-        checksum: 0,
-        enc_len: 0,
-    };
-    file.write_all(&header.encode())?;
-
-    // Serialize in ~512 KiB blocks, feeding each block to the streaming
-    // checksum and then to the file.
-    const BLOCK_VALUES: usize = 64 * 1024;
-    let mut hasher = ChunkedFnv::new();
-    let mut buf = Vec::with_capacity(BLOCK_VALUES * 8);
-    let flush = |buf: &mut Vec<u8>, hasher: &mut ChunkedFnv, file: &mut File| -> io::Result<()> {
-        hasher.update(buf);
-        file.write_all(buf)?;
-        buf.clear();
-        Ok(())
-    };
-    for chunk in g.offsets().chunks(BLOCK_VALUES) {
-        for &o in chunk {
-            buf.extend_from_slice(&(o as u64).to_le_bytes());
-        }
-        flush(&mut buf, &mut hasher, &mut file)?;
-    }
-    for chunk in g.targets().chunks(BLOCK_VALUES) {
-        for &t in chunk {
-            buf.extend_from_slice(&t.to_le_bytes());
-        }
-        flush(&mut buf, &mut hasher, &mut file)?;
-    }
-    header.checksum = hasher.finish();
-    file.seek(SeekFrom::Start(0))?;
-    file.write_all(&header.encode())?;
-    file.flush()
+    write_v1(path.as_ref(), g.offsets(), g.targets(), None)
 }
 
 /// Writes `g` as a **weighted** version-1 `.mpx` snapshot: the
@@ -446,52 +395,70 @@ pub fn write_snapshot<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()> {
 /// let mut path = std::env::temp_dir();
 /// path.push(format!("doc-wsnap-{}.mpx", std::process::id()));
 /// snapshot::write_weighted_snapshot(&g, &path).unwrap();
-/// assert_eq!(snapshot::read_weighted_snapshot(&path).unwrap(), g);
+/// let mapped = snapshot::MappedWeightedCsr::open(&path).unwrap();
+/// assert_eq!(mapped.to_graph(), g);
 /// # std::fs::remove_file(&path).ok();
 /// ```
 pub fn write_weighted_snapshot<P: AsRef<Path>>(g: &WeightedCsrGraph, path: P) -> io::Result<()> {
+    write_v1(path.as_ref(), g.offsets(), g.targets(), Some(g.weights()))
+}
+
+/// The one version-1 writer body: the header, then each array in file
+/// order, then the checksum patched into the header.
+fn write_v1(
+    path: &Path,
+    offsets: &[usize],
+    targets: &[Vertex],
+    weights: Option<&[f64]>,
+) -> io::Result<()> {
+    let (n, m) = (offsets.len() - 1, targets.len() / 2);
+    let _span = mpx_trace::span!("snapshot.write", n = n, m = m);
     let mut file = File::create(path)?;
     let mut header = SnapshotHeader {
         version: VERSION,
-        flags: FLAG_WEIGHTED,
-        n: g.num_vertices() as u64,
-        m: g.num_edges() as u64,
+        flags: if weights.is_some() { FLAG_WEIGHTED } else { 0 },
+        n: n as u64,
+        m: m as u64,
         checksum: 0,
         enc_len: 0,
     };
     file.write_all(&header.encode())?;
-
-    const BLOCK_VALUES: usize = 64 * 1024;
     let mut hasher = ChunkedFnv::new();
-    let mut buf = Vec::with_capacity(BLOCK_VALUES * 8);
-    let flush = |buf: &mut Vec<u8>, hasher: &mut ChunkedFnv, file: &mut File| -> io::Result<()> {
-        hasher.update(buf);
-        file.write_all(buf)?;
-        buf.clear();
-        Ok(())
-    };
-    for chunk in g.offsets().chunks(BLOCK_VALUES) {
-        for &o in chunk {
-            buf.extend_from_slice(&(o as u64).to_le_bytes());
-        }
-        flush(&mut buf, &mut hasher, &mut file)?;
-    }
-    for chunk in g.targets().chunks(BLOCK_VALUES) {
-        for &t in chunk {
-            buf.extend_from_slice(&t.to_le_bytes());
-        }
-        flush(&mut buf, &mut hasher, &mut file)?;
-    }
-    for chunk in g.weights().chunks(BLOCK_VALUES) {
-        for &w in chunk {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
-        flush(&mut buf, &mut hasher, &mut file)?;
+    write_blocks(
+        offsets,
+        |o| (o as u64).to_le_bytes(),
+        &mut hasher,
+        &mut file,
+    )?;
+    write_blocks(targets, Vertex::to_le_bytes, &mut hasher, &mut file)?;
+    if let Some(weights) = weights {
+        write_blocks(weights, f64::to_le_bytes, &mut hasher, &mut file)?;
     }
     header.checksum = hasher.finish();
     file.seek(SeekFrom::Start(0))?;
     file.write_all(&header.encode())?;
     file.flush()
+}
+
+/// Serializes `values` in ~512 KiB blocks, feeding each block to the
+/// streaming checksum and then to the file.
+fn write_blocks<T: Copy, const W: usize>(
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; W],
+    hasher: &mut ChunkedFnv,
+    file: &mut File,
+) -> io::Result<()> {
+    const BLOCK_VALUES: usize = 64 * 1024;
+    let mut buf = Vec::with_capacity(BLOCK_VALUES * W);
+    for chunk in values.chunks(BLOCK_VALUES) {
+        buf.clear();
+        for &v in chunk {
+            buf.extend_from_slice(&to_le(v));
+        }
+        hasher.update(&buf);
+        file.write_all(&buf)?;
+    }
+    Ok(())
 }
 
 /// Reads just the header of a snapshot (cheap: 64 bytes).
@@ -508,84 +475,11 @@ pub fn read_header<P: AsRef<Path>>(path: P) -> io::Result<SnapshotHeader> {
     SnapshotHeader::parse(&buf[..read])
 }
 
-/// Safe owned load: reads the whole file and decodes the arrays
-/// explicitly (endianness-independent, no `unsafe`, works on any target).
-/// Verifies length and checksum. This is the fallback and portability
-/// path; the fast path is [`MappedCsr::open`].
-///
-/// ```
-/// use mpx_graph::{gen, snapshot};
-/// let g = gen::grid2d(5, 5);
-/// let mut path = std::env::temp_dir();
-/// path.push(format!("doc-read-{}.mpx", std::process::id()));
-/// snapshot::write_snapshot(&g, &path).unwrap();
-/// assert_eq!(snapshot::read_snapshot(&path).unwrap(), g);
-/// # std::fs::remove_file(&path).ok();
-/// ```
-pub fn read_snapshot<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
-    let _span = mpx_trace::span!("snapshot.read");
-    let bytes = std::fs::read(path)?;
-    let header = SnapshotHeader::parse(&bytes)?;
-    require_v1(&header)?;
-    if header.is_weighted() {
-        return Err(bad(
-            "snapshot is weighted; use read_weighted_snapshot or MappedWeightedCsr",
-        ));
-    }
-    check_payload(&header, &bytes)?;
-    let (offsets, targets) = decode_arrays(&header, &bytes)?;
-    structural_check(&offsets, &targets, header.n as usize)?;
-    Ok(CsrGraph::from_parts(offsets, targets))
-}
-
-/// Reads a **weighted** snapshot into an owned [`WeightedCsrGraph`]
-/// (endianness-independent twin of [`read_snapshot`]). Verifies length,
-/// checksum, the full adjacency structure, and the weight invariants
-/// (finite, strictly positive, symmetric).
-pub fn read_weighted_snapshot<P: AsRef<Path>>(path: P) -> io::Result<WeightedCsrGraph> {
-    let _span = mpx_trace::span!("snapshot.read", weighted = true);
-    let bytes = std::fs::read(path)?;
-    let header = SnapshotHeader::parse(&bytes)?;
-    require_v1(&header)?;
-    if !header.is_weighted() {
-        return Err(bad(
-            "snapshot is unweighted; use read_snapshot or MappedCsr (or \
-             WeightedCsrGraph::unit_weights after loading)",
-        ));
-    }
-    check_payload(&header, &bytes)?;
-    let (offsets, targets) = decode_arrays(&header, &bytes)?;
-    let mut weights = Vec::with_capacity(2 * header.m as usize);
-    for chunk in bytes[header.weights_start()..].chunks_exact(8) {
-        weights.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    structural_check(&offsets, &targets, header.n as usize)?;
-    weight_check(header.n as usize, &targets, &weights, |i| offsets[i])?;
-    Ok(WeightedCsrGraph::from_parts(offsets, targets, weights))
-}
-
-/// Decodes the offsets and targets arrays shared by both snapshot kinds.
-fn decode_arrays(header: &SnapshotHeader, bytes: &[u8]) -> io::Result<(Vec<usize>, Vec<Vertex>)> {
-    let n = header.n as usize;
-    let arcs = 2 * header.m as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for chunk in bytes[HEADER_LEN..header.targets_start()].chunks_exact(8) {
-        let v = u64::from_le_bytes(chunk.try_into().unwrap());
-        let v: usize = v
-            .try_into()
-            .map_err(|_| bad("snapshot offset overflows usize"))?;
-        offsets.push(v);
-    }
-    let mut targets = Vec::with_capacity(arcs);
-    let targets_end = header.targets_start() + 4 * arcs;
-    for chunk in bytes[header.targets_start()..targets_end].chunks_exact(4) {
-        targets.push(Vertex::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    Ok((offsets, targets))
-}
-
-/// Validates file length and payload checksum against the header.
-fn check_payload(header: &SnapshotHeader, bytes: &[u8]) -> io::Result<()> {
+/// Checks the exact file length the header implies and the payload
+/// checksum: the first audit of every snapshot reader, v1 and v2, run
+/// before any typed cast of the payload (the casts check bounds only in
+/// debug builds).
+pub fn check_payload(header: &SnapshotHeader, bytes: &[u8]) -> io::Result<()> {
     let expect = header.expected_file_len()?;
     if bytes.len() != expect {
         return Err(bad(format!(
@@ -603,37 +497,55 @@ fn check_payload(header: &SnapshotHeader, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Full structural validation giving clean errors for
-/// corrupt-but-checksummed files (a valid checksum only proves the bytes
-/// are what some writer produced, not that the writer was honest):
-/// monotonic offsets, and per vertex — strictly ascending neighbors (no
-/// duplicates), no self-loops, endpoints in range, and symmetry. One
-/// parallel `O(m log d)` pass; loaded graphs therefore always satisfy
-/// every [`CsrGraph`] invariant, with no panic path on untrusted input.
-fn structural_check(offsets: &[usize], targets: &[Vertex], n: usize) -> io::Result<()> {
+/// The one version-1 open body: the header, the format and kind, the
+/// exact length and checksum, and only then the structural audit over the
+/// cast arrays (monotonic offsets; sorted, deduplicated, loop-free,
+/// in-range, symmetric lists; finite positive weights equal on both arc
+/// directions). A checksum only proves the bytes are what some writer
+/// produced, so an open snapshot satisfies every [`CsrGraph`] invariant.
+fn check_v1(buf: &filebuf::FileBytes, weighted: bool) -> io::Result<SnapshotHeader> {
+    let header = SnapshotHeader::parse(buf.bytes())?;
+    if header.version != VERSION {
+        return Err(bad(
+            "snapshot is compressed (version 2); open it with Snapshot::open or \
+             MappedCompressedCsr::open from the mpx-compress crate",
+        ));
+    }
+    match (header.is_weighted(), weighted) {
+        (true, false) => return Err(bad("snapshot is weighted; open it with MappedWeightedCsr")),
+        (false, true) => return Err(bad("snapshot is unweighted; open it with MappedCsr")),
+        _ => {}
+    }
+    check_payload(&header, buf.bytes())?;
+    let n = header.n as usize;
+    let offsets = buf.as_u64s(HEADER_LEN, n + 1);
     if offsets.first() != Some(&0) {
         return Err(bad("snapshot offsets[0] != 0"));
     }
-    if offsets.last() != Some(&targets.len()) {
+    if offsets.last() != Some(&(2 * header.m)) {
         return Err(bad("snapshot offsets[n] != 2m"));
     }
-    let monotonic = offsets.par_windows(2).all(|w| w[0] <= w[1]);
-    if !monotonic {
+    if !offsets.par_windows(2).all(|w| w[0] <= w[1]) {
         return Err(bad("snapshot offsets not non-decreasing"));
     }
-    adjacency_check(n, targets, |i| offsets[i])
+    let targets = buf.as_u32s(header.targets_start(), 2 * header.m as usize);
+    adjacency_check(offsets, targets)?;
+    if weighted {
+        weight_check(
+            offsets,
+            targets,
+            buf.as_f64s(header.weights_start(), targets.len()),
+        )?;
+    }
+    Ok(header)
 }
 
-/// The per-vertex half of the structural audit, shared by the owned and
-/// mapped loaders (one implementation, two offsets representations).
-/// Precondition: `off` is monotonic with `off(n) == targets.len()`, so
-/// every slice below is in bounds.
-fn adjacency_check(
-    n: usize,
-    targets: &[Vertex],
-    off: impl Fn(usize) -> usize + Sync,
-) -> io::Result<()> {
-    let nbrs = |v: usize| &targets[off(v)..off(v + 1)];
+/// The per-vertex half of the structural audit. Precondition: `offsets`
+/// is monotonic with its last entry `== targets.len()`, so every slice
+/// below is in bounds.
+fn adjacency_check(offsets: &[u64], targets: &[Vertex]) -> io::Result<()> {
+    let n = offsets.len() - 1;
+    let nbrs = |v: usize| &targets[offsets[v] as usize..offsets[v + 1] as usize];
     let ok = (0..n).into_par_iter().all(|v| {
         let ns = nbrs(v);
         ns.windows(2).all(|w| w[0] < w[1])
@@ -652,23 +564,14 @@ fn adjacency_check(
     Ok(())
 }
 
-/// The weight half of the structural audit for weighted snapshots, shared
-/// by the owned and mapped loaders. Precondition: `adjacency_check`
-/// passed, so every binary search below succeeds and every slice is in
-/// bounds. Verifies each weight is finite and strictly positive and the
-/// reverse arc stores the bit-identical value.
-fn weight_check(
-    n: usize,
-    targets: &[Vertex],
-    weights: &[f64],
-    off: impl Fn(usize) -> usize + Sync,
-) -> io::Result<()> {
-    if weights.len() != targets.len() {
-        return Err(bad("snapshot weights array length mismatch"));
-    }
-    let ok = (0..n).into_par_iter().all(|v| {
-        let lo = off(v);
-        let hi = off(v + 1);
+/// The weight half of the structural audit. Precondition:
+/// `adjacency_check` passed, so every binary search below succeeds and
+/// every slice is in bounds. Verifies each weight is finite and strictly
+/// positive and the reverse arc stores the bit-identical value.
+fn weight_check(offsets: &[u64], targets: &[Vertex], weights: &[f64]) -> io::Result<()> {
+    let off = |v: usize| offsets[v] as usize;
+    let ok = (0..offsets.len() - 1).into_par_iter().all(|v| {
+        let (lo, hi) = (off(v), off(v + 1));
         targets[lo..hi]
             .iter()
             .zip(&weights[lo..hi])
@@ -791,8 +694,16 @@ pub mod filebuf {
     impl FileBytes {
         /// Memory-maps `path` when possible, falling back to an owned
         /// aligned read (non-unix, or `mmap` refusal e.g. on pseudo-files).
-        /// Returns the buffer and whether it is an actual mapping.
-        pub fn map_or_read(path: &Path) -> io::Result<(FileBytes, bool)> {
+        /// Snapshot payloads are cast in place, not decoded, so a
+        /// big-endian target gets an `Unsupported` error here, before any
+        /// byte is read.
+        pub fn map_or_read(path: &Path) -> io::Result<FileBytes> {
+            if cfg!(target_endian = "big") {
+                return Err(io::Error::new(
+                    io::ErrorKind::Unsupported,
+                    ".mpx snapshots require a little-endian target",
+                ));
+            }
             let mut file = File::open(path)?;
             let len: usize = file
                 .metadata()?
@@ -802,24 +713,39 @@ pub mod filebuf {
             #[cfg(all(unix, target_pointer_width = "64"))]
             if len > 0 {
                 if let Ok(ptr) = sys::map(&file, len) {
-                    return Ok((FileBytes::Mapped { ptr, len }, true));
+                    return Ok(FileBytes::Mapped { ptr, len });
                 }
             }
-            Ok((Self::read_owned(&mut file, len)?, false))
-        }
-
-        fn read_owned(file: &mut File, len: usize) -> io::Result<FileBytes> {
             let mut bytes = Vec::with_capacity(len);
             file.read_to_end(&mut bytes)?;
-            let mut words = vec![0u64; bytes.len().div_ceil(8)];
-            for (i, chunk) in bytes.chunks(8).enumerate() {
-                let mut w = [0u8; 8];
-                w[..chunk.len()].copy_from_slice(chunk);
-                // Native order: the in-memory bytes must equal the file's.
-                words[i] = u64::from_ne_bytes(w);
+            Ok(FileBytes::owned(&bytes))
+        }
+
+        /// Copies `bytes` into an owned buffer with the 8-aligned base a
+        /// mapping has.
+        pub(crate) fn owned(bytes: &[u8]) -> FileBytes {
+            let words = bytes
+                .chunks(8)
+                .map(|chunk| {
+                    let mut w = [0u8; 8];
+                    w[..chunk.len()].copy_from_slice(chunk);
+                    // Native order: the in-memory bytes must equal the file's.
+                    u64::from_ne_bytes(w)
+                })
+                .collect();
+            FileBytes::Owned {
+                words,
+                len: bytes.len(),
             }
-            let len = bytes.len();
-            Ok(FileBytes::Owned { words, len })
+        }
+
+        /// Whether the bytes are an actual `mmap` (vs the owned fallback).
+        pub fn is_mapped(&self) -> bool {
+            match self {
+                #[cfg(all(unix, target_pointer_width = "64"))]
+                FileBytes::Mapped { .. } => true,
+                FileBytes::Owned { .. } => false,
+            }
         }
 
         /// The file bytes.
@@ -844,8 +770,8 @@ pub mod filebuf {
         /// These accessors sit on the engine's hot path (every `degree`/
         /// `neighbors` call of a mapped graph), so bounds and alignment
         /// are debug assertions only: every caller derives `start`/`count`
-        /// from a header that `MappedCsr::open` validated against the
-        /// exact file length, and the buffer base is 8-aligned by
+        /// from a header that [`super::check_payload`] validated against
+        /// the exact file length, and the buffer base is 8-aligned by
         /// construction (page-aligned mapping / `Vec<u64>` fallback).
         pub fn as_u64s(&self, start: usize, count: usize) -> &[u64] {
             let b = self.bytes();
@@ -913,57 +839,27 @@ pub mod filebuf {
 /// When no real mapping is available — non-unix targets, 32-bit unix
 /// (where the raw `mmap` FFI's `off_t` width would mismatch the C ABI),
 /// or an `mmap` call that fails — the bytes are held in an owned aligned
-/// buffer instead: same API, same zero-parse loads.
-/// Version-1 arrays are little-endian on disk; on a big-endian target
-/// `open` returns an error and [`read_snapshot`] (which byte-decodes)
-/// must be used instead.
+/// buffer instead: same API, same zero-parse loads. Version-1 arrays are
+/// little-endian on disk, so a big-endian target gets an `Unsupported`
+/// error.
 pub struct MappedCsr {
     buf: filebuf::FileBytes,
     header: SnapshotHeader,
-    mapped: bool,
 }
 
 impl MappedCsr {
     /// Opens and fully checks a snapshot (see type docs for what is and is
     /// not verified).
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<MappedCsr> {
-        if cfg!(target_endian = "big") {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "zero-copy snapshots require a little-endian target; use read_snapshot",
-            ));
-        }
         let _span = mpx_trace::span!("snapshot.mmap_open");
-        let (buf, mapped) = filebuf::FileBytes::map_or_read(path.as_ref())?;
-        let header = SnapshotHeader::parse(buf.bytes())?;
-        require_v1(&header)?;
-        if header.is_weighted() {
-            return Err(bad(
-                "snapshot is weighted; use MappedWeightedCsr or read_weighted_snapshot",
-            ));
-        }
-        check_payload(&header, buf.bytes())?;
-        let g = MappedCsr {
-            buf,
-            header,
-            mapped,
-        };
-        let offsets = g.offsets();
-        if offsets.first() != Some(&0) {
-            return Err(bad("snapshot offsets[0] != 0"));
-        }
-        if offsets.last() != Some(&(2 * header.m)) {
-            return Err(bad("snapshot offsets[n] != 2m"));
-        }
-        if !offsets.par_windows(2).all(|w| w[0] <= w[1]) {
-            return Err(bad("snapshot offsets not non-decreasing"));
-        }
-        // Full adjacency validation, same audit as `read_snapshot`'s
-        // (see `structural_check` for why a checksum alone is not
-        // enough). Offsets are monotonic with last == 2m, satisfying
-        // `adjacency_check`'s precondition.
-        adjacency_check(header.n as usize, g.targets(), |i| offsets[i] as usize)?;
-        Ok(g)
+        Self::from_buf(filebuf::FileBytes::map_or_read(path.as_ref())?)
+    }
+
+    /// Audits file bytes however they were loaded: mapped, or the owned
+    /// copy an `mmap` refusal leaves.
+    fn from_buf(buf: filebuf::FileBytes) -> io::Result<MappedCsr> {
+        let header = check_v1(&buf, false)?;
+        Ok(MappedCsr { buf, header })
     }
 
     /// The decoded header.
@@ -973,7 +869,7 @@ impl MappedCsr {
 
     /// Whether the bytes are an actual `mmap` (vs the owned fallback).
     pub fn is_mapped(&self) -> bool {
-        self.mapped
+        self.buf.is_mapped()
     }
 
     /// Vertex count `n`.
@@ -1032,7 +928,7 @@ impl std::fmt::Debug for MappedCsr {
         f.debug_struct("MappedCsr")
             .field("n", &self.header.n)
             .field("m", &self.header.m)
-            .field("mapped", &self.mapped)
+            .field("mapped", &self.is_mapped())
             .finish()
     }
 }
@@ -1062,132 +958,66 @@ impl crate::view::GraphView for MappedCsr {
     }
 }
 
-/// A zero-copy, memory-mapped **weighted** `.mpx` snapshot.
+/// A zero-copy, memory-mapped **weighted** `.mpx` snapshot: a version-1
+/// snapshot ([`Self::topology`]) whose payload ends in one `f64` per arc.
 ///
-/// The weighted twin of [`MappedCsr`]: implements both
-/// [`crate::GraphView`] and [`crate::WeightedGraphView`], so the weighted
-/// decomposition engine traverses the file's pages directly. Opening
-/// validates everything [`MappedCsr::open`] does plus the weight
-/// invariants (finite, strictly positive, bit-identical on both arc
-/// directions) — an open `MappedWeightedCsr` satisfies every
+/// Implements both [`crate::GraphView`] and [`crate::WeightedGraphView`],
+/// so the weighted decomposition engine traverses the file's pages
+/// directly. Opening validates everything [`MappedCsr::open`] does plus
+/// the weight invariants (finite, strictly positive, bit-identical on both
+/// arc directions) — an open `MappedWeightedCsr` satisfies every
 /// [`WeightedCsrGraph`] invariant.
+#[derive(Debug)]
 pub struct MappedWeightedCsr {
-    buf: filebuf::FileBytes,
-    header: SnapshotHeader,
-    mapped: bool,
+    csr: MappedCsr,
 }
 
 impl MappedWeightedCsr {
     /// Opens and fully checks a weighted snapshot (see type docs).
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<MappedWeightedCsr> {
-        if cfg!(target_endian = "big") {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "zero-copy snapshots require a little-endian target; use read_weighted_snapshot",
-            ));
-        }
         let _span = mpx_trace::span!("snapshot.mmap_open", weighted = true);
-        let (buf, mapped) = filebuf::FileBytes::map_or_read(path.as_ref())?;
-        let header = SnapshotHeader::parse(buf.bytes())?;
-        require_v1(&header)?;
-        if !header.is_weighted() {
-            return Err(bad(
-                "snapshot is unweighted; use MappedCsr or read_snapshot",
-            ));
-        }
-        check_payload(&header, buf.bytes())?;
-        let g = MappedWeightedCsr {
-            buf,
-            header,
-            mapped,
-        };
-        let offsets = g.offsets();
-        if offsets.first() != Some(&0) {
-            return Err(bad("snapshot offsets[0] != 0"));
-        }
-        if offsets.last() != Some(&(2 * header.m)) {
-            return Err(bad("snapshot offsets[n] != 2m"));
-        }
-        if !offsets.par_windows(2).all(|w| w[0] <= w[1]) {
-            return Err(bad("snapshot offsets not non-decreasing"));
-        }
-        let off = |i: usize| offsets[i] as usize;
-        adjacency_check(header.n as usize, g.targets(), off)?;
-        weight_check(header.n as usize, g.targets(), g.weights(), off)?;
-        Ok(g)
+        Self::from_buf(filebuf::FileBytes::map_or_read(path.as_ref())?)
     }
 
-    /// The decoded header.
-    pub fn header(&self) -> &SnapshotHeader {
-        &self.header
+    /// Audits file bytes however they were loaded (see
+    /// [`MappedCsr::from_buf`]).
+    fn from_buf(buf: filebuf::FileBytes) -> io::Result<MappedWeightedCsr> {
+        let header = check_v1(&buf, true)?;
+        Ok(MappedWeightedCsr {
+            csr: MappedCsr { buf, header },
+        })
     }
 
-    /// Whether the bytes are an actual `mmap` (vs the owned fallback).
-    pub fn is_mapped(&self) -> bool {
-        self.mapped
-    }
-
-    /// Vertex count `n`.
-    pub fn num_vertices(&self) -> usize {
-        self.header.n as usize
+    /// The graph without its weights: header, offsets, targets and
+    /// neighbor slices, over the same mapped bytes.
+    pub fn topology(&self) -> &MappedCsr {
+        &self.csr
     }
 
     /// Undirected edge count `m`.
     pub fn num_edges(&self) -> usize {
-        self.header.m as usize
+        self.csr.num_edges()
     }
 
-    /// Directed arc count `2m`.
-    pub fn num_arcs(&self) -> usize {
-        2 * self.num_edges()
-    }
-
-    /// The raw offsets array (`n + 1` values).
-    pub fn offsets(&self) -> &[u64] {
-        self.buf.as_u64s(HEADER_LEN, self.num_vertices() + 1)
-    }
-
-    /// The raw targets array (`2m` values).
-    pub fn targets(&self) -> &[Vertex] {
-        self.buf
-            .as_u32s(self.header.targets_start(), self.num_arcs())
-    }
-
-    /// The raw per-arc weights array (`2m` values), parallel to
-    /// [`Self::targets`].
+    /// The raw per-arc weights array (`2m` values), parallel to the
+    /// topology's targets.
     pub fn weights(&self) -> &[f64] {
-        self.buf
-            .as_f64s(self.header.weights_start(), self.num_arcs())
+        let csr = &self.csr;
+        csr.buf.as_f64s(csr.header.weights_start(), csr.num_arcs())
     }
 
-    /// Sorted neighbor slice of `v` — a view straight into the file.
-    #[inline]
-    pub fn neighbors(&self, v: Vertex) -> &[Vertex] {
-        let offsets = self.offsets();
-        let lo = offsets[v as usize] as usize;
-        let hi = offsets[v as usize + 1] as usize;
-        &self.targets()[lo..hi]
-    }
-
-    /// Weights parallel to [`Self::neighbors`].
+    /// Weights parallel to the neighbors of `v`.
     #[inline]
     pub fn weights_of(&self, v: Vertex) -> &[f64] {
-        let offsets = self.offsets();
-        let lo = offsets[v as usize] as usize;
-        let hi = offsets[v as usize + 1] as usize;
-        &self.weights()[lo..hi]
-    }
-
-    /// Weight of edge `{u, v}` if present.
-    pub fn edge_weight(&self, u: Vertex, v: Vertex) -> Option<f64> {
-        let idx = self.neighbors(u).binary_search(&v).ok()?;
-        Some(self.weights_of(u)[idx])
+        let offsets = self.csr.offsets();
+        &self.weights()[offsets[v as usize] as usize..offsets[v as usize + 1] as usize]
     }
 
     /// Materializes an owned [`WeightedCsrGraph`].
     pub fn to_graph(&self) -> WeightedCsrGraph {
-        let offsets: Vec<usize> = self.offsets().iter().map(|&o| o as usize).collect();
-        WeightedCsrGraph::from_parts(offsets, self.targets().to_vec(), self.weights().to_vec())
+        let offsets = self.csr.offsets().iter().map(|&o| o as usize).collect();
+        let targets = self.csr.targets().to_vec();
+        WeightedCsrGraph::from_parts(offsets, targets, self.weights().to_vec())
     }
 
     /// Re-audits structure and weights via [`WeightedCsrGraph::validate`]
@@ -1197,38 +1027,27 @@ impl MappedWeightedCsr {
     }
 }
 
-impl std::fmt::Debug for MappedWeightedCsr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MappedWeightedCsr")
-            .field("n", &self.header.n)
-            .field("m", &self.header.m)
-            .field("mapped", &self.mapped)
-            .finish()
-    }
-}
-
 impl crate::view::GraphView for MappedWeightedCsr {
-    type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, Vertex>>;
+    type Neighbors<'a> = <MappedCsr as crate::view::GraphView>::Neighbors<'a>;
 
     #[inline]
     fn num_vertices(&self) -> usize {
-        MappedWeightedCsr::num_vertices(self)
+        self.csr.num_vertices()
     }
 
     #[inline]
     fn degree(&self, v: Vertex) -> usize {
-        let offsets = self.offsets();
-        (offsets[v as usize + 1] - offsets[v as usize]) as usize
+        self.csr.degree(v)
     }
 
     #[inline]
     fn total_degree(&self) -> u64 {
-        2 * self.header.m
+        self.csr.total_degree()
     }
 
     #[inline]
     fn neighbors_iter(&self, v: Vertex) -> Self::Neighbors<'_> {
-        self.neighbors(v).iter().copied()
+        self.csr.neighbors_iter(v)
     }
 }
 
@@ -1240,7 +1059,8 @@ impl crate::wview::WeightedGraphView for MappedWeightedCsr {
 
     #[inline]
     fn neighbors_weighted_iter(&self, v: Vertex) -> Self::WeightedNeighbors<'_> {
-        self.neighbors(v)
+        self.csr
+            .neighbors(v)
             .iter()
             .copied()
             .zip(self.weights_of(v).iter().copied())
@@ -1265,8 +1085,43 @@ mod tests {
         p
     }
 
+    /// The owned buffer an `mmap` refusal falls back to, over `p`'s bytes.
+    fn owned_copy(p: &Path) -> filebuf::FileBytes {
+        filebuf::FileBytes::owned(&std::fs::read(p).unwrap())
+    }
+
+    /// The mapped and owned-buffer opens of one file must read the same
+    /// graph or fail with the same typed error; returns the mapped one.
+    fn agree<G: PartialEq + std::fmt::Debug>(
+        mapped: io::Result<G>,
+        owned: io::Result<G>,
+    ) -> io::Result<G> {
+        match (&mapped, &owned) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b),
+            (Err(a), Err(b)) => {
+                assert_eq!((a.kind(), a.to_string()), (b.kind(), b.to_string()))
+            }
+            _ => panic!("mapped open gave {mapped:?}, owned gave {owned:?}"),
+        }
+        mapped
+    }
+
+    fn open(p: &Path) -> io::Result<CsrGraph> {
+        agree(
+            MappedCsr::open(p).map(|g| g.to_graph()),
+            MappedCsr::from_buf(owned_copy(p)).map(|g| g.to_graph()),
+        )
+    }
+
+    fn open_weighted(p: &Path) -> io::Result<WeightedCsrGraph> {
+        agree(
+            MappedWeightedCsr::open(p).map(|g| g.to_graph()),
+            MappedWeightedCsr::from_buf(owned_copy(p)).map(|g| g.to_graph()),
+        )
+    }
+
     #[test]
-    fn roundtrip_owned_and_mapped() {
+    fn roundtrip_mapped_and_owned() {
         for (name, g) in [
             ("grid", gen::grid2d(17, 9)),
             ("rmat", gen::rmat(8, 1500, 0.57, 0.19, 0.19, 5)),
@@ -1275,46 +1130,26 @@ mod tests {
         ] {
             let p = tmp(&format!("rt-{name}.mpx"));
             write_snapshot(&g, &p).unwrap();
-            let owned = read_snapshot(&p).unwrap();
-            assert_eq!(owned, g, "{name}: owned load");
+            assert_eq!(open(&p).unwrap(), g, "{name}");
             let mapped = MappedCsr::open(&p).unwrap();
-            assert_eq!(mapped.num_vertices(), g.num_vertices());
-            assert_eq!(mapped.num_edges(), g.num_edges());
-            assert_eq!(mapped.to_graph(), g, "{name}: mapped load");
-            assert!(mapped.validate().is_ok());
-            for v in 0..g.num_vertices() as Vertex {
-                assert_eq!(mapped.neighbors(v), g.neighbors(v));
-                assert_eq!(GraphView::degree(&mapped, v), g.degree(v));
+            let owned = MappedCsr::from_buf(owned_copy(&p)).unwrap();
+            assert!(!owned.is_mapped());
+            if cfg!(all(unix, target_pointer_width = "64")) {
+                assert!(mapped.is_mapped(), "{name}: not an actual mmap");
             }
-            assert_eq!(mapped.total_degree(), g.num_arcs() as u64);
+            for c in [&mapped, &owned] {
+                assert_eq!(c.num_vertices(), g.num_vertices());
+                assert_eq!(c.num_edges(), g.num_edges());
+                assert!(c.validate().is_ok());
+                for v in 0..g.num_vertices() as Vertex {
+                    let nbrs: Vec<Vertex> = c.neighbors_iter(v).collect();
+                    assert_eq!(nbrs, g.neighbors(v));
+                    assert_eq!(GraphView::degree(c, v), g.degree(v));
+                }
+                assert_eq!(c.total_degree(), g.num_arcs() as u64);
+            }
             std::fs::remove_file(p).ok();
         }
-    }
-
-    #[test]
-    fn mapped_is_actually_mmap_on_unix() {
-        let g = gen::cycle(100);
-        let p = tmp("is-mmap.mpx");
-        write_snapshot(&g, &p).unwrap();
-        let mapped = MappedCsr::open(&p).unwrap();
-        if cfg!(all(unix, target_pointer_width = "64")) {
-            assert!(mapped.is_mapped());
-        }
-        std::fs::remove_file(p).ok();
-    }
-
-    #[test]
-    fn rejects_truncated_header() {
-        let p = tmp("trunc.mpx");
-        std::fs::write(&p, &MAGIC[..6]).unwrap();
-        for result in [
-            read_snapshot(&p).map(|_| ()),
-            MappedCsr::open(&p).map(|_| ()),
-        ] {
-            let e = result.unwrap_err();
-            assert!(e.to_string().contains("truncated"), "{e}");
-        }
-        std::fs::remove_file(p).ok();
     }
 
     #[test]
@@ -1344,8 +1179,8 @@ mod tests {
 
         for (bytes, what) in cases {
             std::fs::write(&p, &bytes).unwrap();
-            assert!(read_snapshot(&p).is_err(), "owned accepted bad {what}");
-            assert!(MappedCsr::open(&p).is_err(), "mapped accepted bad {what}");
+            let e = open(&p).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}");
         }
         std::fs::remove_file(p).ok();
     }
@@ -1362,22 +1197,42 @@ mod tests {
         let i = HEADER_LEN + b.len() / 2;
         b[i] ^= 0x40;
         std::fs::write(&p, &b).unwrap();
-        let e = read_snapshot(&p).unwrap_err();
+        let e = open(&p).unwrap_err();
         assert!(e.to_string().contains("checksum"), "{e}");
-        assert!(MappedCsr::open(&p).is_err());
 
         // Truncate the payload: length check must catch it.
         std::fs::write(&p, &good[..good.len() - 3]).unwrap();
-        let e = read_snapshot(&p).unwrap_err();
+        let e = open(&p).unwrap_err();
         assert!(e.to_string().contains("length mismatch"), "{e}");
-        assert!(MappedCsr::open(&p).is_err());
+        std::fs::remove_file(p).ok();
+    }
+
+    /// Every truncation and every byte flip of a file — a superset of the
+    /// workspace's v1 corruption matrix, same file — is refused the same
+    /// way by the owned fallback as by the mapping.
+    #[test]
+    fn owned_fallback_fails_like_the_mapping_on_every_corruption() {
+        let p = tmp("matrix.mpx");
+        write_snapshot(&gen::grid2d(10, 10), &p).unwrap();
+        let good = std::fs::read(&p).unwrap();
+        for at in 0..good.len() {
+            std::fs::write(&p, &good[..at]).unwrap();
+            let e = open(&p).unwrap_err();
+            if at < HEADER_LEN {
+                assert!(e.to_string().contains("truncated"), "{at}: {e}");
+            }
+            let mut bytes = good.clone();
+            bytes[at] ^= 0xa5;
+            std::fs::write(&p, &bytes).unwrap();
+            assert!(open(&p).is_err(), "accepted a flip at byte {at}");
+        }
         std::fs::remove_file(p).ok();
     }
 
     #[test]
     fn rejects_checksummed_but_unsorted_adjacency() {
         // A dishonest writer: valid header and checksum, but vertex 1's
-        // neighbor list is descending. Both loaders must refuse cleanly
+        // neighbor list is descending. The reader must refuse cleanly
         // (a checksum only authenticates the bytes, not the structure).
         let g = gen::path(3); // offsets [0,1,3,4], targets [1, 0, 2, 1]
         let p = tmp("evil.mpx");
@@ -1391,13 +1246,8 @@ mod tests {
         let sum = payload_checksum(&bytes[HEADER_LEN..]);
         bytes[32..40].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&p, &bytes).unwrap();
-        for result in [
-            read_snapshot(&p).map(|_| ()),
-            MappedCsr::open(&p).map(|_| ()),
-        ] {
-            let e = result.unwrap_err();
-            assert!(e.to_string().contains("adjacency invalid"), "{e}");
-        }
+        let e = open(&p).unwrap_err();
+        assert!(e.to_string().contains("adjacency invalid"), "{e}");
         std::fs::remove_file(p).ok();
     }
 
@@ -1454,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_roundtrip_owned_and_mapped() {
+    fn weighted_roundtrip_mapped_and_owned() {
         for (name, g) in [
             ("grid", random_weighted(&gen::grid2d(11, 7), 3)),
             ("gnm", random_weighted(&gen::gnm(120, 400, 5), 9)),
@@ -1465,24 +1315,26 @@ mod tests {
             write_weighted_snapshot(&g, &p).unwrap();
             let header = read_header(&p).unwrap();
             assert!(header.is_weighted(), "{name}: flags bit");
-            let owned = read_weighted_snapshot(&p).unwrap();
-            assert_eq!(owned, g, "{name}: owned load");
+            assert_eq!(open_weighted(&p).unwrap(), g, "{name}");
             let mapped = MappedWeightedCsr::open(&p).unwrap();
-            assert_eq!(mapped.num_vertices(), g.num_vertices());
-            assert_eq!(mapped.num_edges(), g.num_edges());
-            assert_eq!(mapped.to_graph(), g, "{name}: mapped load");
-            assert!(mapped.validate().is_ok());
-            for v in 0..g.num_vertices() as Vertex {
-                assert_eq!(mapped.neighbors(v), g.neighbors(v));
-                assert_eq!(mapped.weights_of(v), g.weights_of(v));
-                let it: Vec<(Vertex, f64)> = mapped.neighbors_weighted_iter(v).collect();
-                let want: Vec<(Vertex, f64)> = g.neighbors_weighted(v).collect();
-                assert_eq!(it, want);
+            let owned = MappedWeightedCsr::from_buf(owned_copy(&p)).unwrap();
+            assert!(!owned.topology().is_mapped());
+            for c in [&mapped, &owned] {
+                assert_eq!(c.topology().num_vertices(), g.num_vertices());
+                assert_eq!(c.topology().num_edges(), g.num_edges());
+                assert!(c.validate().is_ok());
+                for v in 0..g.num_vertices() as Vertex {
+                    assert_eq!(c.topology().neighbors(v), g.neighbors(v));
+                    assert_eq!(c.weights_of(v), g.weights_of(v));
+                    let it: Vec<(Vertex, f64)> = c.neighbors_weighted_iter(v).collect();
+                    let want: Vec<(Vertex, f64)> = g.neighbors_weighted(v).collect();
+                    assert_eq!(it, want);
+                }
+                assert_eq!(c.total_weight().to_bits(), {
+                    let s: f64 = g.weights().iter().sum::<f64>() / 2.0;
+                    s.to_bits()
+                });
             }
-            assert_eq!(mapped.total_weight().to_bits(), {
-                let s: f64 = g.weights().iter().sum::<f64>() / 2.0;
-                s.to_bits()
-            });
             std::fs::remove_file(p).ok();
         }
     }
@@ -1492,19 +1344,11 @@ mod tests {
         let wg = random_weighted(&gen::grid2d(5, 5), 1);
         let p = tmp("cross.mpx");
         write_weighted_snapshot(&wg, &p).unwrap();
-        for msg in [
-            read_snapshot(&p).unwrap_err().to_string(),
-            MappedCsr::open(&p).unwrap_err().to_string(),
-        ] {
-            assert!(msg.contains("weighted"), "{msg}");
-        }
+        let msg = open(&p).unwrap_err().to_string();
+        assert!(msg.contains("weighted"), "{msg}");
         write_snapshot(&wg.to_unweighted(), &p).unwrap();
-        for msg in [
-            read_weighted_snapshot(&p).unwrap_err().to_string(),
-            MappedWeightedCsr::open(&p).unwrap_err().to_string(),
-        ] {
-            assert!(msg.contains("unweighted"), "{msg}");
-        }
+        let msg = open_weighted(&p).unwrap_err().to_string();
+        assert!(msg.contains("unweighted"), "{msg}");
         std::fs::remove_file(p).ok();
     }
 
@@ -1534,13 +1378,8 @@ mod tests {
             let sum = payload_checksum(&bytes[HEADER_LEN..]);
             bytes[32..40].copy_from_slice(&sum.to_le_bytes());
             std::fs::write(&p, &bytes).unwrap();
-            for result in [
-                read_weighted_snapshot(&p).map(|_| ()),
-                MappedWeightedCsr::open(&p).map(|_| ()),
-            ] {
-                let e = result.unwrap_err();
-                assert!(e.to_string().contains("weights invalid"), "{what}: {e}");
-            }
+            let e = open_weighted(&p).unwrap_err();
+            assert!(e.to_string().contains("weights invalid"), "{what}: {e}");
         }
         std::fs::remove_file(p).ok();
     }
@@ -1557,29 +1396,13 @@ mod tests {
         let i = b.len() - 5;
         b[i] ^= 0x10;
         std::fs::write(&p, &b).unwrap();
-        let e = read_weighted_snapshot(&p).unwrap_err();
+        let e = open_weighted(&p).unwrap_err();
         assert!(e.to_string().contains("checksum"), "{e}");
 
         // Truncate the weights array: length check catches it.
         std::fs::write(&p, &good[..good.len() - 8]).unwrap();
-        let e = MappedWeightedCsr::open(&p).unwrap_err();
+        let e = open_weighted(&p).unwrap_err();
         assert!(e.to_string().contains("length mismatch"), "{e}");
-        std::fs::remove_file(p).ok();
-    }
-
-    #[test]
-    fn partition_on_mapped_matches_owned() {
-        // The engine sees the file's pages; labels must be bit-identical
-        // to the in-memory graph. (The full strategy × format sweep lives
-        // in the workspace integration tests.)
-        let g = gen::gnm(500, 1500, 9);
-        let p = tmp("engine.mpx");
-        write_snapshot(&g, &p).unwrap();
-        let mapped = MappedCsr::open(&p).unwrap();
-        for v in 0..g.num_vertices() as Vertex {
-            let a: Vec<Vertex> = mapped.neighbors_iter(v).collect();
-            assert_eq!(a.as_slice(), g.neighbors(v));
-        }
         std::fs::remove_file(p).ok();
     }
 }

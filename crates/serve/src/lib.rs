@@ -12,7 +12,8 @@
 //! - [`pool`] — a bounded pool of warm [`Workspace`](mpx_decomp::Workspace)
 //!   sessions with admission control (reject-when-full) and graceful
 //!   drain.
-//! - [`server`] — the TCP accept loop: mmap'd snapshots shared by all
+//! - [`server`] — the TCP accept loop: mmap'd snapshots
+//!   ([`mpx_compress::Snapshot`], any `.mpx` format) shared by all
 //!   workers, per-connection scoped threads, trace spans
 //!   (`serve.accept` / `serve.decode` / `serve.run` / `serve.encode`)
 //!   on the mpx-trace layer, drain-on-shutdown with no leaked threads.
@@ -24,10 +25,11 @@
 //! Everything is std-only, like the rest of the workspace.
 //!
 //! ```no_run
+//! use mpx_compress::Snapshot;
 //! use mpx_serve::{client::Client, protocol::PartitionRequest};
-//! use mpx_serve::server::{Server, ServeSnapshot, ServerConfig};
+//! use mpx_serve::server::{Server, ServerConfig};
 //!
-//! let snap = ServeSnapshot::open("graph.mpx").unwrap();
+//! let snap = Snapshot::open("graph.mpx").unwrap();
 //! let server = Server::bind("127.0.0.1:0", vec![snap], ServerConfig::default()).unwrap();
 //! let addr = server.local_addr().unwrap();
 //! std::thread::spawn(move || server.run().unwrap());
@@ -51,4 +53,8 @@ pub use pool::{AdmissionError, PoolStats, SessionPool, WorkspaceLease};
 pub use protocol::{
     ErrorCode, ErrorReply, FrameKind, PartitionReply, PartitionRequest, StatsReply, WireError,
 };
-pub use server::{ServeSnapshot, Server, ServerConfig, ServerStats, ShutdownHandle};
+pub use server::{Server, ServerConfig, ServerStats, ShutdownHandle};
+
+/// The name the repository benchmark (`perfbench/`) imports for
+/// [`mpx_compress::Snapshot`].
+pub use mpx_compress::Snapshot as ServeSnapshot;

@@ -9,8 +9,8 @@
 //!   held for the duration of one partition request, checked out of the
 //!   bounded [`SessionPool`].
 //! - **Snapshots are shared and immutable.** Every worker runs straight
-//!   off the same mmap'd pages (`MappedCsr` implements `GraphView`);
-//!   nothing is copied per request.
+//!   off the same mmap'd pages of a [`Snapshot`] (each of its readers
+//!   implements `GraphView`); nothing is copied per request.
 //! - **Shutdown is a drain, not an abort.** The shutdown frame (or
 //!   [`ShutdownHandle::shutdown`]) closes the listener, releases queued
 //!   checkouts with a typed reply, lets in-flight requests finish, and
@@ -23,14 +23,12 @@ use crate::protocol::{
     self, ErrorCode, ErrorReply, FrameKind, PartitionReply, PartitionRequest, StatsReply,
     WireError, FRAME_HEADER_LEN,
 };
-use mpx_compress::MappedCompressedCsr;
+use mpx_compress::Snapshot;
 use mpx_decomp::{verify_decomposition, verify_weighted, DecompOptions, VerifyReport};
-use mpx_graph::snapshot::{read_header, MappedCsr, MappedWeightedCsr, VERSION2};
 use mpx_graph::{GraphView, Vertex};
 use mpx_trace::{record_event, SpanGuard, Value};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,78 +36,6 @@ use std::time::Duration;
 /// How often a blocked connection read wakes up to check the shutdown
 /// flag. Bounds shutdown latency without costing steady-state work.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// One mmap'd `.mpx` snapshot — raw v1 (weighted or not) or compressed
-/// v2, auto-detected from the header at open time.
-pub enum ServeSnapshot {
-    /// Unweighted CSR snapshot.
-    Unweighted(MappedCsr),
-    /// Weighted CSR snapshot (f64 edge weights).
-    Weighted(MappedWeightedCsr),
-    /// Delta-varint compressed v2 snapshot (optionally reordered);
-    /// requests run straight off the compressed pages, and labels are
-    /// remapped to original ids when a permutation section is present.
-    Compressed(MappedCompressedCsr),
-}
-
-impl ServeSnapshot {
-    /// Opens and validates a snapshot, picking the mapping from the
-    /// header: version 2 opens as [`ServeSnapshot::Compressed`],
-    /// version 1 as weighted or unweighted per the flag. Weighted
-    /// snapshots get their weights validated once here so per-request
-    /// runs can skip the check.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<ServeSnapshot> {
-        let path = path.as_ref();
-        let header = read_header(path)?;
-        if header.version == VERSION2 {
-            // Fully validated at open (structure, symmetry, permutation).
-            let mapped = MappedCompressedCsr::open(path)?;
-            Ok(ServeSnapshot::Compressed(mapped))
-        } else if header.is_weighted() {
-            let mapped = MappedWeightedCsr::open(path)?;
-            mapped
-                .validate()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            mpx_decomp::validate_weights(&mapped)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            Ok(ServeSnapshot::Weighted(mapped))
-        } else {
-            let mapped = MappedCsr::open(path)?;
-            mapped
-                .validate()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            Ok(ServeSnapshot::Unweighted(mapped))
-        }
-    }
-
-    /// Vertex count.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            ServeSnapshot::Unweighted(m) => m.num_vertices(),
-            ServeSnapshot::Weighted(m) => m.num_vertices(),
-            ServeSnapshot::Compressed(m) => m.num_vertices(),
-        }
-    }
-
-    /// Undirected edge count.
-    pub fn num_edges(&self) -> usize {
-        match self {
-            ServeSnapshot::Unweighted(m) => m.num_edges(),
-            ServeSnapshot::Weighted(m) => m.num_edges(),
-            ServeSnapshot::Compressed(m) => m.num_edges(),
-        }
-    }
-
-    /// True for weighted snapshots.
-    pub fn is_weighted(&self) -> bool {
-        matches!(self, ServeSnapshot::Weighted(_))
-    }
-
-    /// True for compressed (v2) snapshots.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self, ServeSnapshot::Compressed(_))
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -190,7 +116,7 @@ struct Counters {
 /// A bound-but-not-yet-running decomposition server.
 pub struct Server {
     listener: TcpListener,
-    snapshots: Vec<ServeSnapshot>,
+    snapshots: Vec<Snapshot>,
     config: ServerConfig,
     stop: Arc<AtomicBool>,
 }
@@ -204,7 +130,7 @@ impl Server {
     /// Fails on bind errors or an empty snapshot list.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
-        snapshots: Vec<ServeSnapshot>,
+        snapshots: Vec<Snapshot>,
         config: ServerConfig,
     ) -> io::Result<Server> {
         if snapshots.is_empty() {
@@ -308,13 +234,13 @@ impl Server {
 /// [`Server::run`].
 struct Shared<'a> {
     pool: &'a SessionPool,
-    snapshots: &'a [ServeSnapshot],
+    snapshots: &'a [Snapshot],
     config: ServerConfig,
     stop: &'a AtomicBool,
     counters: &'a Counters,
 }
 
-fn prewarm(pool: &SessionPool, snapshots: &[ServeSnapshot]) {
+fn prewarm(pool: &SessionPool, snapshots: &[Snapshot]) {
     // Checkout every lease at once so each distinct workspace warms up
     // (a sequential checkout/return loop would reuse the same one).
     let mut leases: Vec<_> = (0..pool.workers())
@@ -324,13 +250,13 @@ fn prewarm(pool: &SessionPool, snapshots: &[ServeSnapshot]) {
     for lease in &mut leases {
         for snap in snapshots {
             match snap {
-                ServeSnapshot::Unweighted(m) => {
+                Snapshot::Unweighted(m) => {
                     let _ = lease.partition_view(m, &opts);
                 }
-                ServeSnapshot::Weighted(m) => {
+                Snapshot::Weighted(m) => {
                     let _ = lease.partition_weighted_view(m, &opts, None);
                 }
-                ServeSnapshot::Compressed(m) => {
+                Snapshot::Compressed(m) => {
                     let _ = lease.partition_view(m, &opts);
                 }
             }
@@ -563,10 +489,7 @@ fn handle_partition(stream: &mut &TcpStream, payload: &[u8], shared: &Shared<'_>
     }
 }
 
-fn build_options(
-    req: &PartitionRequest,
-    snapshot: &ServeSnapshot,
-) -> Result<DecompOptions, String> {
+fn build_options(req: &PartitionRequest, snapshot: &Snapshot) -> Result<DecompOptions, String> {
     let opts = DecompOptions::try_new(req.beta)
         .map_err(|e| e.to_string())?
         .with_seed(req.seed)
@@ -581,14 +504,14 @@ fn build_options(
 /// failure message.
 fn run_partition(
     ws: &mut mpx_decomp::Workspace,
-    snapshot: &ServeSnapshot,
+    snapshot: &Snapshot,
     req: &PartitionRequest,
     opts: &DecompOptions,
 ) -> Result<PartitionReply, String> {
     match snapshot {
-        ServeSnapshot::Unweighted(m) => run_unweighted(ws, m, None, req, opts),
-        ServeSnapshot::Compressed(m) => run_unweighted(ws, m, m.permutation(), req, opts),
-        ServeSnapshot::Weighted(m) => {
+        Snapshot::Unweighted(m) => run_unweighted(ws, m, None, req, opts),
+        Snapshot::Compressed(m) => run_unweighted(ws, m, m.permutation(), req, opts),
+        Snapshot::Weighted(m) => {
             let (d, tel) = ws.partition_weighted_view(m, opts, None);
             let verified = if req.skip_verify {
                 false

@@ -11,7 +11,7 @@
 use mpx::graph::{gen, snapshot};
 use mpx::prelude::*;
 use mpx::serve::protocol::PartitionRequest;
-use mpx::serve::{Client, ServeSnapshot, Server, ServerConfig};
+use mpx::serve::{Client, Server, ServerConfig};
 use std::time::Instant;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     // Spawn the real server in-process: it mmaps the snapshot (the
     // engine traverses the file's pages directly) and keeps two warm
     // worker sessions behind a bounded admission queue.
-    let snap = ServeSnapshot::open(&path).expect("open snapshot");
+    let snap = Snapshot::open(&path).expect("open snapshot");
     let config = ServerConfig {
         workers: 2,
         queue_depth: 4,

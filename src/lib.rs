@@ -24,8 +24,9 @@
 //! * [`viz`] — figure rendering (reproduces the paper's Figure 1).
 //! * [`compress`] — delta-varint compressed `.mpx` v2 snapshots: a
 //!   parallel byte-code encoder, zero-copy decode views that drive the
-//!   engine straight off compressed pages, and offline locality
-//!   reordering (`mpx convert --compress --reorder`).
+//!   engine straight off compressed pages, offline locality reordering
+//!   (`mpx convert --compress --reorder`), and `Snapshot::open`, the one
+//!   opener for every `.mpx` format.
 //! * [`trace`] — structured tracing and metrics: spans through every
 //!   layer, p50/p99 profiling, human/JSON/Chrome exporters (see
 //!   `mpx profile` and `mpx partition --trace`).
@@ -85,14 +86,14 @@ pub use mpx_viz as viz;
 
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
-    pub use mpx_compress::{CompressedCsr, MappedCompressedCsr, Reorder};
+    pub use mpx_compress::{MappedCompressedCsr, Reorder, Snapshot};
     pub use mpx_decomp::{
         partition, partition_exact, partition_weighted, verify_decomposition, ConfigError,
         DecompOptions, Decomposer, DecomposerBuilder, Decomposition, DecompositionStats,
         RetryPolicy, ShiftStrategy, TieBreak, Traversal, VerifyReport, Workspace,
     };
     pub use mpx_graph::{
-        CsrGraph, EdgeFilteredView, GraphBuilder, GraphFormat, GraphView, InducedView, LoadedGraph,
-        MappedCsr, TextParser, Vertex, WeightedCsrGraph,
+        CsrGraph, EdgeFilteredView, GraphBuilder, GraphFormat, GraphView, InducedView, MappedCsr,
+        TextParser, Vertex, WeightedCsrGraph,
     };
 }

@@ -34,11 +34,12 @@
 //! `mpx convert --compress [--reorder degree|bfs|none]` writes the
 //! delta-varint compressed v2 snapshot format (`mpx-compress`), optionally
 //! reordering vertices first for locality; the new→old permutation is
-//! persisted so labels always come back in original ids. `inspect`,
-//! `partition` and `serve` auto-detect v2 snapshots, mmap them and let the
-//! engine stream-decode adjacency straight off the compressed pages —
-//! labels are byte-identical to the uncompressed path. `convert --compress`
-//! reports bytes per arc and the size against the v1 layout.
+//! persisted so labels always come back in original ids. Every command
+//! opens `.mpx` files through `Snapshot::open`: the header picks v1 or v2,
+//! `--weighted` picks the kind. `partition` and `serve` let the engine
+//! stream-decode v2 adjacency straight off the mapped pages — labels are
+//! byte-identical to the uncompressed path. `convert --compress` reports
+//! bytes per arc and the size against the v1 layout.
 //!
 //! Thread count resolution: `--threads N` wins, else the `MPX_THREADS`
 //! environment variable, else the machine's logical CPU count.
@@ -68,7 +69,8 @@
 //! `U[0.25, 4]` edge lengths hashed from the seed and endpoints.
 
 use mpx::compress::{
-    apply_permutation, reorder_permutation, write_compressed_snapshot, MappedCompressedCsr, Reorder,
+    apply_permutation, reorder_permutation, write_compressed_snapshot, MappedCompressedCsr,
+    Reorder, Snapshot,
 };
 use mpx::decomp::{
     verify_decomposition, verify_weighted, ConfigError, DecompOptions, DecomposerBuilder,
@@ -76,6 +78,7 @@ use mpx::decomp::{
 };
 use mpx::graph::{
     gen, io, snapshot, CsrGraph, GraphFormat, GraphView, TextParser, Vertex, WeightedCsrGraph,
+    WeightedGraphView,
 };
 use std::io::Write;
 
@@ -94,7 +97,7 @@ fn main() {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--parser auto|parallel|sequential] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D] [--parser P]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default) | parallel | sequential | bottomup | hybrid (alias of auto)\ndeterminism: bitexact (default; byte-identical across thread counts) | fast (lock-free CAS claiming + work stealing)\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx; inspect/partition/serve auto-detect v2 and stream-decode zero-copy"
+    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--parser auto|parallel|sequential] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D] [--parser P]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default) | parallel | sequential | bottomup | hybrid (alias of auto)\ndeterminism: bitexact (default; byte-identical across thread counts) | fast (lock-free CAS claiming + work stealing)\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx\n.mpx inputs: the header picks the format (v1 or v2, mmap'd); --weighted picks the kind (a weighted snapshot needs it, an unweighted one refuses it)"
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -454,7 +457,8 @@ fn parse_beta(s: &str) -> Result<f64, String> {
 /// must never shadow the grid generator.
 fn parse_workload(spec: &str, seed: u64) -> Result<CsrGraph, String> {
     if let Some(path) = spec.strip_prefix("file:") {
-        return io::read_graph(path).map_err(|e| format!("workload '{spec}': {e}"));
+        return read_unweighted(path, TextParser::Auto)
+            .map_err(|e| format!("workload '{spec}': {e}"));
     }
     let parts: Vec<&str> = spec.split(':').collect();
     let num = |i: usize| -> Result<usize, String> {
@@ -548,7 +552,8 @@ fn parse_workload(spec: &str, seed: u64) -> Result<CsrGraph, String> {
         }
         other => {
             if std::path::Path::new(spec).is_file() {
-                io::read_graph(spec).map_err(|e| format!("workload '{spec}': {e}"))
+                read_unweighted(spec, TextParser::Auto)
+                    .map_err(|e| format!("workload '{spec}': {e}"))
             } else {
                 Err(format!("unknown workload family '{other}'"))
             }
@@ -563,11 +568,7 @@ fn parse_workload(spec: &str, seed: u64) -> Result<CsrGraph, String> {
 /// same length model the T12 experiment table uses, reproducible across
 /// runs and thread counts.
 fn parse_weighted_workload(spec: &str, seed: u64) -> Result<WeightedCsrGraph, String> {
-    let from_file = |path: &str| -> Result<WeightedCsrGraph, String> {
-        io::load_weighted_graph(path)
-            .map(|l| l.as_weighted_csr().into_owned())
-            .map_err(|e| format!("workload '{spec}': {e}"))
-    };
+    let from_file = |path: &str| read_weighted(path).map_err(|e| format!("workload '{spec}': {e}"));
     if let Some(path) = spec.strip_prefix("file:") {
         return from_file(path);
     }
@@ -612,19 +613,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         // `gen --weighted` + `partition --weighted` reproduce the profiled
         // graph exactly. Weighted writers: edge list or snapshot only.
         let g = parse_weighted_workload(spec, seed)?;
-        match format {
-            GraphFormat::Snapshot => {
-                snapshot::write_weighted_snapshot(&g, out).map_err(|e| e.to_string())?
-            }
-            GraphFormat::EdgeList => {
-                io::write_weighted_edge_list(&g, out).map_err(|e| e.to_string())?
-            }
-            other => {
-                return Err(format!(
-                    "gen: no weighted writer for {other} (use .mpx or an edge-list extension)"
-                ))
-            }
-        }
+        write_weighted(&g, out, format)?;
         println!(
             "wrote {out} ({format}, weighted): n={} m={}",
             g.num_vertices(),
@@ -644,11 +633,93 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("stats: missing graph path")?;
-    let g = io::read_graph(path).map_err(|e| e.to_string())?;
+    let g = read_unweighted(path, TextParser::Auto)?;
     println!("{}", mpx::graph::properties::GraphStats::of(&g));
     let hist = mpx::graph::properties::degree_histogram(&g);
     println!("degree histogram (powers of two): {hist:?}");
     Ok(())
+}
+
+/// Opens `path` through [`Snapshot::open`] when it is a `.mpx` snapshot,
+/// whose header picks the format; `Ok(None)` means a text file.
+fn open_snapshot(path: &str) -> Result<Option<Snapshot>, String> {
+    if io::detect_format(path).map_err(|e| e.to_string())? != GraphFormat::Snapshot {
+        return Ok(None);
+    }
+    Snapshot::open(path).map(Some).map_err(|e| e.to_string())
+}
+
+/// The error for a snapshot of the other kind than `--weighted` asks for:
+/// the flag, not the file, picks the kind.
+fn kind_mismatch(path: &str, snapshot_weighted: bool) -> String {
+    let (kind, flag) = match snapshot_weighted {
+        true => ("a weighted", "not set"),
+        false => ("an unweighted", "set"),
+    };
+    format!("{path} is {kind} snapshot, but --weighted is {flag}")
+}
+
+/// Parses an unweighted text graph of any supported format.
+fn read_text(path: &str, parser: TextParser) -> Result<CsrGraph, String> {
+    let format = io::detect_format(path).map_err(|e| e.to_string())?;
+    io::read_graph_as(path, format, parser).map_err(|e| e.to_string())
+}
+
+/// Parses a weighted edge list (`u v w`), the one weighted text format.
+fn read_weighted_text(path: &str) -> Result<WeightedCsrGraph, String> {
+    match io::detect_format(path).map_err(|e| e.to_string())? {
+        GraphFormat::EdgeList => io::read_weighted_edge_list(path).map_err(|e| e.to_string()),
+        other => Err(format!(
+            "no weighted reader for {other} files (use a weighted edge list or .mpx snapshot)"
+        )),
+    }
+}
+
+/// Reads any unweighted input into memory, in original vertex ids: a
+/// reordered v2 snapshot is relabelled back, so every command and every
+/// convert round trip sees the graph that was written.
+fn read_unweighted(path: &str, parser: TextParser) -> Result<CsrGraph, String> {
+    match open_snapshot(path)? {
+        None => read_text(path, parser),
+        Some(Snapshot::Unweighted(m)) => Ok(m.to_graph()),
+        Some(Snapshot::Compressed(c)) => Ok(match c.permutation() {
+            Some(new_to_old) => {
+                // Original id o lives at stored id old_to_new[o].
+                let mut old_to_new = vec![0 as Vertex; new_to_old.len()];
+                for (new_id, &old_id) in new_to_old.iter().enumerate() {
+                    old_to_new[old_id as usize] = new_id as Vertex;
+                }
+                apply_permutation(&c.to_graph(), &old_to_new)
+            }
+            None => c.to_graph(),
+        }),
+        Some(Snapshot::Weighted(_)) => Err(kind_mismatch(path, true)),
+    }
+}
+
+/// Reads any weighted input (weighted edge list or weighted snapshot)
+/// into memory.
+fn read_weighted(path: &str) -> Result<WeightedCsrGraph, String> {
+    match open_snapshot(path)? {
+        None => read_weighted_text(path),
+        Some(Snapshot::Weighted(m)) => Ok(m.to_graph()),
+        Some(_) => Err(kind_mismatch(path, false)),
+    }
+}
+
+/// Writes a weighted edge list (f64s at full precision) or a weighted
+/// snapshot (raw bits): weights survive either round trip bit-for-bit.
+fn write_weighted(g: &WeightedCsrGraph, out: &str, format: GraphFormat) -> Result<(), String> {
+    let written = match format {
+        GraphFormat::Snapshot => snapshot::write_weighted_snapshot(g, out),
+        GraphFormat::EdgeList => io::write_weighted_edge_list(g, out),
+        other => {
+            return Err(format!(
+                "no weighted writer for {other} files (use .mpx or an edge-list extension)"
+            ))
+        }
+    };
+    written.map_err(|e| e.to_string())
 }
 
 /// `mpx convert <in> <out>` — transcodes between any two supported
@@ -674,9 +745,6 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         }
         return convert_compressed(input, out, &flags);
     }
-    if flags.weighted {
-        return convert_weighted(input, out, flags.threads);
-    }
     let in_format = io::detect_format(input).map_err(|e| e.to_string())?;
     // Unlike `gen` (where a bare output path defaulting to edge list is
     // historical behavior), convert's whole job is format selection — an
@@ -691,70 +759,19 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     // Both the parallel text parse and the snapshot checksum have
     // parallel inner loops, so the whole transcode honors --threads.
     let (n, m) = with_thread_choice(flags.threads, || {
-        let g = read_unweighted_any(input, flags.parser)?;
-        io::write_graph(&g, out, out_format).map_err(|e| e.to_string())?;
-        Ok::<_, String>((g.num_vertices(), g.num_edges()))
-    })?;
-    println!("converted {input} ({in_format}) -> {out} ({out_format}): n={n} m={m}");
-    Ok(())
-}
-
-/// The `--weighted` arm of `convert`: weighted edge list or weighted
-/// snapshot in, weighted edge list (`u v w`) or weighted snapshot out.
-/// Weights survive the round trip bit-for-bit (the text writer prints
-/// f64s at full precision; the snapshot stores raw little-endian bits).
-fn convert_weighted(input: &str, out: &str, threads: Option<usize>) -> Result<(), String> {
-    let in_format = io::detect_format(input).map_err(|e| e.to_string())?;
-    let out_format = GraphFormat::from_extension(std::path::Path::new(out)).ok_or_else(|| {
-        format!("convert: unrecognized output extension in '{out}' (use .mpx | .txt/.el/.edges)")
-    })?;
-    let (n, m) = with_thread_choice(threads, || {
-        let loaded = io::load_weighted_graph(input).map_err(|e| e.to_string())?;
-        let g = loaded.as_weighted_csr();
-        match out_format {
-            GraphFormat::Snapshot => {
-                snapshot::write_weighted_snapshot(&g, out).map_err(|e| e.to_string())?
-            }
-            GraphFormat::EdgeList => {
-                io::write_weighted_edge_list(&g, out).map_err(|e| e.to_string())?
-            }
-            other => {
-                return Err(format!(
-                    "convert: no weighted writer for {other} (use .mpx or a weighted edge list)"
-                ))
-            }
+        if flags.weighted {
+            let g = read_weighted(input)?;
+            write_weighted(&g, out, out_format)?;
+            Ok((g.num_vertices(), g.num_edges()))
+        } else {
+            let g = read_unweighted(input, flags.parser)?;
+            io::write_graph(&g, out, out_format).map_err(|e| e.to_string())?;
+            Ok::<_, String>((g.num_vertices(), g.num_edges()))
         }
-        Ok::<_, String>((g.num_vertices(), g.num_edges()))
     })?;
-    println!("converted {input} ({in_format}, weighted) -> {out} ({out_format}): n={n} m={m}");
+    let kind = if flags.weighted { ", weighted" } else { "" };
+    println!("converted {input} ({in_format}{kind}) -> {out} ({out_format}): n={n} m={m}");
     Ok(())
-}
-
-/// Loads an unweighted graph from any supported input, including
-/// compressed v2 snapshots — reordered snapshots are mapped back to
-/// original ids so every convert round-trip is lossless.
-fn read_unweighted_any(input: &str, parser: TextParser) -> Result<CsrGraph, String> {
-    let format = io::detect_format(input).map_err(|e| e.to_string())?;
-    if format == GraphFormat::Snapshot {
-        let header = snapshot::read_header(input).map_err(|e| e.to_string())?;
-        if header.version == snapshot::VERSION2 {
-            let c = mpx::compress::CompressedCsr::open(input).map_err(|e| e.to_string())?;
-            let g = c.to_graph();
-            return Ok(match c.permutation() {
-                Some(new_to_old) => {
-                    // Undo the stored relabeling: original id o lives at
-                    // stored id old_to_new[o].
-                    let mut old_to_new = vec![0 as Vertex; new_to_old.len()];
-                    for (new_id, &old_id) in new_to_old.iter().enumerate() {
-                        old_to_new[old_id as usize] = new_id as Vertex;
-                    }
-                    apply_permutation(&g, &old_to_new)
-                }
-                None => g,
-            });
-        }
-    }
-    io::read_graph_as(input, format, parser).map_err(|e| e.to_string())
 }
 
 /// The `--compress`/`--reorder` arm of `convert`: writes a delta-varint
@@ -770,7 +787,7 @@ fn convert_compressed(input: &str, out: &str, flags: &RunFlags) -> Result<(), St
         ));
     }
     let (n, m, bytes_per_arc, ratio) = with_thread_choice(flags.threads, || {
-        let g = read_unweighted_any(input, flags.parser)?;
+        let g = read_unweighted(input, flags.parser)?;
         let perm = reorder_permutation(&g, flags.reorder);
         let stored = match &perm {
             Some(p) => apply_permutation(&g, p),
@@ -799,48 +816,77 @@ fn convert_compressed(input: &str, out: &str, flags: &RunFlags) -> Result<(), St
 }
 
 /// `mpx inspect <graph>` — prints the detected format, header fields for
-/// snapshots, and cheap structure statistics (n, m, degree spread).
-/// `--weighted` (implied for weighted snapshots) loads the weighted view
-/// and adds edge-length statistics (min/total/max weight).
+/// snapshots, and cheap structure statistics (n, m, degree spread) plus
+/// edge-length statistics for weighted graphs. A snapshot is reported as
+/// its header says; `--weighted` reads a text file as a weighted edge
+/// list.
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let (args, flags) = extract_flags(args, &["weighted"])?;
     let path = args.first().ok_or("inspect: missing graph path")?;
     let format = io::detect_format(path).map_err(|e| e.to_string())?;
     println!("path: {path}");
     println!("format: {format}");
-    let mut weighted = flags.weighted;
-    if format == GraphFormat::Snapshot {
-        let header = snapshot::read_header(path).map_err(|e| e.to_string())?;
-        println!(
-            "header: version={} flags={:#x} n={} m={} checksum={:#018x}",
-            header.version, header.flags, header.n, header.m, header.checksum
-        );
-        if header.version == snapshot::VERSION2 {
-            return inspect_compressed(path, &header);
-        }
-        // A weighted snapshot can only be opened through the weighted
-        // reader; auto-switch rather than failing the unweighted load.
-        weighted |= header.is_weighted();
-    }
-    if weighted {
-        return inspect_weighted(path);
-    }
-    let loaded = io::load_graph(path).map_err(|e| e.to_string())?;
-    let n = loaded.num_vertices();
-    let m = loaded.num_edges();
-    println!(
-        "load: {}",
-        if loaded.is_mapped() {
-            "zero-copy mmap"
+    let Some(snap) = open_snapshot(path)? else {
+        if flags.weighted {
+            let g = read_weighted_text(path)?;
+            print_degrees(&g, "owned (parsed/decoded) (weighted)");
+            print_weights(&g);
         } else {
-            "owned (parsed/decoded)"
+            let g = read_text(path, TextParser::Auto)?;
+            print_degrees(&g, "owned (parsed/decoded)");
         }
+        return Ok(());
+    };
+    let header = snap.header();
+    println!(
+        "header: version={} flags={:#x} n={} m={} checksum={:#018x}",
+        header.version, header.flags, header.n, header.m, header.checksum
     );
+    let load = if snap.is_mapped() {
+        "zero-copy mmap"
+    } else {
+        "owned buffer"
+    };
+    match &snap {
+        Snapshot::Unweighted(m) => print_degrees(m, load),
+        Snapshot::Weighted(m) => {
+            print_degrees(m, &format!("{load} (weighted)"));
+            print_weights(m);
+        }
+        Snapshot::Compressed(c) => {
+            println!(
+                "v2: compressed={} permuted={} enc_len={}",
+                header.is_compressed(),
+                header.is_permuted(),
+                header.enc_len
+            );
+            let arcs = 2 * header.m;
+            println!(
+                "encoding: bytes_per_arc={:.3} raw_bytes_per_arc=4.000 compression_ratio={:.3}",
+                c.bytes_per_arc(),
+                if arcs == 0 {
+                    0.0
+                } else {
+                    header.enc_len as f64 / (4 * arcs) as f64
+                }
+            );
+            print_degrees(c, &format!("{load} (streaming decode)"));
+        }
+    }
+    Ok(())
+}
+
+/// The structure lines of `inspect`: how the graph was loaded, `n`, `m`
+/// and the degree spread.
+fn print_degrees<V: GraphView>(g: &V, load: &str) {
+    let n = g.num_vertices();
+    let m = g.total_degree() / 2;
+    println!("load: {load}");
     println!("n: {n}");
     println!("m: {m}");
     let (mut min_deg, mut max_deg, mut isolated) = (usize::MAX, 0usize, 0usize);
-    for v in 0..n as u32 {
-        let d = GraphView::degree(&loaded, v);
+    for v in 0..n as Vertex {
+        let d = g.degree(v);
         min_deg = min_deg.min(d);
         max_deg = max_deg.max(d);
         isolated += usize::from(d == 0);
@@ -854,96 +900,32 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         2.0 * m as f64 / n as f64
     };
     println!("degree: min={min_deg} avg={avg:.2} max={max_deg} isolated={isolated}");
-    Ok(())
 }
 
-/// The compressed (v2) arm of `inspect`: decodes the flags, reports the
-/// encoded-vs-raw size, and streams the byte-coded lists for the degree
-/// statistics — all off the mmap'd pages.
-fn inspect_compressed(path: &str, header: &snapshot::SnapshotHeader) -> Result<(), String> {
-    let c = MappedCompressedCsr::open(path).map_err(|e| e.to_string())?;
-    println!(
-        "v2: compressed={} permuted={} enc_len={}",
-        header.is_compressed(),
-        header.is_permuted(),
-        header.enc_len
-    );
-    let arcs = 2 * c.num_edges() as u64;
-    println!(
-        "encoding: bytes_per_arc={:.3} raw_bytes_per_arc=4.000 compression_ratio={:.3}",
-        c.bytes_per_arc(),
-        if arcs == 0 {
-            0.0
-        } else {
-            header.enc_len as f64 / (4 * arcs) as f64
-        }
-    );
-    println!(
-        "load: {}",
-        if c.is_mapped() {
-            "zero-copy mmap (streaming decode)"
-        } else {
-            "owned (streaming decode)"
-        }
-    );
-    let n = c.num_vertices();
-    let m = c.num_edges();
-    println!("n: {n}");
-    println!("m: {m}");
-    let (mut min_deg, mut max_deg, mut isolated) = (usize::MAX, 0usize, 0usize);
-    for v in 0..n as u32 {
-        let d = GraphView::degree(&c, v);
-        min_deg = min_deg.min(d);
-        max_deg = max_deg.max(d);
-        isolated += usize::from(d == 0);
-    }
-    if n == 0 {
-        min_deg = 0;
-    }
-    let avg = if n == 0 {
-        0.0
-    } else {
-        2.0 * m as f64 / n as f64
-    };
-    println!("degree: min={min_deg} avg={avg:.2} max={max_deg} isolated={isolated}");
-    Ok(())
-}
-
-/// The weighted arm of `inspect`: structure statistics plus edge-length
-/// spread, via the weighted loader (mmap'd for weighted snapshots).
-fn inspect_weighted(path: &str) -> Result<(), String> {
-    use mpx::graph::WeightedGraphView;
-    let loaded = io::load_weighted_graph(path).map_err(|e| e.to_string())?;
-    let n = loaded.num_vertices();
-    let m = loaded.num_edges();
-    println!(
-        "load: {} (weighted)",
-        if loaded.is_mapped() {
-            "zero-copy mmap"
-        } else {
-            "owned (parsed/decoded)"
-        }
-    );
-    println!("n: {n}");
-    println!("m: {m}");
+/// The edge-length line of a weighted `inspect`.
+fn print_weights<W: WeightedGraphView>(g: &W) {
     let (mut min_w, mut max_w) = (f64::INFINITY, f64::NEG_INFINITY);
-    for v in 0..n as u32 {
-        for (_, w) in loaded.neighbors_weighted_iter(v) {
+    for v in 0..g.num_vertices() as Vertex {
+        for (_, w) in g.neighbors_weighted_iter(v) {
             min_w = min_w.min(w);
             max_w = max_w.max(w);
         }
     }
-    if m == 0 {
+    if g.total_degree() == 0 {
         min_w = 0.0;
         max_w = 0.0;
     }
     println!(
         "weights: min={min_w} total={} max={max_w}",
-        loaded.total_weight()
+        g.total_weight()
     );
-    Ok(())
 }
 
+/// `mpx partition <graph> <beta> [seed] [labels-out.txt]` — decomposes,
+/// prints the stats and engine lines, verifies, and writes the labels.
+/// `.mpx` inputs stay memory-mapped: the engine and the verifier traverse
+/// the file's pages, compressed ones through streaming decode. The
+/// header picks the snapshot format; `--weighted` picks the kind.
 fn cmd_partition(args: &[String]) -> Result<(), String> {
     let (args, flags) = extract_flags(
         args,
@@ -962,204 +944,156 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         .get(2)
         .map_or(Ok(42), |s| s.parse().map_err(|_| "bad seed".to_string()))?;
     let sink = resolve_trace(&flags.trace)?;
-    if flags.weighted {
-        return partition_weighted_cmd(path, beta, seed, args.get(3), &flags, sink);
-    }
-    // Compressed v2 snapshots take their own path: the engine streams the
-    // byte-coded lists, and reordered snapshots remap labels back to
-    // original ids.
-    if io::detect_format(path).map_err(|e| e.to_string())? == GraphFormat::Snapshot {
-        let header = snapshot::read_header(path).map_err(|e| e.to_string())?;
-        if header.version == snapshot::VERSION2 {
-            return partition_compressed_cmd(path, beta, seed, args.get(3), &flags, sink);
-        }
-    }
-    // `.mpx` snapshots stay memory-mapped: the engine and the verifier
-    // traverse the file's pages directly and only the stats line
-    // materializes an owned copy.
+    let run = PartitionRun {
+        opts: DecompOptions::new(beta)
+            .with_seed(seed)
+            .with_traversal(flags.strategy)
+            .with_determinism(flags.determinism),
+        flags: &flags,
+        labels_out: args.get(3),
+        // The trace session brackets loading + decomposition, so ingest
+        // and snapshot spans land in the same tree as the engine rounds.
+        trace: sink.map(|sink| (mpx::trace::start(), sink)),
+    };
     // Loading happens inside the thread choice so `--threads` bounds the
-    // parallel parsers too, not just the decomposition.
-    let builder = DecomposerBuilder::new(beta)
-        .seed(seed)
-        .traversal(flags.strategy)
-        .determinism(flags.determinism);
-    // The trace session brackets loading + decomposition, so ingest and
-    // snapshot spans land in the same tree as the engine rounds.
-    let session = sink.as_ref().map(|_| mpx::trace::start());
-    let (loaded, d, telemetry) = with_thread_choice(flags.threads, || {
-        let loaded = io::load_graph_with(path, flags.parser).map_err(|e| e.to_string())?;
-        let mut session = builder.build(&loaded).map_err(|e| e.to_string())?;
-        let (d, telemetry) = session.run_instrumented();
-        drop(session);
-        Ok::<_, String>((loaded, d, telemetry))
-    })?;
-    if let (Some(session), Some(sink)) = (session, &sink) {
-        let mut trace = session.finish();
-        trace.set_counter("rounds", telemetry.rounds as f64);
-        trace.set_counter("relaxations", telemetry.relaxations as f64);
-        trace.set_counter("bottom_up_rounds", telemetry.bottom_up_rounds as f64);
-        trace.set_counter("clusters", telemetry.clusters as f64);
-        emit_trace(&trace, sink)?;
-    }
-    let g = loaded.as_csr();
-    let stats = DecompositionStats::compute(&g, &d);
-    println!("{stats}");
-    println!(
-        "engine: strategy={} determinism={} rounds={} relaxations={} bottom_up_rounds={} cas_success={} cas_retries={} source={}",
-        flags.strategy.as_str(),
-        flags.determinism.as_str(),
-        telemetry.rounds,
-        telemetry.relaxations,
-        telemetry.bottom_up_rounds,
-        telemetry.cas_success,
-        telemetry.cas_retries,
-        if loaded.is_mapped() { "mmap" } else { "owned" }
-    );
-    let report = verify_decomposition(&loaded, &d);
-    if report.is_valid() {
-        println!("verified: partition + strong diameter + Lemma 4.1 hold");
-    } else {
-        return Err(format!("verification FAILED: {:?}", report.errors));
-    }
-    if let Some(out) = args.get(3) {
-        write_labels(out, d.assignment())?;
-    }
-    Ok(())
-}
-
-/// The compressed-snapshot arm of `partition`: mmaps a v2 file and runs
-/// the engine straight off the byte-coded pages. For reordered snapshots
-/// the shifts follow original ids
-/// ([`mpx::decomp::Workspace::partition_view_permuted`]) and the labels
-/// are remapped, so stdout and the labels file are byte-identical to
-/// partitioning the uncompressed original. Verification and stats run
-/// against the decoded graph in the file's id space (both are
-/// permutation-invariant).
-fn partition_compressed_cmd(
-    path: &str,
-    beta: f64,
-    seed: u64,
-    labels_out: Option<&String>,
-    flags: &RunFlags,
-    sink: Option<TraceSink>,
-) -> Result<(), String> {
-    let opts = DecompOptions::try_new(beta)
-        .map_err(|e: ConfigError| e.to_string())?
-        .with_seed(seed)
-        .with_traversal(flags.strategy)
-        .with_determinism(flags.determinism);
-    let session = sink.as_ref().map(|_| mpx::trace::start());
-    let (mapped, d, telemetry) = with_thread_choice(flags.threads, || {
-        let mapped = MappedCompressedCsr::open(path).map_err(|e| e.to_string())?;
-        opts.validate_for(mapped.num_vertices(), mapped.num_edges())
-            .map_err(|e| e.to_string())?;
-        let mut ws = Workspace::new();
-        let (d, telemetry) = match mapped.permutation() {
-            Some(perm) => ws.partition_view_permuted(&mapped, &opts, perm),
-            None => ws.partition_view(&mapped, &opts),
-        };
-        Ok::<_, String>((mapped, d, telemetry))
-    })?;
-    if let (Some(session), Some(sink)) = (session, &sink) {
-        let mut trace = session.finish();
-        trace.set_counter("rounds", telemetry.rounds as f64);
-        trace.set_counter("relaxations", telemetry.relaxations as f64);
-        trace.set_counter("bottom_up_rounds", telemetry.bottom_up_rounds as f64);
-        trace.set_counter("clusters", telemetry.clusters as f64);
-        emit_trace(&trace, sink)?;
-    }
-    let g = mapped.to_graph();
-    let stats = DecompositionStats::compute(&g, &d);
-    println!("{stats}");
-    println!(
-        "engine: strategy={} determinism={} rounds={} relaxations={} bottom_up_rounds={} cas_success={} cas_retries={} source={}",
-        flags.strategy.as_str(),
-        flags.determinism.as_str(),
-        telemetry.rounds,
-        telemetry.relaxations,
-        telemetry.bottom_up_rounds,
-        telemetry.cas_success,
-        telemetry.cas_retries,
-        if mapped.is_mapped() {
-            "mmap-compressed"
-        } else {
-            "owned-compressed"
+    // parallel parsers and audits too, not just the decomposition.
+    let snapshot = with_thread_choice(flags.threads, || open_snapshot(path))?;
+    let source = match &snapshot {
+        Some(snap) if snap.is_mapped() => "mmap",
+        _ => "owned",
+    };
+    match (snapshot, flags.weighted) {
+        (Some(Snapshot::Unweighted(m)), false) => run.unweighted(&m, None, source),
+        (Some(Snapshot::Compressed(c)), false) => {
+            run.unweighted(&c, c.permutation(), &format!("{source}-compressed"))
         }
-    );
-    let report = verify_decomposition(&g, &d);
-    if report.is_valid() {
-        println!("verified: partition + strong diameter + Lemma 4.1 hold");
-    } else {
-        return Err(format!("verification FAILED: {:?}", report.errors));
+        (Some(Snapshot::Weighted(m)), true) => run.weighted(&m, source),
+        (Some(snap), _) => Err(kind_mismatch(path, snap.is_weighted())),
+        (None, false) => {
+            let g = with_thread_choice(flags.threads, || read_text(path, flags.parser))?;
+            run.unweighted(&g, None, source)
+        }
+        (None, true) => {
+            let g = with_thread_choice(flags.threads, || read_weighted_text(path))?;
+            run.weighted(&g, source)
+        }
     }
-    if let Some(out) = labels_out {
-        // Labels go out in original ids, matching the v1 path byte for
-        // byte even when the snapshot was reordered.
-        let labels = match mapped.permutation() {
-            Some(perm) => d.remap_labels(perm),
-            None => d,
-        };
-        write_labels(out, labels.assignment())?;
-    }
-    Ok(())
 }
 
-/// The `--weighted` arm of `partition`: loads a weighted edge list or
-/// weighted snapshot (mmap'd, traversed zero-copy), decomposes through a
-/// weighted session (`--strategy sequential` = multi-source Dijkstra,
-/// anything else = bucketed Δ-stepping; labels are bit-identical either
-/// way), verifies the Section 6 guarantees, and optionally writes labels.
-fn partition_weighted_cmd(
-    path: &str,
-    beta: f64,
-    seed: u64,
-    labels_out: Option<&String>,
-    flags: &RunFlags,
-    sink: Option<TraceSink>,
-) -> Result<(), String> {
-    let builder = DecomposerBuilder::new(beta)
-        .seed(seed)
-        .traversal(flags.strategy)
-        .determinism(flags.determinism);
-    let session = sink.as_ref().map(|_| mpx::trace::start());
-    let (loaded, d, telemetry) = with_thread_choice(flags.threads, || {
-        let loaded = io::load_weighted_graph_with(path, flags.parser).map_err(|e| e.to_string())?;
-        let mut session = builder.build_weighted(&loaded).map_err(|e| e.to_string())?;
-        let (d, telemetry) = session.run_instrumented();
-        drop(session);
-        Ok::<_, String>((loaded, d, telemetry))
-    })?;
-    if let (Some(session), Some(sink)) = (session, &sink) {
-        let mut trace = session.finish();
-        trace.set_counter("buckets", telemetry.buckets as f64);
-        trace.set_counter("phases", telemetry.phases as f64);
-        trace.set_counter("relaxations", telemetry.relaxations as f64);
-        trace.set_counter("clusters", telemetry.clusters as f64);
-        trace.set_counter("delta", telemetry.delta);
-        emit_trace(&trace, sink)?;
+/// A `partition` run once its input is open: the options, where the
+/// labels go, and the trace session begun before loading.
+struct PartitionRun<'a> {
+    opts: DecompOptions,
+    flags: &'a RunFlags,
+    labels_out: Option<&'a String>,
+    trace: Option<(mpx::trace::TraceSession, TraceSink)>,
+}
+
+impl PartitionRun<'_> {
+    /// Decomposes and verifies on the view itself. With `perm`, a reordered
+    /// snapshot's `new id → original id` section, shifts follow original
+    /// ids and the labels file is remapped, so stdout and labels match the
+    /// unreordered graph's (stats and verifier are permutation-invariant).
+    fn unweighted<V: GraphView>(
+        mut self,
+        g: &V,
+        perm: Option<&[Vertex]>,
+        source: &str,
+    ) -> Result<(), String> {
+        let (n, m) = (g.num_vertices(), (g.total_degree() / 2) as usize);
+        self.opts.validate_for(n, m).map_err(|e| e.to_string())?;
+        let (d, telemetry) = with_thread_choice(self.flags.threads, || {
+            let mut ws = Workspace::new();
+            match perm {
+                Some(p) => ws.partition_view_permuted(g, &self.opts, p),
+                None => ws.partition_view(g, &self.opts),
+            }
+        });
+        self.finish_trace(&[
+            ("rounds", telemetry.rounds as f64),
+            ("relaxations", telemetry.relaxations as f64),
+            ("bottom_up_rounds", telemetry.bottom_up_rounds as f64),
+            ("clusters", telemetry.clusters as f64),
+        ])?;
+        println!("{}", DecompositionStats::compute(g, &d));
+        println!(
+            "engine: strategy={} determinism={} rounds={} relaxations={} bottom_up_rounds={} cas_success={} cas_retries={} source={source}",
+            self.flags.strategy.as_str(),
+            self.flags.determinism.as_str(),
+            telemetry.rounds,
+            telemetry.relaxations,
+            telemetry.bottom_up_rounds,
+            telemetry.cas_success,
+            telemetry.cas_retries,
+        );
+        let report = verify_decomposition(g, &d);
+        if !report.is_valid() {
+            return Err(format!("verification FAILED: {:?}", report.errors));
+        }
+        println!("verified: partition + strong diameter + Lemma 4.1 hold");
+        if let Some(out) = self.labels_out {
+            let labels = match perm {
+                Some(p) => d.remap_labels(p),
+                None => d,
+            };
+            write_labels(out, labels.assignment())?;
+        }
+        Ok(())
     }
-    println!(
-        "clusters={} max_radius={:.4} cut_edges={} cut_fraction={:.4}",
-        d.num_clusters(),
-        d.max_radius(),
-        d.cut_edges(&loaded),
-        d.cut_fraction(&loaded)
-    );
-    println!(
-        "engine: strategy={} buckets={} phases={} relaxations={} delta={:.4} source={}",
-        flags.strategy.as_str(),
-        telemetry.buckets,
-        telemetry.phases,
-        telemetry.relaxations,
-        telemetry.delta,
-        if loaded.is_mapped() { "mmap" } else { "owned" }
-    );
-    verify_weighted(&loaded, &d).map_err(|e| format!("verification FAILED: {e}"))?;
-    println!("verified: weighted partition + strong diameter + exact intra-cluster arrivals hold");
-    if let Some(out) = labels_out {
-        write_labels(out, &d.assignment)?;
+
+    /// The `--weighted` run: a weighted session (`--strategy sequential`
+    /// = multi-source Dijkstra, anything else = bucketed Δ-stepping;
+    /// labels are bit-identical either way), then the Section 6 checks.
+    fn weighted<W: WeightedGraphView>(mut self, g: &W, source: &str) -> Result<(), String> {
+        let (d, telemetry) = with_thread_choice(self.flags.threads, || {
+            let mut session = DecomposerBuilder::from_options(self.opts.clone())
+                .build_weighted(g)
+                .map_err(|e| e.to_string())?;
+            Ok::<_, String>(session.run_instrumented())
+        })?;
+        self.finish_trace(&[
+            ("buckets", telemetry.buckets as f64),
+            ("phases", telemetry.phases as f64),
+            ("relaxations", telemetry.relaxations as f64),
+            ("clusters", telemetry.clusters as f64),
+            ("delta", telemetry.delta),
+        ])?;
+        println!(
+            "clusters={} max_radius={:.4} cut_edges={} cut_fraction={:.4}",
+            d.num_clusters(),
+            d.max_radius(),
+            d.cut_edges(g),
+            d.cut_fraction(g)
+        );
+        println!(
+            "engine: strategy={} buckets={} phases={} relaxations={} delta={:.4} source={source}",
+            self.flags.strategy.as_str(),
+            telemetry.buckets,
+            telemetry.phases,
+            telemetry.relaxations,
+            telemetry.delta,
+        );
+        verify_weighted(g, &d).map_err(|e| format!("verification FAILED: {e}"))?;
+        println!(
+            "verified: weighted partition + strong diameter + exact intra-cluster arrivals hold"
+        );
+        if let Some(out) = self.labels_out {
+            write_labels(out, &d.assignment)?;
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// Ends the trace session and exports it with the engine's counters.
+    fn finish_trace(&mut self, counters: &[(&str, f64)]) -> Result<(), String> {
+        if let Some((session, sink)) = self.trace.take() {
+            let mut trace = session.finish();
+            for &(name, value) in counters {
+                trace.set_counter(name, value);
+            }
+            emit_trace(&trace, &sink)?;
+        }
+        Ok(())
+    }
 }
 
 /// Writes one cluster center per line to `path`. The explicit flush
@@ -1482,8 +1416,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let mut snapshots = Vec::with_capacity(rest.len());
     for (id, path) in rest.iter().enumerate() {
-        let snap =
-            mpx::serve::ServeSnapshot::open(path).map_err(|e| format!("serve: {path}: {e}"))?;
+        let snap = Snapshot::open(path).map_err(|e| format!("serve: {path}: {e}"))?;
         eprintln!(
             "snapshot {id}: {path} ({} vertices, {} edges, {})",
             snap.num_vertices(),

@@ -75,11 +75,11 @@ fn hst_oracle_spanner_separator_identical_on_mapped_snapshot() {
 fn session_over_snapshot_feeds_block_decomposition_options_path() {
     // Blocks stay CSR-shaped (they need arc offsets), but their options
     // path shares the builder-validated knobs; check the option plumbing
-    // agrees with the legacy signature, off a decoded snapshot.
+    // agrees with the legacy signature, off a snapshot copied into memory.
     let g = gen::gnm(400, 1600, 11);
     let path = tmp("blocks.mpx");
     snapshot::write_snapshot(&g, &path).unwrap();
-    let decoded = snapshot::read_snapshot(&path).unwrap();
+    let decoded = snapshot::MappedCsr::open(&path).unwrap().to_graph();
     let a = mpx::apps::block_decomposition(&g, 13);
     let b = block_decomposition_with_options(&decoded, &DecompOptions::new(0.5).with_seed(13));
     assert_eq!(a.rounds, b.rounds);

@@ -154,13 +154,14 @@ fn sbm_workload_generates() {
 }
 
 /// Asserts that `mpx args` fails the way every CLI error path does: exit
-/// code 2 and an `error:` line on stderr, never a panic.
-fn assert_clean_error(args: &[&str]) {
+/// code 2 and an `error:` line on stderr, never a panic. Returns stderr.
+fn assert_clean_error(args: &[&str]) -> String {
     let out = mpx().args(args).output().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "mpx {args:?}: {stderr}");
     assert!(stderr.contains("error:"), "mpx {args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "mpx {args:?}: {stderr}");
+    stderr
 }
 
 #[test]
@@ -238,12 +239,29 @@ fn convert_inspect_and_mmap_partition_pipeline() {
     let gr = tmp("conv.gr");
     let metis = tmp("conv.metis");
     let snap = tmp("conv.mpx");
+    let v2 = tmp("conv-v2.mpx");
+    let v2_bfs = tmp("conv-v2-bfs.mpx");
+    let v2_degree = tmp("conv-v2-degree.mpx");
     run_ok(&["gen", "gnm:500:2000", txt.to_str().unwrap(), "3"]);
 
-    // Chain conversions across all four formats.
+    // Chain conversions across all four formats, and compress the text
+    // three ways (plain, and reordered by BFS and by degree).
     run_ok(&["convert", txt.to_str().unwrap(), gr.to_str().unwrap()]);
     run_ok(&["convert", gr.to_str().unwrap(), metis.to_str().unwrap()]);
     run_ok(&["convert", metis.to_str().unwrap(), snap.to_str().unwrap()]);
+    let t = txt.to_str().unwrap();
+    run_ok(&["convert", t, v2.to_str().unwrap(), "--compress"]);
+    for (out, order) in [(&v2_bfs, "bfs"), (&v2_degree, "degree")] {
+        run_ok(&[
+            "convert",
+            t,
+            out.to_str().unwrap(),
+            "--compress",
+            "--reorder",
+            order,
+        ]);
+    }
+    let compressed = [&v2, &v2_bfs, &v2_degree];
 
     // Inspect the snapshot: header + structure.
     let text = run_ok(&["inspect", snap.to_str().unwrap()]);
@@ -252,14 +270,16 @@ fn convert_inspect_and_mmap_partition_pipeline() {
     assert!(text.contains("n: 500"), "{text}");
     assert!(text.contains("m: 2000"), "{text}");
 
-    // Partition every representation with the same seed: labels must be
-    // byte-identical, and the .mpx path must report the mmap source.
-    let mut labels: Vec<String> = Vec::new();
-    for path in [&txt, &gr, &metis, &snap] {
-        let labels_path = tmp(&format!(
-            "conv-labels-{}",
-            path.extension().unwrap().to_str().unwrap()
-        ));
+    // Partition every representation with the same seed: the labels file
+    // and the stats line must be byte-identical, and the .mpx paths must
+    // report their mmap source.
+    let mut runs: Vec<(String, String)> = Vec::new();
+    for (i, path) in [&txt, &gr, &metis, &snap]
+        .into_iter()
+        .chain(compressed)
+        .enumerate()
+    {
+        let labels_path = tmp(&format!("conv-labels-{i}"));
         let text = run_ok(&[
             "partition",
             path.to_str().unwrap(),
@@ -270,26 +290,81 @@ fn convert_inspect_and_mmap_partition_pipeline() {
         if path == &snap {
             assert!(text.contains("source=mmap"), "{text}");
         }
-        labels.push(std::fs::read_to_string(&labels_path).unwrap());
+        if compressed.contains(&path) {
+            assert!(text.contains("source=mmap-compressed"), "{text}");
+        }
+        let stats_line = text.lines().next().unwrap().to_string();
+        runs.push((std::fs::read_to_string(&labels_path).unwrap(), stats_line));
         std::fs::remove_file(labels_path).ok();
     }
     assert!(
-        labels.windows(2).all(|w| w[0] == w[1]),
-        "labels differ across formats"
+        runs.windows(2).all(|w| w[0] == w[1]),
+        "labels or stats differ across formats: {runs:?}"
     );
 
-    // `profile` accepts the file as a workload.
-    let json = run_ok(&[
-        "profile",
-        &format!("file:{}", txt.to_str().unwrap()),
-        "0.2",
-        "11",
-        "--runs",
-        "2",
-    ]);
-    assert!(json.contains("\"n\": 500"), "{json}");
+    // `stats` reads every format to the same n, m and histogram.
+    let reference = run_ok(&["stats", t]);
+    for path in [&snap].into_iter().chain(compressed) {
+        assert_eq!(run_ok(&["stats", path.to_str().unwrap()]), reference);
+    }
 
-    for p in [txt, gr, metis, snap] {
+    // `profile` accepts any of the files as a workload.
+    for path in [&txt].into_iter().chain(compressed) {
+        let json = run_ok(&[
+            "profile",
+            &format!("file:{}", path.to_str().unwrap()),
+            "0.2",
+            "11",
+            "--runs",
+            "2",
+        ]);
+        assert!(json.contains("\"n\": 500"), "{json}");
+    }
+
+    for p in [txt, gr, metis, snap, v2, v2_bfs, v2_degree] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// `--weighted` picks the kind and the header picks the format: a
+/// snapshot of the other kind is one clean CLI error that names the flag,
+/// not a library type.
+#[test]
+fn snapshot_kind_mismatch_names_the_weighted_flag() {
+    let paths = [
+        "kind.txt",
+        "kind.mpx",
+        "kind-v2.mpx",
+        "kind-w.mpx",
+        "kind-back.txt",
+    ]
+    .map(tmp);
+    let [txt_s, v1_s, v2_s, w_s, back_s] = paths.each_ref().map(|p| p.to_str().unwrap());
+    run_ok(&["gen", "gnm:200:600", txt_s, "4"]);
+    run_ok(&["convert", txt_s, v1_s]);
+    run_ok(&["convert", txt_s, v2_s, "--compress"]);
+    run_ok(&["gen", "gnm:200:600", w_s, "4", "--weighted"]);
+    let (file_w, file_v2) = (format!("file:{w_s}"), format!("file:{v2_s}"));
+    for args in [
+        vec!["partition", w_s, "0.1", "1"],
+        vec!["stats", w_s],
+        vec!["convert", w_s, back_s],
+        vec!["profile", &file_w, "0.1", "1", "--runs", "1"],
+        vec!["partition", v1_s, "0.1", "1", "--weighted"],
+        vec!["partition", v2_s, "0.1", "1", "--weighted"],
+        vec!["convert", v1_s, back_s, "--weighted"],
+        vec!["profile", &file_v2, "0.1", "1", "--runs", "1", "--weighted"],
+    ] {
+        let stderr = assert_clean_error(&args);
+        // The usage text names every flag, so look at the error line.
+        let error = stderr.lines().find(|l| l.starts_with("error:")).unwrap();
+        assert!(error.contains("--weighted"), "mpx {args:?}: {error}");
+        // No library reader names (`read_*`, `Mapped*Csr`, `*Csr`).
+        for word in ["read_", "Mapped", "Csr"] {
+            assert!(!stderr.contains(word), "mpx {args:?}: {stderr}");
+        }
+    }
+    for p in paths {
         std::fs::remove_file(p).ok();
     }
 }

@@ -1,12 +1,12 @@
 //! The compressed-snapshot contract, end to end: `.mpx` v2 files drive
 //! the engine to labels byte-identical to the raw v1 path — for every
-//! traversal strategy, with and without offline reordering, owned or
-//! mmap'd — and corrupt files die with clean typed errors, never a panic
-//! or an out-of-range neighbor.
+//! traversal strategy, with and without offline reordering — and corrupt
+//! files die with clean typed errors, never a panic or an out-of-range
+//! neighbor.
 
 use mpx::compress::{
-    apply_permutation, reorder_permutation, write_compressed_snapshot, CompressedCsr,
-    MappedCompressedCsr, Reorder,
+    apply_permutation, reorder_permutation, write_compressed_snapshot, MappedCompressedCsr,
+    Reorder, Snapshot,
 };
 use mpx::decomp::{
     partition, verify_decomposition, DecompOptions, Determinism, Traversal, Workspace,
@@ -120,7 +120,8 @@ fn fast_mode_over_compressed_views_verifies() {
 }
 
 /// Truncations at every section boundary and bit-flips in every header
-/// field are rejected by both readers with clean errors.
+/// field and section are rejected with typed errors, by the v2 reader and
+/// by `Snapshot::open`.
 #[test]
 fn truncated_and_garbled_v2_snapshots_error_cleanly() {
     let g = gen::gnm(300, 1200, 7);
@@ -144,14 +145,7 @@ fn truncated_and_garbled_v2_snapshots_error_cleanly() {
         good.len() - 1,
     ] {
         std::fs::write(&p, &good[..cut]).unwrap();
-        assert!(
-            CompressedCsr::open(&p).is_err(),
-            "owned reader accepted a {cut}-byte truncation"
-        );
-        assert!(
-            MappedCompressedCsr::open(&p).is_err(),
-            "mapped reader accepted a {cut}-byte truncation"
-        );
+        assert_invalid(&p, &format!("a {cut}-byte truncation"));
     }
 
     for (at, what) in [
@@ -171,16 +165,18 @@ fn truncated_and_garbled_v2_snapshots_error_cleanly() {
         let mut bytes = good.clone();
         bytes[at] ^= 0xa5;
         std::fs::write(&p, &bytes).unwrap();
-        assert!(
-            CompressedCsr::open(&p).is_err(),
-            "owned reader accepted bad {what}"
-        );
-        assert!(
-            MappedCompressedCsr::open(&p).is_err(),
-            "mapped reader accepted bad {what}"
-        );
+        assert_invalid(&p, &format!("bad {what}"));
     }
     std::fs::remove_file(p).ok();
+}
+
+/// Asserts that the v2 reader and `Snapshot::open` both refuse `p` with
+/// `InvalidData`.
+fn assert_invalid(p: &std::path::Path, what: &str) {
+    for e in [MappedCompressedCsr::open(p).err(), Snapshot::open(p).err()] {
+        let e = e.unwrap_or_else(|| panic!("accepted {what}"));
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}");
+    }
 }
 
 /// Corruption that *passes* the checksum (flipped payload byte with the
@@ -201,10 +197,9 @@ fn checksummed_corruption_fails_structural_validation() {
         let sum = snapshot::payload_checksum(&bytes[snapshot::HEADER_LEN..]);
         bytes[32..40].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&p, &bytes).unwrap();
-        match CompressedCsr::open(&p) {
+        match MappedCompressedCsr::open(&p) {
             Err(e) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "byte {at}: {e}");
-                assert!(MappedCompressedCsr::open(&p).is_err());
                 caught += 1;
             }
             // A flip may land in varint slack and decode to the same
@@ -249,7 +244,7 @@ proptest! {
             None => g.clone(),
         };
         write_compressed_snapshot(&stored, perm.as_deref(), &p).unwrap();
-        let c = CompressedCsr::open(&p).unwrap();
+        let c = MappedCompressedCsr::open(&p).unwrap();
         prop_assert_eq!(c.to_graph(), stored);
         let d = match c.permutation() {
             Some(perm) => {

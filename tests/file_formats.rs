@@ -3,8 +3,10 @@
 //! snapshots drive the engine to byte-identical labels under every
 //! traversal strategy, and malformed inputs die with clean errors.
 
+use mpx::compress::{codec, write_compressed_snapshot, MappedCompressedCsr, Snapshot};
 use mpx::decomp::{partition, DecompOptions, Traversal};
-use mpx::graph::{gen, io, snapshot, CsrGraph, GraphFormat, TextParser, Vertex};
+use mpx::graph::snapshot::{self, MappedCsr, MappedWeightedCsr, HEADER_LEN};
+use mpx::graph::{gen, io, CsrGraph, GraphFormat, TextParser, Vertex, WeightedCsrGraph};
 use proptest::prelude::*;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -48,7 +50,7 @@ fn mapped_snapshot_partitions_identically_under_every_strategy() {
     let g = gen::rmat(10, 8 << 10, 0.57, 0.19, 0.19, 4);
     let p = tmp("strategies.mpx");
     snapshot::write_snapshot(&g, &p).unwrap();
-    let mapped = snapshot::MappedCsr::open(&p).unwrap();
+    let mapped = MappedCsr::open(&p).unwrap();
     for strategy in [
         Traversal::Auto,
         Traversal::TopDownPar,
@@ -130,20 +132,14 @@ fn truncated_and_garbled_snapshots_error_cleanly() {
     let good = std::fs::read(&p).unwrap();
 
     // Truncations at every interesting boundary.
-    for cut in [
-        0,
-        4,
-        snapshot::HEADER_LEN - 1,
-        snapshot::HEADER_LEN + 5,
-        good.len() - 1,
-    ] {
+    for cut in [0, 4, HEADER_LEN - 1, HEADER_LEN + 5, good.len() - 1] {
         std::fs::write(&p, &good[..cut]).unwrap();
         assert!(
             io::read_graph(&p).is_err(),
-            "owned load accepted a {cut}-byte truncation"
+            "read_graph accepted a {cut}-byte truncation"
         );
         assert!(
-            snapshot::MappedCsr::open(&p).is_err(),
+            MappedCsr::open(&p).is_err(),
             "mmap load accepted a {cut}-byte truncation"
         );
     }
@@ -162,14 +158,63 @@ fn truncated_and_garbled_snapshots_error_cleanly() {
         std::fs::write(&p, &bytes).unwrap();
         assert!(
             io::read_graph(&p).is_err(),
-            "owned load accepted bad {what}"
+            "read_graph accepted bad {what}"
         );
         assert!(
-            snapshot::MappedCsr::open(&p).is_err(),
+            MappedCsr::open(&p).is_err(),
             "mmap load accepted bad {what}"
         );
     }
     std::fs::remove_file(p).ok();
+}
+
+/// A checksummed file whose lists are sorted, in range and loop-free but
+/// not symmetric — one arc at the highest-degree vertex has no reverse —
+/// is refused with `InvalidData` in every format, by the format's reader
+/// and by `Snapshot::open`.
+#[test]
+fn asymmetric_hub_is_rejected_in_every_format() {
+    // A star with hub 0 and leaves 1..=k, plus an isolated vertex k + 1.
+    // The forgery redirects the hub's last arc 0 → k to 0 → k + 1.
+    let k: Vertex = 40;
+    let edges: Vec<(Vertex, Vertex, f64)> = (1..=k).map(|v| (0, v, 1.5)).collect();
+    let wg = WeightedCsrGraph::from_edges(k as usize + 2, &edges);
+    let g = wg.to_unweighted();
+    let n = g.num_vertices();
+    let hub: Vec<Vertex> = (1..k).chain([k + 1]).collect();
+
+    // Overwrites `at..` with `new` and recomputes the checksum.
+    let forge = |p: &std::path::Path, at: usize, new: &[u8]| {
+        let mut bytes = std::fs::read(p).unwrap();
+        bytes[at..at + new.len()].copy_from_slice(new);
+        let sum = snapshot::payload_checksum(&bytes[HEADER_LEN..]);
+        bytes[32..40].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(p, bytes).unwrap();
+    };
+    let (v1, weighted, v2) = (tmp("asym.v1.mpx"), tmp("asym.w.mpx"), tmp("asym.v2.mpx"));
+    snapshot::write_snapshot(&g, &v1).unwrap();
+    snapshot::write_weighted_snapshot(&wg, &weighted).unwrap();
+    write_compressed_snapshot(&g, None, &v2).unwrap();
+    let last_arc = HEADER_LEN + 8 * (n + 1) + 4 * (k as usize - 1);
+    forge(&v1, last_arc, &(k + 1).to_le_bytes());
+    forge(&weighted, last_arc, &(k + 1).to_le_bytes());
+    let mut list = vec![0u8; codec::encoded_list_len(0, &hub)];
+    codec::encode_list(0, &hub, &mut list, &mut 0);
+    assert_eq!(list.len(), codec::encoded_list_len(0, g.neighbors(0)));
+    forge(&v2, HEADER_LEN + 8 * (n + 1) + 4 * n, &list);
+
+    for (p, typed) in [
+        (&v1, MappedCsr::open(&v1).err()),
+        (&weighted, MappedWeightedCsr::open(&weighted).err()),
+        (&v2, MappedCompressedCsr::open(&v2).err()),
+    ] {
+        for e in [typed, Snapshot::open(p).err()] {
+            let e = e.unwrap_or_else(|| panic!("{}: asymmetric hub accepted", p.display()));
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains("asymmetric"), "{e}");
+        }
+        std::fs::remove_file(p).ok();
+    }
 }
 
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {

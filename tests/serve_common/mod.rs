@@ -5,7 +5,8 @@
 //! these helpers, so per-binary dead-code analysis is not meaningful.
 #![allow(dead_code)]
 
-use mpx::serve::{ServeSnapshot, Server, ServerConfig, ServerStats, ShutdownHandle};
+use mpx::compress::Snapshot;
+use mpx::serve::{Server, ServerConfig, ServerStats, ShutdownHandle};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,7 +86,7 @@ impl TestServer {
     ) -> TestServer {
         let snapshots = snapshot_paths
             .iter()
-            .map(|p| ServeSnapshot::open(p).expect("open test snapshot"))
+            .map(|p| Snapshot::open(p).expect("open test snapshot"))
             .collect();
         let config = ServerConfig {
             workers,
