@@ -15,9 +15,11 @@
 //! garbled stream must produce a clean error, not a silent wraparound).
 //!
 //! Everything here is pure slice-in/slice-out logic shared by the
-//! parallel encoder and the snapshot reader; the checked decode paths
-//! ([`validate_list`], [`decode_list`]) are what makes a corrupt v2
-//! payload fail typed instead of panicking.
+//! parallel encoder and the snapshot reader. The reader checks each list
+//! with [`validate_list`], then reads every arc once more with
+//! [`get_varint`] in the symmetry merge
+//! (`mpx_graph::snapshot::check_reverse_arcs`); those checked paths are
+//! what makes a corrupt v2 payload fail typed instead of panicking.
 
 use mpx_graph::Vertex;
 
@@ -67,6 +69,19 @@ pub fn put_varint(buf: &mut [u8], pos: &mut usize, mut v: u64) {
 /// value overflow) encoding.
 #[inline]
 pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    // One- and two-byte varints cover almost every gap (bytes/arc sits
+    // near 2 even on unordered random graphs). Decode them without a
+    // branch on the length, which is as unpredictable as the gap; a
+    // missing second byte reads as a continuation byte, so a truncated
+    // varint takes the loop below.
+    let tail = bytes.get(*pos..)?;
+    let b0 = *tail.first()? as u64;
+    let b1 = tail.get(1).map_or(0x80, |&b| b as u64);
+    if b0 & b1 & 0x80 == 0 {
+        let two = b0 >> 7;
+        *pos += 1 + two as usize;
+        return Some((b0 & 0x7f) | ((b1 << 7) * two));
+    }
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -159,21 +174,7 @@ impl Iterator for DecodeNeighbors<'_> {
         if self.remaining == 0 {
             return None;
         }
-        // One- and two-byte varints cover almost every gap (bytes/arc sits
-        // near 2 even on unordered random graphs), so decode those inline
-        // and fall back to the general loop only for longer groups.
-        let tail = self.bytes.get(self.pos..)?;
-        let raw = match *tail {
-            [b0, ..] if b0 < 0x80 => {
-                self.pos += 1;
-                b0 as u64
-            }
-            [b0, b1, ..] if b1 < 0x80 => {
-                self.pos += 2;
-                ((b0 & 0x7f) as u64) | ((b1 as u64) << 7)
-            }
-            _ => get_varint(self.bytes, &mut self.pos)?,
-        };
+        let raw = get_varint(self.bytes, &mut self.pos)?;
         self.remaining -= 1;
         // Wrapping: validated streams never wrap; unvalidated ones must
         // not panic in debug builds either (the type docs promise
@@ -240,21 +241,6 @@ pub fn validate_list(v: Vertex, degree: u32, bytes: &[u8], n: usize) -> Result<(
 /// the tests; the engine path streams via [`DecodeNeighbors`] instead).
 pub fn decode_list(v: Vertex, degree: u32, bytes: &[u8]) -> Vec<Vertex> {
     DecodeNeighbors::new(v, degree, bytes).collect()
-}
-
-/// Whether the **validated** encoded list of `v` contains `target`.
-/// Streams with early exit — the list is ascending — so the symmetry
-/// audit costs `O(position of target)` per probe.
-pub fn list_contains(v: Vertex, degree: u32, bytes: &[u8], target: Vertex) -> bool {
-    for t in DecodeNeighbors::new(v, degree, bytes) {
-        if t == target {
-            return true;
-        }
-        if t > target {
-            return false;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -345,10 +331,6 @@ mod tests {
             assert_eq!(pos, len, "length pass must match encode pass");
             assert_eq!(&decode_list(*v, nbrs.len() as u32, &buf), nbrs);
             assert!(validate_list(*v, nbrs.len() as u32, &buf, 1001).is_ok());
-            for &t in nbrs.iter() {
-                assert!(list_contains(*v, nbrs.len() as u32, &buf, t));
-            }
-            assert!(!list_contains(*v, nbrs.len() as u32, &buf, *v));
         }
     }
 

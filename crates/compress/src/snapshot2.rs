@@ -22,8 +22,8 @@
 use crate::codec;
 use mpx_graph::snapshot::filebuf::FileBytes;
 use mpx_graph::snapshot::{
-    check_payload, payload_checksum, SnapshotHeader, FLAG_COMPRESSED, FLAG_PERMUTED, HEADER_LEN,
-    VERSION2,
+    check_payload, check_reverse_arcs, first_bad_list, payload_checksum, SnapshotHeader,
+    FLAG_COMPRESSED, FLAG_PERMUTED, HEADER_LEN, VERSION2,
 };
 use mpx_graph::{CsrGraph, GraphView, Vertex};
 use rayon::prelude::*;
@@ -165,12 +165,14 @@ fn section_starts(h: &SnapshotHeader) -> (usize, usize, usize, usize) {
 
 /// Open-time validation over the mapped sections — the compressed twin of
 /// the v1 structural audit. A checksum only proves the bytes match what
-/// some writer produced, so everything is re-derived:
-/// monotonic byte offsets covering the stream exactly, degrees summing to
-/// `2m`, every list decoding to exactly its degree of strictly-ascending,
-/// in-range, loop-free neighbors consuming exactly its byte range,
-/// symmetry via streaming probes, and (when present) the permutation
-/// being a bijection on `0..n`.
+/// some writer produced, so everything is re-derived: monotonic byte
+/// offsets covering the stream exactly; degrees summing to `2m`; every
+/// list decoding to exactly its degree of strictly ascending, in-range,
+/// loop-free neighbors and consuming exactly its byte range (in parallel,
+/// reporting the lowest bad vertex); when present, the permutation being a
+/// bijection on `0..n` (one pass over an `n`-bit map); and last, symmetry
+/// in the one sequential merge shared with the v1 readers
+/// ([`check_reverse_arcs`]), which decodes every arc once.
 fn validate_sections(
     n: usize,
     m: u64,
@@ -196,38 +198,48 @@ fn validate_sections(
         )));
     }
     let list = |v: usize| &enc[offsets[v] as usize..offsets[v + 1] as usize];
-    let per_vertex: Vec<(usize, String)> = (0..n)
-        .into_par_iter()
-        .filter_map(|v| {
-            codec::validate_list(v as Vertex, degrees[v], list(v), n)
-                .err()
-                .map(|e| (v, e))
-        })
-        .collect();
-    if let Some((_, e)) = per_vertex.first() {
-        return Err(bad(format!("compressed snapshot adjacency invalid: {e}")));
-    }
-    // Lists are now individually well-formed; audit symmetry.
-    let symmetric = (0..n).into_par_iter().all(|v| {
-        codec::DecodeNeighbors::new(v as Vertex, degrees[v], list(v))
-            .all(|t| codec::list_contains(t, degrees[t as usize], list(t as usize), v as Vertex))
-    });
-    if !symmetric {
-        return Err(bad("compressed snapshot adjacency asymmetric"));
-    }
+    first_bad_list(n, |v| {
+        codec::validate_list(v as Vertex, degrees[v], list(v), n)
+    })
+    .map_err(|e| bad(format!("compressed snapshot adjacency invalid: {e}")))?;
     if let Some(p) = perm {
-        if p.len() != n {
-            return Err(bad("compressed snapshot permutation length mismatch"));
-        }
-        let mut sorted = p.to_vec();
-        sorted.par_sort_unstable();
-        if !(0..n).all(|i| sorted[i] == i as Vertex) {
-            return Err(bad(
-                "compressed snapshot permutation is not a bijection on 0..n",
-            ));
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        for &o in p {
+            let (word, bit) = (o as usize / 64, 1u64 << (o % 64));
+            if o as usize >= n {
+                return Err(bad(format!(
+                    "compressed snapshot permutation holds {o}, out of range 0..{n}"
+                )));
+            }
+            if seen[word] & bit != 0 {
+                return Err(bad(format!(
+                    "compressed snapshot permutation repeats original id {o}"
+                )));
+            }
+            seen[word] |= bit;
         }
     }
-    Ok(())
+    // Every list is now well-formed, so each entry is the previous one
+    // plus a gap below 2^32, in wrapping `u32` arithmetic. The first entry
+    // is `v + unzigzag(raw)`, so the base it adds its raw varint to is
+    // `v + unzigzag(raw) − raw`.
+    check_reverse_arcs(
+        n,
+        |v| offsets[v],
+        |v| {
+            let raw = codec::get_varint(enc, &mut (offsets[v] as usize)).unwrap_or(0);
+            (v as Vertex)
+                .wrapping_add(codec::unzigzag(raw) as Vertex)
+                .wrapping_sub(raw as Vertex)
+        },
+        |at, prev| {
+            let mut pos = *at as usize;
+            let gap = codec::get_varint(enc, &mut pos)?;
+            *at = pos as u64;
+            Some((prev.wrapping_add(gap as Vertex), 0))
+        },
+    )
+    .map_err(|e| bad(format!("compressed snapshot {e}")))
 }
 
 /// A zero-copy, memory-mapped version-2 snapshot.

@@ -179,39 +179,13 @@ impl CsrGraph {
             .unwrap_or(0)
     }
 
-    /// Checks all CSR invariants, returning a human-readable error on
-    /// violation. Intended for tests and debug assertions.
+    /// Checks all CSR invariants, returning a human-readable error that
+    /// names the offending vertex: the offsets, then every list in
+    /// parallel, then symmetry in one linear merge
+    /// ([`crate::snapshot::check_reverse_arcs`]) — the audit the `.mpx`
+    /// readers run on a file.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.num_vertices();
-        if self.offsets[0] != 0 {
-            return Err("offsets[0] != 0".into());
-        }
-        if *self.offsets.last().unwrap() != self.targets.len() {
-            return Err("offsets[n] != targets.len()".into());
-        }
-        for v in 0..n {
-            if self.offsets[v] > self.offsets[v + 1] {
-                return Err(format!("offsets decrease at {v}"));
-            }
-            let nbrs = &self.targets[self.offsets[v]..self.offsets[v + 1]];
-            for w in nbrs.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(format!("neighbors of {v} not strictly sorted"));
-                }
-            }
-            for &u in nbrs {
-                if u as usize >= n {
-                    return Err(format!("neighbor {u} of {v} out of range"));
-                }
-                if u as usize == v {
-                    return Err(format!("self-loop at {v}"));
-                }
-                if self.neighbors(u).binary_search(&(v as Vertex)).is_err() {
-                    return Err(format!("edge ({v},{u}) not symmetric"));
-                }
-            }
-        }
-        Ok(())
+        crate::snapshot::audit_csr(&self.offsets, &self.targets, None)
     }
 
     /// Builds the quotient (cluster) graph under a labeling.

@@ -144,30 +144,12 @@ impl WeightedCsrGraph {
         g
     }
 
-    /// Checks invariants (symmetry, sortedness, positive finite weights).
+    /// Checks every invariant of [`CsrGraph::validate`] plus finite,
+    /// strictly positive weights with equal bits on both directions of an
+    /// edge, in the same linear audit; the error names the offending
+    /// vertex.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.num_vertices();
-        if self.targets.len() != self.weights.len() {
-            return Err("targets/weights length mismatch".into());
-        }
-        for v in 0..n as Vertex {
-            let nbrs = self.neighbors(v);
-            for w in nbrs.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(format!("neighbors of {v} not strictly sorted"));
-                }
-            }
-            for (u, wt) in self.neighbors_weighted(v) {
-                if !(wt.is_finite() && wt > 0.0) {
-                    return Err(format!("bad weight {wt} on ({v},{u})"));
-                }
-                match self.edge_weight(u, v) {
-                    Some(back) if back == wt => {}
-                    _ => return Err(format!("edge ({v},{u}) not symmetric")),
-                }
-            }
-        }
-        Ok(())
+        crate::snapshot::audit_csr(&self.offsets, &self.targets, Some(&self.weights))
     }
 }
 

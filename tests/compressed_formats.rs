@@ -179,6 +179,40 @@ fn assert_invalid(p: &std::path::Path, what: &str) {
     }
 }
 
+/// A permutation section that is not a bijection on `0..n`, behind a
+/// recomputed checksum, is refused with an error naming the permutation:
+/// relabelling through it would index out of range or collide.
+#[test]
+fn forged_permutations_are_refused_by_name() {
+    let g = gen::gnm(300, 1200, 11);
+    let n = g.num_vertices();
+    let p = tmp("forged-perm.mpx");
+    let perm = reorder_permutation(&g, Reorder::Bfs).unwrap();
+    write_compressed_snapshot(&apply_permutation(&g, &perm), Some(&perm), &p).unwrap();
+    let good = std::fs::read(&p).unwrap();
+    let perm_at = snapshot::HEADER_LEN + 8 * (n + 1) + 4 * n;
+    for (what, entry, value) in [
+        ("a repeated entry", 1, perm[0]),
+        ("an entry >= n", 0, n as Vertex),
+    ] {
+        let mut bytes = good.clone();
+        let at = perm_at + 4 * entry;
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let sum = snapshot::payload_checksum(&bytes[snapshot::HEADER_LEN..]);
+        bytes[32..40].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&p, &bytes).unwrap();
+        for e in [
+            MappedCompressedCsr::open(&p).err(),
+            Snapshot::open(&p).err(),
+        ] {
+            let e = e.unwrap_or_else(|| panic!("accepted {what}"));
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}");
+            assert!(e.to_string().contains("permutation"), "{what}: {e}");
+        }
+    }
+    std::fs::remove_file(p).ok();
+}
+
 /// Corruption that *passes* the checksum (flipped payload byte with the
 /// checksum recomputed to match) must still be caught by the structural
 /// audit — a typed `InvalidData`, never a panic or a bad neighbor.
