@@ -368,8 +368,9 @@ impl DecomposerBuilder {
         self
     }
 
-    /// Sets the Beamer switch constant for [`Traversal::Auto`]. Zero is
-    /// rejected at [`build`](DecomposerBuilder::build) time.
+    /// Sets the per-read cost ratio of [`Traversal::Auto`]'s switch (see
+    /// [`DecompOptions::alpha`]). Zero is rejected at
+    /// [`build`](DecomposerBuilder::build) time.
     pub fn alpha(mut self, alpha: u64) -> Self {
         self.opts.alpha = alpha;
         self

@@ -18,9 +18,10 @@
 //!
 //! * a [`Traversal`] strategy — [`Traversal::TopDownPar`],
 //!   [`Traversal::TopDownSeq`], [`Traversal::BottomUp`], or
-//!   [`Traversal::Auto`] (Beamer-style direction optimization switching on
-//!   the [`DecompOptions::alpha`](crate::DecompOptions::alpha) heuristic) —
-//!   all **bit-identical** in output, and
+//!   [`Traversal::Auto`] (direction optimization: each round takes the
+//!   direction that reads less, with a top-down read weighted by
+//!   [`DecompOptions::alpha`](crate::DecompOptions::alpha)) — all
+//!   **bit-identical** in output, and
 //! * a [`GraphView`] — the whole [`CsrGraph`](mpx_graph::CsrGraph), a
 //!   zero-copy [`InducedView`](mpx_graph::InducedView) of a vertex subset,
 //!   or an [`EdgeFilteredView`](mpx_graph::EdgeFilteredView) of an edge
@@ -46,6 +47,23 @@
 //! payoff on fat frontiers. Thin rounds of any parallel strategy run
 //! inline: the worker-pool fan-out costs more than the round's whole work
 //! on mesh-like graphs (an output-invisible scheduling choice).
+//!
+//! [`Traversal::Auto`] charges each direction what it reads this round.
+//! Top-down reads its wake bucket and every frontier arc. Bottom-up reads
+//! every entry of the unsettled list it compacts and every unsettled arc:
+//! it needs the minimum claim key, so unlike the bottom-up step of a plain
+//! BFS it cannot stop at the first neighbour settled last round. A round
+//! goes bottom-up only when `alpha × top-down reads > bottom-up reads`.
+//!
+//! This keeps Auto's work linear, as in the paper. Every vertex wakes in
+//! exactly one bucket and is the frontier of exactly one round, so the
+//! top-down reads of all rounds sum to at most `n + 2m`, whichever
+//! directions are taken. A round never reads more than `alpha` times its
+//! top-down reads, so a whole run reads at most `alpha · (n + 2m)`
+//! entries: `O(n + m)` work for a constant `alpha`. The first bottom-up
+//! round builds the unsettled list from `0..n` and records every vertex's
+//! settling round from its labels, so a run that stays top-down neither
+//! allocates the list nor writes a settled-round array.
 
 use crate::decomposition::Decomposition;
 use crate::options::{Determinism, Traversal};
@@ -100,7 +118,8 @@ pub fn partition_view_with_shifts<V: GraphView>(
     )
 }
 
-/// Below this many edge scans a round runs inline: the worker-pool
+/// Below this many reads (the round's count in its direction, the same
+/// count [`Traversal::Auto`] compares) a round runs inline: the worker-pool
 /// fan-out and collect (about 0.15 ms per round at 2 threads; traced on
 /// a 400×400 grid, rounds of ~9,700 arcs took 0.38 ms in parallel where
 /// inline rounds cost ~25 ns per arc) otherwise dominates thin-frontier,
@@ -126,8 +145,9 @@ pub struct EngineScratch {
     assignment: Vec<AtomicU32>,
     /// Hop distance to the winning center.
     dist: Vec<AtomicU32>,
-    /// Round in which a vertex settled (`u32::MAX` = unsettled); only
-    /// maintained for bottom-up-capable strategies.
+    /// Round in which a vertex settled (`u32::MAX` = unsettled). Written
+    /// only from a run's first bottom-up round on, which fills every slot,
+    /// so it is never reset.
     settled_round: Vec<AtomicU32>,
     /// Vertices grouped by wake round (counting-sorted, ascending ids
     /// within a round — the same order the historical per-round bucket
@@ -167,9 +187,8 @@ impl EngineScratch {
         strategy: Traversal,
         determinism: Determinism,
     ) {
-        let bottom_up_capable = matches!(strategy, Traversal::Auto | Traversal::BottomUp);
-        // Pure bottom-up never bids through `claim`; pure top-down never
-        // reads `settled_round` — skip the resets the strategy can't see.
+        // Pure bottom-up never bids through `claim` — skip the reset it
+        // can't see.
         if strategy != Traversal::BottomUp {
             reset_atomic_u64(&mut self.claim, n, u64::MAX);
         }
@@ -185,8 +204,8 @@ impl EngineScratch {
             reset_atomic_u32(&mut self.assignment, n, NO_VERTEX);
             reset_atomic_u32(&mut self.dist, n, 0);
         }
-        if bottom_up_capable {
-            reset_atomic_u32(&mut self.settled_round, n, u32::MAX);
+        if matches!(strategy, Traversal::Auto | Traversal::BottomUp) {
+            grow_atomic_u32(&mut self.settled_round, n);
         }
 
         // Counting sort of the vertices by wake round. Ascending vertex
@@ -248,8 +267,8 @@ fn reset_atomic_u64(v: &mut Vec<AtomicU64>, n: usize, init: u64) {
     }
 }
 
-/// Grows `v` to length `n` without resetting existing slots (Fast-mode
-/// arrays whose every live slot is overwritten before being read).
+/// Grows `v` to length `n` without resetting existing slots (arrays whose
+/// every live slot is overwritten before being read).
 fn grow_atomic_u32(v: &mut Vec<AtomicU32>, n: usize) {
     if v.len() < n {
         v.resize_with(n, || AtomicU32::new(0));
@@ -334,13 +353,12 @@ fn partition_view_protocol<V: GraphView>(
     }
 
     let fast = determinism == Determinism::Fast;
-    let bottom_up_capable = matches!(strategy, Traversal::Auto | Traversal::BottomUp);
     scratch.prepare(n, shifts, strategy, determinism);
     let (claim_ref, assignment_ref, dist_ref, settled_ref) = (
         &scratch.claim[..n.min(scratch.claim.len())],
         &scratch.assignment[..n],
         &scratch.dist[..n],
-        &scratch.settled_round[..if bottom_up_capable { n } else { 0 }],
+        &scratch.settled_round[..n.min(scratch.settled_round.len())],
     );
     // Lost CAS races (pre-check saw an unclaimed slot, the exchange found
     // it taken). Contention-proportional, so the relaxed `fetch_add` on a
@@ -356,13 +374,13 @@ fn partition_view_protocol<V: GraphView>(
     );
     let mut telemetry = PartitionTelemetry::default();
     let mut frontier: Vec<Vertex> = Vec::new();
-    // Unsettled vertices (compacted lazily) and their total view degree,
-    // maintained only for the bottom-up-capable strategies.
-    let mut unsettled: Vec<Vertex> = if bottom_up_capable {
-        (0..n as Vertex).collect()
-    } else {
-        Vec::new()
-    };
+    // The frontier's total view degree, carried over from the round that
+    // settled it (round 0's frontier is empty).
+    let mut frontier_degree: u64 = 0;
+    // Unsettled vertices, compacted lazily, and their total view degree.
+    // The list is built from `0..n` by the first bottom-up round, so runs
+    // that never go bottom-up never allocate it.
+    let mut unsettled: Option<Vec<Vertex>> = None;
     let mut unsettled_degree: u64 = view.total_degree();
     let mut settled = 0usize;
     let mut round = 0usize;
@@ -370,13 +388,21 @@ fn partition_view_protocol<V: GraphView>(
     while settled < n {
         telemetry.rounds += 1;
         let r32 = round as u32;
-        let frontier_degree: u64 = frontier.iter().map(|&u| view.degree(u) as u64).sum();
         let bucket = scratch.bucket(round);
+        // What each direction reads this round: top-down its wake bucket
+        // and every frontier arc, bottom-up every entry of the unsettled
+        // list it compacts and every unsettled arc.
+        let listed = unsettled.as_ref().map_or(n, Vec::len);
+        // `settled_round` is live once the first bottom-up round has
+        // filled it; top-down rounds before that need not record it.
+        let rounds_recorded = unsettled.is_some();
+        let top_down_reads = bucket.len() as u64 + frontier_degree;
+        let bottom_up_reads = listed as u64 + unsettled_degree;
 
         let bottom_up = match strategy {
             Traversal::TopDownPar | Traversal::TopDownSeq => false,
             Traversal::BottomUp => true,
-            Traversal::Auto => frontier_degree.saturating_mul(alpha) > unsettled_degree,
+            Traversal::Auto => top_down_reads.saturating_mul(alpha) > bottom_up_reads,
         };
 
         // The direction-switch decision and its inputs ride on the round
@@ -384,44 +410,63 @@ fn partition_view_protocol<V: GraphView>(
         let _round_span = mpx_trace::span!(
             "engine.round",
             round = round,
+            bucket = bucket.len(),
             frontier = frontier.len(),
             frontier_degree = frontier_degree,
+            listed = listed,
             unsettled_degree = unsettled_degree,
             bottom_up = bottom_up,
         );
 
         let touched: Vec<Vertex> = if bottom_up {
             telemetry.bottom_up_rounds += 1;
-            // The whole round's scan cost is the remaining unsettled degree;
-            // thin rounds run inline like their top-down counterparts.
-            let par = unsettled_degree >= SEQ_ROUND_CUTOFF;
+            // Thin rounds run inline like their top-down counterparts.
+            let par = bottom_up_reads >= SEQ_ROUND_CUTOFF;
             // Compact the unsettled list first so the scan below only
             // visits live vertices.
-            {
-                let _compact_span = mpx_trace::span!("engine.compact", live = unsettled.len());
-                unsettled = if par {
-                    unsettled
-                        .par_iter()
-                        .copied()
-                        .filter(|&v| settled_ref[v as usize].load(Ordering::Relaxed) == u32::MAX)
-                        .collect()
+            let live = |&v: &Vertex| settled_ref[v as usize].load(Ordering::Relaxed) == u32::MAX;
+            // The first bottom-up round filters `0..n` instead, recording
+            // each vertex's settling round as it goes: its center's wake
+            // round plus its distance, or `u32::MAX` while unsettled. (Fast
+            // leaves stale labels in unclaimed slots, so it asks `claim`;
+            // before anything settles, as in pure bottom-up's round 0,
+            // nothing is asked: `claim` is not even reset there.)
+            let record = |v: Vertex| -> bool {
+                let claimed = settled > 0
+                    && if fast {
+                        claim_ref[v as usize].load(Ordering::Relaxed) != u64::MAX
+                    } else {
+                        assignment_ref[v as usize].load(Ordering::Relaxed) != NO_VERTEX
+                    };
+                let r = if claimed {
+                    let center = assignment_ref[v as usize].load(Ordering::Relaxed);
+                    shifts.start_round[center as usize]
+                        + dist_ref[v as usize].load(Ordering::Relaxed)
                 } else {
-                    unsettled
-                        .iter()
-                        .copied()
-                        .filter(|&v| settled_ref[v as usize].load(Ordering::Relaxed) == u32::MAX)
-                        .collect()
+                    u32::MAX
                 };
-            }
-            let scan_relaxations = unsettled
-                .iter()
-                .map(|&v| view.degree(v) as u64)
-                .sum::<u64>();
-            telemetry.relaxations += scan_relaxations;
+                settled_ref[v as usize].store(r, Ordering::Relaxed);
+                !claimed
+            };
+            let list: Vec<Vertex> = {
+                let _compact_span = mpx_trace::span!("engine.compact", live = listed);
+                match unsettled.take() {
+                    Some(list) if par => list.par_iter().copied().filter(live).collect(),
+                    Some(list) => list.into_iter().filter(live).collect(),
+                    None if par => (0..n as Vertex)
+                        .into_par_iter()
+                        .filter(|&v| record(v))
+                        .collect(),
+                    None => (0..n as Vertex).filter(|&v| record(v)).collect(),
+                }
+            };
+            // The compacted list holds exactly the unsettled vertices, so
+            // the scan reads `unsettled_degree` arcs.
+            telemetry.relaxations += unsettled_degree;
             let _scan_span = mpx_trace::span!(
                 "engine.scan",
-                unsettled = unsettled.len(),
-                relaxations = scan_relaxations,
+                unsettled = list.len(),
+                relaxations = unsettled_degree,
             );
             // Round 0 has no "settled last round" side; only wake bids.
             let prev = r32.checked_sub(1);
@@ -457,23 +502,23 @@ fn partition_view_protocol<V: GraphView>(
                 settled_ref[v as usize].store(r32, Ordering::Relaxed);
                 true
             };
-            if par {
-                unsettled
-                    .par_iter()
+            let touched = if par {
+                list.par_iter()
                     .with_min_len(128)
                     .copied()
                     .filter(|&v| scan(v))
                     .collect()
             } else {
-                unsettled.iter().copied().filter(|&v| scan(v)).collect()
-            }
+                list.iter().copied().filter(|&v| scan(v)).collect()
+            };
+            unsettled = Some(list);
+            touched
         } else {
             // Thin rounds run inline: the per-round worker fan-out costs
             // more than the round's whole work on mesh-like graphs
             // (hundreds of rounds of tiny frontiers). The claim logic — and
             // therefore the output — is identical on both paths.
-            let par = strategy != Traversal::TopDownSeq
-                && frontier_degree + bucket.len() as u64 >= SEQ_ROUND_CUTOFF;
+            let par = strategy != Traversal::TopDownSeq && top_down_reads >= SEQ_ROUND_CUTOFF;
 
             // Fast's single-shot claim: the first successful exchange wins
             // the vertex permanently and settles it on the spot — there is
@@ -492,7 +537,7 @@ fn partition_view_protocol<V: GraphView>(
                     Ok(_) => {
                         assignment_ref[v as usize].store(center, Ordering::Relaxed);
                         dist_ref[v as usize].store(dist, Ordering::Relaxed);
-                        if bottom_up_capable {
+                        if rounds_recorded {
                             settled_ref[v as usize].store(r32, Ordering::Relaxed);
                         }
                         true
@@ -594,7 +639,7 @@ fn partition_view_protocol<V: GraphView>(
                     assignment_ref[v as usize].store(center, Ordering::Relaxed);
                     dist_ref[v as usize]
                         .store(r32 - shifts.start_round[center as usize], Ordering::Relaxed);
-                    if bottom_up_capable {
+                    if rounds_recorded {
                         settled_ref[v as usize].store(r32, Ordering::Relaxed);
                     }
                 };
@@ -608,9 +653,10 @@ fn partition_view_protocol<V: GraphView>(
             touched
         };
 
-        if bottom_up_capable {
-            unsettled_degree -= touched.iter().map(|&v| view.degree(v) as u64).sum::<u64>();
-        }
+        // Summed once: the next round's frontier degree, and what leaves
+        // the unsettled side.
+        frontier_degree = touched.iter().map(|&v| view.degree(v) as u64).sum();
+        unsettled_degree -= frontier_degree;
         settled += touched.len();
         frontier = touched;
         round += 1;
@@ -713,6 +759,51 @@ mod tests {
                     assert!(t.relaxations <= 2 * g.num_arcs() as u64, "strategy {s:?}");
                 }
             }
+        }
+    }
+
+    /// Auto and TopDownPar over the same shifts: equal labels, and both
+    /// telemetries for the caller's work comparison.
+    fn auto_against_top_down(g: &CsrGraph, seed: u64) -> (PartitionTelemetry, PartitionTelemetry) {
+        let o = opts(0.1, seed);
+        let shifts = ExpShifts::generate(g.num_vertices(), &o);
+        let (d_td, t_td) = partition_view_with_shifts(g, &shifts, Traversal::TopDownPar, o.alpha);
+        let (d_auto, t_auto) = partition_view_with_shifts(g, &shifts, Traversal::Auto, o.alpha);
+        assert_eq!(d_auto, d_td, "seed {seed}");
+        (t_auto, t_td)
+    }
+
+    #[test]
+    fn auto_reads_no_more_than_top_down_on_meshes() {
+        // A mesh's unsettled side always outweighs its thin frontier, so
+        // charging bottom-up its list and every unsettled arc keeps Auto
+        // top-down throughout.
+        for g in [gen::grid2d(200, 200), gen::path(20_000)] {
+            for seed in 1..=4 {
+                let (t_auto, t_td) = auto_against_top_down(&g, seed);
+                assert!(
+                    t_auto.relaxations <= t_td.relaxations,
+                    "n {} seed {seed}: auto {t_auto:?} top-down {t_td:?}",
+                    g.num_vertices()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn auto_reads_less_than_top_down_on_rmat_with_isolated_vertices() {
+        // RMAT leaves many vertices isolated; they wake in every round,
+        // and a bottom-up round would list them all again. Only the hub
+        // rounds may go bottom-up, and those save work. Under the rule
+        // that charged neither the list nor the bucket, these (graph
+        // seed, shift seed) pairs read more than top-down.
+        for (graph_seed, seed) in [(1, 4), (4, 4), (6, 3), (9, 3)] {
+            let g = gen::rmat(12, 8 << 12, 0.57, 0.19, 0.19, graph_seed);
+            let (t_auto, t_td) = auto_against_top_down(&g, seed);
+            assert!(
+                t_auto.relaxations < t_td.relaxations,
+                "rmat seeds ({graph_seed}, {seed}): auto {t_auto:?} top-down {t_td:?}"
+            );
         }
     }
 

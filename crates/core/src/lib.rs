@@ -35,7 +35,7 @@
 //!
 //! | strategy | when to pick it |
 //! |----------|-----------------|
-//! | [`Traversal::Auto`] | default; Beamer-style direction switching ([`DecompOptions::alpha`]) wins on low-diameter graphs; on meshes the default `alpha` can switch too early — pin `TopDownPar` or lower `alpha` there |
+//! | [`Traversal::Auto`] | default; each round takes the direction that reads less ([`DecompOptions::alpha`]): bottom-up on fat low-diameter frontiers, top-down throughout on meshes |
 //! | [`Traversal::TopDownPar`] | the paper's Algorithm 1 verbatim; predictable `O(m)` scans |
 //! | [`Traversal::TopDownSeq`] | round loop fully inline (no per-round pool dispatch) — baselines, tiny pieces |
 //! | [`Traversal::BottomUp`] | ablation of the bottom-up half; only competitive on dense, very-low-diameter graphs |

@@ -44,10 +44,11 @@ pub enum ShiftStrategy {
 /// by schedule — so this is purely a wall-clock/scaling choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Traversal {
-    /// Beamer-style direction optimization: top-down rounds switch to
-    /// bottom-up when the frontier's edge endpoints exceed `1/alpha` of the
-    /// unsettled edge endpoints (see [`DecompOptions::alpha`]). The best
-    /// default on every graph family we measure.
+    /// Direction optimization: a round goes bottom-up only when that reads
+    /// fewer entries than `alpha` times what top-down would read (see
+    /// [`DecompOptions::alpha`]), which keeps the work `O(n + m)`. Meshes
+    /// stay top-down throughout; fat frontiers on low-diameter graphs go
+    /// bottom-up. The best default on every graph family we measure.
     #[default]
     Auto,
     /// Always top-down, parallel rounds (thin rounds still run inline —
@@ -149,9 +150,32 @@ impl std::str::FromStr for Determinism {
     }
 }
 
-/// Default Beamer switch constant (see [`DecompOptions::alpha`]); the value
-/// the direction-optimizing BFS literature and our own sweeps land on.
-pub const DEFAULT_ALPHA: u64 = 12;
+/// Default cost of one top-down read relative to one bottom-up read, the
+/// constant of [`Traversal::Auto`]'s switch (see [`DecompOptions::alpha`]).
+///
+/// Measured, not taken from the BFS literature, whose 12 assumes that a
+/// bottom-up scan stops at its first settled neighbour. Per-read costs do
+/// not settle it alone: a traced 400×400 grid run (2 threads on a 2-core
+/// Xeon VM) spent 26 ns per top-down arc, settle included, against 5.5 ns
+/// per bottom-up read, while top-down rounds out of RMAT hubs cost less
+/// per arc. The value comes from an end-to-end sweep on the same host: the
+/// median over 5 reps of the p50 of shift generation plus engine over 40
+/// warm runs at β = 0.1, in ms.
+///
+/// | α | rmat:16 | grid:400 | rmat:16, BFS-reordered v2 file |
+/// |---:|---:|---:|---:|
+/// | 2 | 11.9 | 27.1 | 15.3 |
+/// | 3 | 11.7 | 27.8 | 15.3 |
+/// | 4 | 11.9 | 28.0 | 16.5 |
+/// | 6 | 12.4 | 27.4 | 16.9 |
+/// | 12 | 15.5 | 27.5 | 19.6 |
+///
+/// Every α up to 6 keeps grid:400 top-down throughout, so that column
+/// differs by noise only. α = 2–4 are within noise of each other, and 3,
+/// the middle of that range, was fastest on both rmat:16 files. The
+/// earlier rule, which charged neither the unsettled list nor the wake
+/// bucket, read 16.4, 35.7 and 21.6 ms at α = 12.
+pub const DEFAULT_ALPHA: u64 = 3;
 
 /// Hard cap on the vertex/edge count a decomposition request may touch:
 /// oversized generator workloads (CLI) and oversized session bindings
@@ -170,7 +194,7 @@ pub const MAX_GRAPH_SIZE: usize = 1 << 31;
 pub enum ConfigError {
     /// `beta` was not a positive finite number.
     InvalidBeta(f64),
-    /// `alpha` was zero (the Beamer switch predicate would never trigger
+    /// `alpha` was zero (the switch predicate would never trigger
     /// meaningfully; `0` almost always indicates a mis-parsed flag).
     InvalidAlpha,
     /// A requested graph or workload implies more than
@@ -244,11 +268,14 @@ pub struct DecompOptions {
     /// Determinism contract (see [`Determinism`]). `BitExact` (default)
     /// keeps byte-identical output; `Fast` is the lock-free CAS path.
     pub determinism: Determinism,
-    /// Beamer switch threshold for [`Traversal::Auto`]: a round goes
-    /// bottom-up when `frontier_degree * alpha > unsettled_degree`. Larger
-    /// values switch earlier (more bottom-up rounds). Tunable per workload;
-    /// the default ([`DEFAULT_ALPHA`]) is the classic direction-optimizing
-    /// BFS setting.
+    /// Cost of one top-down read relative to one bottom-up read, the
+    /// constant of [`Traversal::Auto`]'s switch: a round goes bottom-up
+    /// when `alpha × (wake bucket + frontier arcs)` exceeds `unsettled
+    /// list + unsettled arcs`. Larger values switch earlier (more
+    /// bottom-up rounds); a run reads at most `alpha · (n + 2m)` entries
+    /// whatever it switches to. Output never depends on it. The default
+    /// ([`DEFAULT_ALPHA`]) is measured once for all graphs, not tuned per
+    /// workload.
     pub alpha: u64,
 }
 
@@ -348,7 +375,8 @@ impl DecompOptions {
         self
     }
 
-    /// Sets the Beamer switch constant for [`Traversal::Auto`].
+    /// Sets the per-read cost ratio of [`Traversal::Auto`]'s switch (see
+    /// [`DecompOptions::alpha`]).
     ///
     /// Panics if `alpha == 0` (the switch predicate would never trigger
     /// meaningfully and `0` almost always indicates a mis-parsed flag).
@@ -447,10 +475,10 @@ mod tests {
         assert_eq!(o.alpha, DEFAULT_ALPHA);
         let o = o
             .with_traversal(Traversal::BottomUp)
-            .with_alpha(3)
+            .with_alpha(5)
             .with_seed(1);
         assert_eq!(o.traversal, Traversal::BottomUp);
-        assert_eq!(o.alpha, 3);
+        assert_eq!(o.alpha, 5);
     }
 
     #[test]
