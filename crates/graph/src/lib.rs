@@ -18,9 +18,10 @@
 //!   plus [`InducedView`] (vertex subsets) and [`EdgeFilteredView`] (edge
 //!   subsets) over a borrowed [`CsrGraph`], so recursive pipelines can
 //!   decompose pieces without materializing induced subgraphs.
-//! * [`io`] — plain edge-list, DIMACS `.gr` and METIS readers/writers,
-//!   format auto-detection, and chunked **parallel text parsers** that
-//!   assemble CSR directly (no intermediate edge list).
+//! * [`io`] — plain edge-list, DIMACS `.gr` and METIS readers/writers and
+//!   format auto-detection: one line-at-a-time reader per text format,
+//!   feeding a [`GraphBuilder`] directly, that loads a file the same way
+//!   at every thread count.
 //! * [`wview`] — the weighted twin of [`view`]: the [`WeightedGraphView`]
 //!   traversal trait with GAT `(neighbor, weight)` iterators, implemented
 //!   by [`WeightedCsrGraph`], [`WeightedInducedView`] (zero-copy vertex
@@ -38,10 +39,9 @@
 //! if `v` appears in `neighbors(u)` then `u` appears in `neighbors(v)`.
 //! Self-loops and parallel edges are removed at construction time.
 
-// `deny` rather than `forbid`: two contained `#[allow(unsafe_code)]`
-// islands exist — the snapshot file buffer (mmap FFI + aligned reinterpret
-// casts) and the io scatter cell (disjoint-index concurrent stores during
-// parallel CSR assembly). Everything else stays unsafe-free.
+// `deny` rather than `forbid`: one contained `#[allow(unsafe_code)]`
+// island exists — the snapshot file buffer (mmap FFI + aligned reinterpret
+// casts). Everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -58,7 +58,7 @@ pub mod wview;
 
 pub use builder::GraphBuilder;
 pub use csr::{induced_materializations, CsrGraph, Vertex, NO_VERTEX};
-pub use io::{GraphFormat, TextParser};
+pub use io::GraphFormat;
 pub use snapshot::{MappedCsr, MappedWeightedCsr};
 pub use view::{view_edges, EdgeFilteredView, GraphView, InducedView};
 pub use weighted::{WeightedCsrGraph, WeightedGraphBuilder};

@@ -40,7 +40,6 @@
 
 #![deny(missing_docs)]
 
-pub mod chunk;
 mod latch;
 mod registry;
 pub mod sort;

@@ -28,7 +28,8 @@ fn main() {
     );
 
     // 2. Ingest the text file. `read_graph` auto-detects the format and
-    //    picks a parser (chunked parallel parsing on multicore machines).
+    //    runs its one reader, which loads the file the same way at every
+    //    thread count.
     let parsed = io::read_graph(&text_path).unwrap();
     assert_eq!(parsed, g, "text round-trip must be lossless");
 

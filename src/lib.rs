@@ -94,6 +94,6 @@ pub mod prelude {
     };
     pub use mpx_graph::{
         CsrGraph, EdgeFilteredView, GraphBuilder, GraphFormat, GraphView, InducedView, MappedCsr,
-        TextParser, Vertex, WeightedCsrGraph,
+        Vertex, WeightedCsrGraph,
     };
 }

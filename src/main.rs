@@ -3,10 +3,10 @@
 //! ```text
 //! mpx gen <workload> <out> [seed]            generate a graph (any format)
 //! mpx stats <graph>                          print graph statistics
-//! mpx convert <in> <out> [--compress] [--reorder R] [--parser P]
+//! mpx convert <in> <out> [--compress] [--reorder R]
 //!                                            transcode formats / compress to v2
 //! mpx inspect <graph>                        header + structure summary
-//! mpx partition <graph> <beta> [seed] [labels-out.txt] [--threads N] [--strategy S] [--parser P]
+//! mpx partition <graph> <beta> [seed] [labels-out.txt] [--threads N] [--strategy S]
 //!                                            decompose + verify + stats
 //! mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--weighted] [--trace[=path]]
 //!                                            p50/p99 latency + round-bound JSON report
@@ -27,9 +27,8 @@
 //! Graph files may be plain edge lists, DIMACS `.gr`, METIS, or `.mpx`
 //! binary snapshots (see `docs/FORMATS.md`); formats are auto-detected by
 //! extension and content sniffing. `.mpx` files are memory-mapped and
-//! traversed zero-copy. Text inputs are parsed with the chunked parallel
-//! readers by default; `--parser sequential` on `convert` forces the
-//! line-at-a-time reference readers (their outputs are bit-identical).
+//! traversed zero-copy. Text inputs are read by one line-at-a-time reader
+//! per format, which loads a file the same way at every thread count.
 //!
 //! `mpx convert --compress [--reorder degree|bfs|none]` writes the
 //! delta-varint compressed v2 snapshot format (`mpx-compress`), optionally
@@ -77,7 +76,7 @@ use mpx::decomp::{
     DecompositionStats, Determinism, Traversal, VerifyReport, Workspace, MAX_GRAPH_SIZE,
 };
 use mpx::graph::{
-    gen, io, snapshot, CsrGraph, GraphFormat, GraphView, TextParser, Vertex, WeightedCsrGraph,
+    gen, io, snapshot, CsrGraph, GraphFormat, GraphView, Vertex, WeightedCsrGraph,
     WeightedGraphView,
 };
 use std::io::Write;
@@ -97,7 +96,7 @@ fn main() {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--parser auto|parallel|sequential] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D] [--parser P]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default) | parallel | sequential | bottomup | hybrid (alias of auto)\ndeterminism: bitexact (default; byte-identical across thread counts) | fast (lock-free CAS claiming + work stealing)\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx\n.mpx inputs: the header picks the format (v1 or v2, mmap'd); --weighted picks the kind (a weighted snapshot needs it, an unweighted one refuses it)"
+    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default) | parallel | sequential | bottomup | hybrid (alias of auto)\ndeterminism: bitexact (default; byte-identical across thread counts) | fast (lock-free CAS claiming + work stealing)\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx\n.mpx inputs: the header picks the format (v1 or v2, mmap'd); --weighted picks the kind (a weighted snapshot needs it, an unweighted one refuses it)"
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -122,7 +121,6 @@ struct RunFlags {
     threads: Option<usize>,
     strategy: Traversal,
     determinism: Determinism,
-    parser: TextParser,
     runs: Option<usize>,
     weighted: bool,
     /// `convert`: write a compressed (v2) snapshot.
@@ -148,9 +146,9 @@ struct RunFlags {
 }
 
 /// Extracts the `--threads N` / `--threads=N`, `--strategy S` /
-/// `--strategy=S`, `--parser P` / `--parser=P`, boolean `--weighted`
-/// and `--trace[=path]` flags (anywhere in the argument list), returning the remaining
-/// positional arguments and the parsed flags. `allowed` names the flags
+/// `--strategy=S`, boolean `--weighted` and `--trace[=path]` flags
+/// (anywhere in the argument list), returning the remaining positional
+/// arguments and the parsed flags. `allowed` names the flags
 /// the calling subcommand actually consumes — anything else, recognized
 /// or not, is rejected rather than being silently absorbed or ignored.
 fn extract_flags(args: &[String], allowed: &[&str]) -> Result<(Vec<String>, RunFlags), String> {
@@ -165,9 +163,6 @@ fn extract_flags(args: &[String], allowed: &[&str]) -> Result<(Vec<String>, RunF
     };
     let parse_strategy = |value: &str| -> Result<Traversal, String> {
         value.parse().map_err(|e| format!("--strategy: {e}"))
-    };
-    let parse_parser = |value: &str| -> Result<TextParser, String> {
-        value.parse().map_err(|e| format!("--parser: {e}"))
     };
     let parse_determinism = |value: &str| -> Result<Determinism, String> {
         value.parse().map_err(|e| format!("--determinism: {e}"))
@@ -195,7 +190,6 @@ fn extract_flags(args: &[String], allowed: &[&str]) -> Result<(Vec<String>, RunF
         threads: None,
         strategy: Traversal::Auto,
         determinism: Determinism::BitExact,
-        parser: TextParser::Auto,
         runs: None,
         weighted: false,
         compress: false,
@@ -232,13 +226,6 @@ fn extract_flags(args: &[String], allowed: &[&str]) -> Result<(Vec<String>, RunF
         } else if let Some(value) = arg.strip_prefix("--strategy=") {
             permit("strategy")?;
             flags.strategy = parse_strategy(value)?;
-        } else if arg == "--parser" {
-            permit("parser")?;
-            let value = it.next().ok_or("--parser: missing value")?;
-            flags.parser = parse_parser(value)?;
-        } else if let Some(value) = arg.strip_prefix("--parser=") {
-            permit("parser")?;
-            flags.parser = parse_parser(value)?;
         } else if arg == "--determinism" {
             permit("determinism")?;
             let value = it.next().ok_or("--determinism: missing value")?;
@@ -457,8 +444,7 @@ fn parse_beta(s: &str) -> Result<f64, String> {
 /// must never shadow the grid generator.
 fn parse_workload(spec: &str, seed: u64) -> Result<CsrGraph, String> {
     if let Some(path) = spec.strip_prefix("file:") {
-        return read_unweighted(path, TextParser::Auto)
-            .map_err(|e| format!("workload '{spec}': {e}"));
+        return read_unweighted(path).map_err(|e| format!("workload '{spec}': {e}"));
     }
     let parts: Vec<&str> = spec.split(':').collect();
     let num = |i: usize| -> Result<usize, String> {
@@ -552,8 +538,7 @@ fn parse_workload(spec: &str, seed: u64) -> Result<CsrGraph, String> {
         }
         other => {
             if std::path::Path::new(spec).is_file() {
-                read_unweighted(spec, TextParser::Auto)
-                    .map_err(|e| format!("workload '{spec}': {e}"))
+                read_unweighted(spec).map_err(|e| format!("workload '{spec}': {e}"))
             } else {
                 Err(format!("unknown workload family '{other}'"))
             }
@@ -633,7 +618,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("stats: missing graph path")?;
-    let g = read_unweighted(path, TextParser::Auto)?;
+    let g = read_unweighted(path)?;
     println!("{}", mpx::graph::properties::GraphStats::of(&g));
     let hist = mpx::graph::properties::degree_histogram(&g);
     println!("degree histogram (powers of two): {hist:?}");
@@ -660,9 +645,8 @@ fn kind_mismatch(path: &str, snapshot_weighted: bool) -> String {
 }
 
 /// Parses an unweighted text graph of any supported format.
-fn read_text(path: &str, parser: TextParser) -> Result<CsrGraph, String> {
-    let format = io::detect_format(path).map_err(|e| e.to_string())?;
-    io::read_graph_as(path, format, parser).map_err(|e| e.to_string())
+fn read_text(path: &str) -> Result<CsrGraph, String> {
+    io::read_graph(path).map_err(|e| e.to_string())
 }
 
 /// Parses a weighted edge list (`u v w`), the one weighted text format.
@@ -678,9 +662,9 @@ fn read_weighted_text(path: &str) -> Result<WeightedCsrGraph, String> {
 /// Reads any unweighted input into memory, in original vertex ids: a
 /// reordered v2 snapshot is relabelled back, so every command and every
 /// convert round trip sees the graph that was written.
-fn read_unweighted(path: &str, parser: TextParser) -> Result<CsrGraph, String> {
+fn read_unweighted(path: &str) -> Result<CsrGraph, String> {
     match open_snapshot(path)? {
-        None => read_text(path, parser),
+        None => read_text(path),
         Some(Snapshot::Unweighted(m)) => Ok(m.to_graph()),
         Some(Snapshot::Compressed(c)) => Ok(match c.permutation() {
             Some(new_to_old) => {
@@ -724,19 +708,14 @@ fn write_weighted(g: &WeightedCsrGraph, out: &str, format: GraphFormat) -> Resul
 
 /// `mpx convert <in> <out>` — transcodes between any two supported
 /// formats. Input format is auto-detected; output format follows the
-/// output extension. `--parser sequential` forces the reference text
-/// readers (bit-identical output; the CI ingestion job diffs the two).
-/// `--weighted` transcodes weights too: weighted edge list ⇄ weighted
+/// output extension. `--weighted` transcodes weights too: weighted edge list ⇄ weighted
 /// `.mpx` snapshot, weights preserved bit-for-bit. `--compress` writes a
 /// delta-varint compressed v2 snapshot instead of the raw v1 layout, and
 /// `--reorder degree|bfs` (implies `--compress`) relabels vertices for
 /// locality first, persisting the permutation in the snapshot so
 /// partitions still report original-id labels.
 fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let (args, flags) = extract_flags(
-        args,
-        &["parser", "threads", "weighted", "compress", "reorder"],
-    )?;
+    let (args, flags) = extract_flags(args, &["threads", "weighted", "compress", "reorder"])?;
     let input = args.first().ok_or("convert: missing input path")?;
     let out = args.get(1).ok_or("convert: missing output path")?;
     if flags.compress || flags.reorder != Reorder::None {
@@ -756,15 +735,15 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
                  (use .mpx | .txt/.el/.edges | .gr/.dimacs | .metis/.graph)"
             )
         })?;
-    // Both the parallel text parse and the snapshot checksum have
-    // parallel inner loops, so the whole transcode honors --threads.
+    // The graph builder's sorts and the snapshot checksum have parallel
+    // inner loops, so the whole transcode honors --threads.
     let (n, m) = with_thread_choice(flags.threads, || {
         if flags.weighted {
             let g = read_weighted(input)?;
             write_weighted(&g, out, out_format)?;
             Ok((g.num_vertices(), g.num_edges()))
         } else {
-            let g = read_unweighted(input, flags.parser)?;
+            let g = read_unweighted(input)?;
             io::write_graph(&g, out, out_format).map_err(|e| e.to_string())?;
             Ok::<_, String>((g.num_vertices(), g.num_edges()))
         }
@@ -787,7 +766,7 @@ fn convert_compressed(input: &str, out: &str, flags: &RunFlags) -> Result<(), St
         ));
     }
     let (n, m, bytes_per_arc, ratio) = with_thread_choice(flags.threads, || {
-        let g = read_unweighted(input, flags.parser)?;
+        let g = read_unweighted(input)?;
         let perm = reorder_permutation(&g, flags.reorder);
         let stored = match &perm {
             Some(p) => apply_permutation(&g, p),
@@ -832,7 +811,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
             print_degrees(&g, "owned (parsed/decoded) (weighted)");
             print_weights(&g);
         } else {
-            let g = read_text(path, TextParser::Auto)?;
+            let g = read_text(path)?;
             print_degrees(&g, "owned (parsed/decoded)");
         }
         return Ok(());
@@ -929,14 +908,7 @@ fn print_weights<W: WeightedGraphView>(g: &W) {
 fn cmd_partition(args: &[String]) -> Result<(), String> {
     let (args, flags) = extract_flags(
         args,
-        &[
-            "threads",
-            "strategy",
-            "determinism",
-            "parser",
-            "weighted",
-            "trace",
-        ],
+        &["threads", "strategy", "determinism", "weighted", "trace"],
     )?;
     let path = args.first().ok_or("partition: missing graph path")?;
     let beta = parse_beta(args.get(1).ok_or("partition: missing beta")?)?;
@@ -956,7 +928,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         trace: sink.map(|sink| (mpx::trace::start(), sink)),
     };
     // Loading happens inside the thread choice so `--threads` bounds the
-    // parallel parsers and audits too, not just the decomposition.
+    // builder's sorts and the audits too, not just the decomposition.
     let snapshot = with_thread_choice(flags.threads, || open_snapshot(path))?;
     let source = match &snapshot {
         Some(snap) if snap.is_mapped() => "mmap",
@@ -970,7 +942,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         (Some(Snapshot::Weighted(m)), true) => run.weighted(&m, source),
         (Some(snap), _) => Err(kind_mismatch(path, snap.is_weighted())),
         (None, false) => {
-            let g = with_thread_choice(flags.threads, || read_text(path, flags.parser))?;
+            let g = with_thread_choice(flags.threads, || read_text(path))?;
             run.unweighted(&g, None, source)
         }
         (None, true) => {

@@ -412,77 +412,83 @@ fn mmap_partition_matches_across_all_strategies() {
 }
 
 #[test]
-fn convert_parser_flag_produces_identical_snapshots() {
-    let txt = tmp("parsers.txt");
-    let a = tmp("parsers-seq.mpx");
-    let b = tmp("parsers-par.mpx");
+fn convert_produces_identical_snapshots_at_every_thread_count() {
+    let txt = tmp("threads.txt");
+    let gr = tmp("threads.gr");
     run_ok(&["gen", "ba:800:3", txt.to_str().unwrap(), "2"]);
-    run_ok(&[
-        "convert",
-        txt.to_str().unwrap(),
-        a.to_str().unwrap(),
-        "--parser",
-        "sequential",
-    ]);
-    run_ok(&[
-        "convert",
-        txt.to_str().unwrap(),
-        b.to_str().unwrap(),
-        "--parser",
-        "parallel",
-    ]);
-    let (ba, bb) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
-    assert_eq!(
-        ba, bb,
-        "snapshots from the two parsers must be byte-identical"
-    );
-    for p in [txt, a, b] {
+    run_ok(&["convert", txt.to_str().unwrap(), gr.to_str().unwrap()]);
+    for input in [&txt, &gr] {
+        let snapshots: Vec<Vec<u8>> = ["1", "2", "4"]
+            .iter()
+            .map(|threads| {
+                let out = tmp(&format!("threads-{threads}.mpx"));
+                run_ok(&[
+                    "convert",
+                    input.to_str().unwrap(),
+                    out.to_str().unwrap(),
+                    "--threads",
+                    threads,
+                ]);
+                let bytes = std::fs::read(&out).unwrap();
+                std::fs::remove_file(out).ok();
+                bytes
+            })
+            .collect();
+        assert!(
+            snapshots.windows(2).all(|w| w[0] == w[1]),
+            "{}: snapshots differ across thread counts",
+            input.display()
+        );
+    }
+    for p in [txt, gr] {
         std::fs::remove_file(p).ok();
     }
 }
 
 #[test]
 fn flags_are_rejected_by_commands_that_do_not_consume_them() {
-    let txt = tmp("flaggate.txt");
-    run_ok(&["gen", "path:30", txt.to_str().unwrap()]);
-    // --parser is honored by partition (labels must not change)...
-    let a = tmp("flaggate-a");
-    let b = tmp("flaggate-b");
-    run_ok(&[
-        "partition",
-        txt.to_str().unwrap(),
-        "0.3",
-        "5",
-        a.to_str().unwrap(),
-    ]);
-    run_ok(&[
-        "partition",
-        txt.to_str().unwrap(),
-        "0.3",
-        "5",
-        b.to_str().unwrap(),
-        "--parser",
-        "sequential",
-    ]);
-    assert_eq!(
-        std::fs::read(&a).unwrap(),
-        std::fs::read(&b).unwrap(),
-        "--parser must not change labels"
-    );
-    // ...but rejected where it means nothing, instead of silently ignored.
+    // A flag one command consumes is rejected where it means nothing,
+    // instead of silently ignored...
     let out = mpx()
-        .args(["profile", "grid:20", "0.2", "7", "--parser", "sequential"])
+        .args(["profile", "grid:20", "0.2", "7", "--compress"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("not supported by this command"),
+        String::from_utf8_lossy(&out.stderr)
+            .contains("--compress is not supported by this command"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    for p in [txt, a, b] {
-        std::fs::remove_file(p).ok();
+    // ...and a flag no command consumes is unknown everywhere.
+    let txt = tmp("flaggate.txt");
+    let out_path = tmp("flaggate.mpx");
+    run_ok(&["gen", "path:30", txt.to_str().unwrap()]);
+    for args in [
+        vec![
+            "convert",
+            txt.to_str().unwrap(),
+            out_path.to_str().unwrap(),
+            "--parser",
+            "sequential",
+        ],
+        vec![
+            "partition",
+            txt.to_str().unwrap(),
+            "0.3",
+            "--parser",
+            "sequential",
+        ],
+    ] {
+        let out = mpx().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag '--parser'"),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
+    std::fs::remove_file(txt).ok();
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! The on-disk ingestion contract, end to end: every format round-trips
-//! losslessly, every parser generation agrees bit-for-bit, mmap-loaded
-//! snapshots drive the engine to byte-identical labels under every
-//! traversal strategy, and malformed inputs die with clean errors.
+//! losslessly, a text file loads the same way at every thread count,
+//! mmap-loaded snapshots drive the engine to byte-identical labels under
+//! every traversal strategy, and malformed inputs die with clean errors.
 
 use mpx::compress::{codec, write_compressed_snapshot, MappedCompressedCsr, Snapshot};
 use mpx::decomp::{partition, DecompOptions, Traversal};
 use mpx::graph::snapshot::{self, MappedCsr, MappedWeightedCsr, HEADER_LEN};
-use mpx::graph::{gen, io, CsrGraph, GraphFormat, TextParser, Vertex, WeightedCsrGraph};
+use mpx::graph::{gen, io, CsrGraph, GraphFormat, Vertex, WeightedCsrGraph};
+use mpx::runtime::Pool;
 use proptest::prelude::*;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -21,6 +22,12 @@ const ALL_FORMATS: [(GraphFormat, &str); 4] = [
     (GraphFormat::Dimacs, "gr"),
     (GraphFormat::Metis, "metis"),
 ];
+
+/// `read` run on a dedicated pool of each size the thread-count checks
+/// use, with that size.
+fn at_every_thread_count<T: Send>(read: impl Fn() -> T + Sync) -> [(usize, T); 2] {
+    [1, 2].map(|threads| (threads, Pool::new(threads).install(&read)))
+}
 
 /// Partition labels of a graph (fixed β/seed for comparisons).
 fn labels(g: &CsrGraph) -> Vec<Vertex> {
@@ -72,27 +79,98 @@ fn mapped_snapshot_partitions_identically_under_every_strategy() {
 }
 
 #[test]
-fn parallel_and_sequential_parsers_agree_on_every_workload_family() {
+fn text_reads_agree_across_thread_counts_on_every_workload_family() {
     for (name, g) in [
         ("grid", gen::grid2d(40, 25)),
         ("gnm", gen::gnm(5000, 20_000, 2)),
         ("ba", gen::barabasi_albert(2000, 4, 3)),
         ("path", gen::path(3000)),
         ("star-heavy", {
-            // Skewed degrees stress the scatter cursors.
+            // One vertex holds half of every arc.
             let edges: Vec<(Vertex, Vertex)> = (1..2000).map(|v| (0, v)).collect();
             CsrGraph::from_edges(2000, &edges)
         }),
     ] {
-        for (format, ext) in [(GraphFormat::EdgeList, "txt"), (GraphFormat::Dimacs, "gr")] {
+        for (format, ext) in &ALL_FORMATS[1..] {
             let p = tmp(&format!("agree-{name}.{ext}"));
-            io::write_graph(&g, &p, format).unwrap();
-            let seq = io::read_graph_as(&p, format, TextParser::Sequential).unwrap();
-            let par = io::read_graph_as(&p, format, TextParser::Parallel).unwrap();
-            assert_eq!(seq, par, "{name}/{format}: parser generations disagree");
-            assert_eq!(par, g, "{name}/{format}: lossy round-trip");
+            io::write_graph(&g, &p, *format).unwrap();
+            for (threads, h) in at_every_thread_count(|| io::read_graph(&p).unwrap()) {
+                assert_eq!(h, g, "{name}/{format} at {threads} threads: lossy");
+            }
             std::fs::remove_file(p).ok();
         }
+    }
+}
+
+/// Files at the edge of the text rules each load, at every thread count,
+/// to the graph with edges {0, 1} and {2, 3}: invalid UTF-8 sits only in
+/// a comment or an ignored trailing token, and a UTF-8 no-break space is
+/// whitespace.
+#[test]
+fn quirk_files_load_identically_at_every_thread_count() {
+    let expected = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
+    let cases: [(&str, &[u8]); 5] = [
+        ("latin1-comment.txt", b"4 2\n# caf\xe9\n0 1\n2 3\n"),
+        (
+            "latin1-comment.gr",
+            b"c caf\xe9\np sp 4 4\na 1 2 1\na 3 4 1\n",
+        ),
+        ("trailing-byte.txt", b"4 2\n0 1 \xff\n2 3 w\xe9\n"),
+        ("trailing-byte.gr", b"p sp 4 4\na 1 2 \xff\na 3 4 1\n"),
+        ("nbsp.txt", "4 2\n0\u{a0}1\n2\u{a0}3\n".as_bytes()),
+    ];
+    for (name, bytes) in cases {
+        let p = tmp(name);
+        std::fs::write(&p, bytes).unwrap();
+        for (threads, got) in at_every_thread_count(|| io::read_graph(&p)) {
+            let got = got.unwrap_or_else(|e| panic!("{name} at {threads} threads: {e}"));
+            assert_eq!(got, expected, "{name} at {threads} threads");
+        }
+        std::fs::remove_file(p).ok();
+    }
+    // An invalid byte inside a number token is an error at every count.
+    let p = tmp("bad-number.txt");
+    std::fs::write(&p, b"4 1\n0 1\xff\n").unwrap();
+    for (threads, got) in at_every_thread_count(|| io::read_graph(&p)) {
+        let e = got.unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{threads}");
+    }
+    std::fs::remove_file(p).ok();
+}
+
+/// A header's counts cannot abort or panic the process: a vertex count
+/// above `u32::MAX` is `InvalidData`, and an edge count the file cannot
+/// hold reserves only what it can, so the file loads with the records it
+/// has.
+#[test]
+fn hostile_headers_get_a_graph_or_invalid_data() {
+    let huge_m = "3 1000000000000\n";
+    let huge_n = "100000000000 1\n";
+    // (file, contents, weighted, vertices loaded or `None` for InvalidData)
+    let cases = [
+        ("m.txt", huge_m, false, Some(3)),
+        ("n.txt", huge_n, false, None),
+        ("n-edge.txt", "4294967296 1\n0 1\n", false, None),
+        ("n.gr", "p sp 100000000000 1\n", false, None),
+        ("m.metis", huge_m, false, Some(3)),
+        ("w-m.txt", huge_m, true, Some(3)),
+        ("w-n.txt", huge_n, true, None),
+    ];
+    for (name, text, weighted, vertices) in cases {
+        let p = tmp(&format!("header-{name}"));
+        std::fs::write(&p, text).unwrap();
+        let read = || match weighted {
+            false => io::read_graph(&p).map(|g| (g.num_vertices(), g.num_edges())),
+            true => io::read_weighted_edge_list(&p).map(|g| (g.num_vertices(), g.num_edges())),
+        };
+        for (threads, got) in at_every_thread_count(read) {
+            match (got, vertices) {
+                (Ok(got), Some(n)) => assert_eq!(got, (n, 0), "{name} at {threads} threads"),
+                (Err(e), None) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+                (got, _) => panic!("{name} at {threads} threads: {got:?}"),
+            }
+        }
+        std::fs::remove_file(p).ok();
     }
 }
 
@@ -102,10 +180,8 @@ fn mixed_line_endings_and_comments_parse_identically() {
     let text = "6 5\r\n0 1\n1 2\r\n# dup below\n1 2\n\r\n2 3\r\n3 4\n4 5\r\n";
     let p = tmp("mixed.txt");
     std::fs::write(&p, text).unwrap();
-    let seq = io::read_graph_as(&p, GraphFormat::EdgeList, TextParser::Sequential).unwrap();
-    let par = io::read_graph_as(&p, GraphFormat::EdgeList, TextParser::Parallel).unwrap();
-    assert_eq!(seq, par);
-    assert_eq!(seq.num_edges(), 5);
+    let g = io::read_graph(&p).unwrap();
+    assert_eq!(g, gen::path(6));
     std::fs::remove_file(p).ok();
 }
 
@@ -113,14 +189,9 @@ fn mixed_line_endings_and_comments_parse_identically() {
 fn dimacs_out_of_range_arcs_error_cleanly() {
     let p = tmp("oor.gr");
     std::fs::write(&p, "c tiny\np sp 4 4\na 1 2 1\na 2 1 1\na 3 9 1\n").unwrap();
-    for parser in [TextParser::Sequential, TextParser::Parallel] {
-        let err = io::read_graph_as(&p, GraphFormat::Dimacs, parser).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{parser:?}");
-        assert!(
-            err.to_string().contains("out of range"),
-            "{parser:?}: {err}"
-        );
-    }
+    let err = io::read_graph(&p).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("out of range"), "{err}");
     std::fs::remove_file(p).ok();
 }
 
@@ -228,7 +299,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any graph survives generate → write(each format) → read →
-    /// partition with bit-identical labels, for both parser generations.
+    /// partition with bit-identical labels.
     #[test]
     fn roundtrip_preserves_partition_labels(g in arb_graph(120, 400), seed in 0u64..1000) {
         let opts = DecompOptions::new(0.25).with_seed(seed);
@@ -236,12 +307,10 @@ proptest! {
         for (format, ext) in ALL_FORMATS {
             let p = tmp(&format!("prop-{seed}.{ext}"));
             io::write_graph(&g, &p, format).unwrap();
-            for parser in [TextParser::Sequential, TextParser::Parallel] {
-                let h = io::read_graph_as(&p, format, parser).unwrap();
-                prop_assert_eq!(&h, &g, "{:?}/{:?} lossy", format, parser);
-                let got = partition(&h, &opts).assignment().to_vec();
-                prop_assert_eq!(&got, &reference, "{:?}/{:?} labels differ", format, parser);
-            }
+            let h = io::read_graph(&p).unwrap();
+            prop_assert_eq!(&h, &g, "{:?} lossy", format);
+            let got = partition(&h, &opts).assignment().to_vec();
+            prop_assert_eq!(&got, &reference, "{:?} labels differ", format);
             std::fs::remove_file(p).ok();
         }
     }
