@@ -34,7 +34,7 @@
 //! `O(log n)` per level in expectation — Bartal's `O(log² n)` expected
 //! stretch for this simple variant. The experiment table T13 measures it.
 
-use mpx_decomp::{DecompOptions, Traversal, Workspace};
+use mpx_decomp::{DecompOptions, Workspace};
 use mpx_graph::{algo, view_edges, GraphView, InducedView, Vertex};
 
 /// One node of the hierarchical decomposition tree.
@@ -75,11 +75,12 @@ impl Hst {
         Self::build_with_options(g, seed, &DecompOptions::new(0.5))
     }
 
-    /// [`Hst::build`] with the per-piece decompositions inheriting the
-    /// tie-break, shift-strategy and alpha knobs of `base`. The beta, seed
-    /// and traversal fields of `base` are ignored: the construction
-    /// chooses them per piece (β = Θ(log n / Δ), fresh salts, and a
-    /// size-dependent traversal).
+    /// [`Hst::build`] with the per-piece decompositions running under
+    /// `base`'s tie-break, shift-strategy, traversal, determinism and
+    /// alpha. The beta and seed fields of `base` are ignored: the
+    /// construction chooses them per piece (β = Θ(log n / Δ) and fresh
+    /// salts). Small pieces cost no pool dispatch whatever the traversal:
+    /// the engine runs rounds under its cutoff inline.
     pub fn build_with_options<V: GraphView>(g: &V, seed: u64, base: &DecompOptions) -> Self {
         let _span = mpx_trace::span!("apps.hst", n = g.num_vertices());
         let n = g.num_vertices();
@@ -142,20 +143,9 @@ impl Hst {
             let view = InducedView::from_parts(g, &members, &rank);
             let n_sub = members.len().max(2) as f64;
             let beta = (8.0 * n_sub.ln() / target).max(1e-9);
-            // The worker pool only pays off on big pieces; every strategy
-            // produces identical output, so this is purely scheduling.
-            let traversal = if members.len() >= 20_000 {
-                Traversal::Auto
-            } else {
-                Traversal::TopDownSeq
-            };
             let d = loop {
                 salt = salt.wrapping_add(0x9E37_79B9);
-                let opts = base
-                    .clone()
-                    .with_beta(beta)
-                    .with_seed(salt)
-                    .with_traversal(traversal);
+                let opts = base.clone().with_beta(beta).with_seed(salt);
                 let (d, _) = ws.partition_view(&view, &opts);
                 // Radius ≤ target/2 ⇒ strong diameter ≤ target. Lemma 4.2:
                 // exceeding 2·ln(n)/β = target/4 already has probability

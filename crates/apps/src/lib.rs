@@ -31,7 +31,8 @@
 //! [`coarsen_weighted()`](coarsen::coarsen_weighted) substrate — are generic
 //! over [`mpx_graph::WeightedGraphView`] and run through the parallel
 //! weighted session ([`mpx_decomp::Workspace::partition_weighted_view`],
-//! bucketed Δ-stepping, bit-identical to the sequential Dijkstra), sharing
+//! bucketed Δ-stepping, bit-identical to the per-center reference oracle
+//! [`mpx_decomp::partition_weighted_exact`]), sharing
 //! the intra-cluster shortest-path-tree recovery of
 //! [`mpx_decomp::compute_parents_weighted`].
 

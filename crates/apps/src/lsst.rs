@@ -132,10 +132,10 @@ pub fn low_stretch_tree_weighted<W: WeightedGraphView>(
 /// [`low_stretch_tree_weighted`] under full [`DecompOptions`]. Mirrors
 /// [`low_stretch_tree_with_options`]: every round runs the **parallel
 /// weighted session** ([`mpx_decomp::Workspace::partition_weighted_view`],
-/// Δ-stepping pinned — bit-identical to the sequential Dijkstra anyway)
-/// sharing one workspace across rounds; round 0 runs zero-copy on the
-/// borrowed view (an in-memory graph, an induced view, or a mmap'd
-/// weighted snapshot), round `r` decomposes with seed `opts.seed + r`.
+/// bucketed Δ-stepping) sharing one workspace across rounds; round 0 runs
+/// zero-copy on the borrowed view (an in-memory graph, an induced view, or
+/// a mmap'd weighted snapshot), round `r` decomposes with seed
+/// `opts.seed + r`.
 ///
 /// Per round, shortest-path-tree parents come from the weighted Lemma 4.1
 /// recovery ([`mpx_decomp::compute_parents_weighted`] — lightest valid
@@ -185,16 +185,14 @@ pub fn low_stretch_tree_weighted_with_options<W: WeightedGraphView>(
     let rep_of: HashMap<(Vertex, Vertex), (Vertex, Vertex)> = weighted_view_edges(g)
         .map(|(u, v, _)| ((u, v), (u, v)))
         .collect();
-    let d = ws.partition_weighted_view(g, &round_opts(0), None).0;
+    let d = ws.partition_weighted_view(g, &round_opts(0)).0;
     let c = coarsen_weighted(g, &d);
     let mut rep_of = harvest(g, &d, &c, &rep_of, &mut forest);
     let mut current = c.quotient;
     let mut round = 1u64;
     // Contraction rounds on geometrically shrinking weighted quotients.
     while current.num_edges() > 0 {
-        let d = ws
-            .partition_weighted_view(&current, &round_opts(round), None)
-            .0;
+        let d = ws.partition_weighted_view(&current, &round_opts(round)).0;
         let c = coarsen_weighted(&current, &d);
         rep_of = harvest(&current, &d, &c, &rep_of, &mut forest);
         current = c.quotient;

@@ -1,17 +1,20 @@
 //! **T6** — MPX vs the baselines: quality (cut, radius) and wall-clock of
-//! the parallel shifted BFS against sequential ball growing, the
-//! BGKMPT'11-style iterative decomposition, and naive random k-centers
-//! (matched to MPX's cluster count).
+//! the parallel shifted BFS (on the default pool and on a 1-thread pool)
+//! against sequential ball growing, the BGKMPT'11-style iterative
+//! decomposition, and naive random k-centers (matched to MPX's cluster
+//! count).
 //!
 //! Usage: `table_baselines [scale]` (default 40000 vertices).
 
 use mpx_bench::{arg_or, f, standard_workloads, time, Table};
 use mpx_decomp::{partition, DecompOptions, DecompositionStats, Traversal};
+use mpx_runtime::Pool;
 
 fn main() {
     let scale: usize = arg_or(1, 40_000);
     let beta = 0.1;
     println!("# T6: MPX vs baselines, beta={beta}");
+    let one_thread = Pool::new(1);
     let mut table = Table::new(&[
         "graph",
         "algorithm",
@@ -21,9 +24,9 @@ fn main() {
         "seconds",
     ]);
     for (name, g) in standard_workloads(scale) {
-        let opts = DecompOptions::new(beta).with_seed(3);
-        let par_opts = opts.clone().with_traversal(Traversal::TopDownPar);
-        let seq_opts = opts.with_traversal(Traversal::TopDownSeq);
+        let par_opts = DecompOptions::new(beta)
+            .with_seed(3)
+            .with_traversal(Traversal::TopDownPar);
         let (mpx, t_mpx) = time(|| partition(&g, &par_opts));
         let k = mpx.num_clusters();
         let s = DecompositionStats::compute(&g, &mpx);
@@ -36,7 +39,7 @@ fn main() {
             f(t_mpx, 3),
         ]);
 
-        let (seq, t_seq) = time(|| partition(&g, &seq_opts));
+        let (seq, t_seq) = time(|| one_thread.install(|| partition(&g, &par_opts)));
         let s = DecompositionStats::compute(&g, &seq);
         table.row(&[
             name.clone(),

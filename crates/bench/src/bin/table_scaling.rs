@@ -33,26 +33,25 @@ fn scaling_table(name: &str, g: &mpx_graph::CsrGraph, beta: f64, reps: usize) {
         g.num_edges()
     );
     let opts = |t: Traversal| DecompOptions::new(beta).with_seed(11).with_traversal(t);
-    let mut table = Table::new(&["config", "seconds", "speedup vs seq"]);
-    let seq = opts(Traversal::TopDownSeq);
-    let mut best_seq = f64::INFINITY;
-    for _ in 0..reps {
-        let (_, secs) = time(|| partition(g, &seq));
-        best_seq = best_seq.min(secs);
-    }
-    table.row(&["sequential".into(), f(best_seq, 3), f(1.0, 2)]);
+    // Best of `reps` runs of `o` on `pool`; the pool is spawned once,
+    // outside the timed region.
+    let best_on = |pool: &Pool, o: &DecompOptions| {
+        (0..reps)
+            .map(|_| time(|| pool.install(|| partition(g, o))).1)
+            .fold(f64::INFINITY, f64::min)
+    };
+    let mut table = Table::new(&["config", "seconds", "speedup vs 1 thread"]);
+    // The baseline is the paper's top-down search on a 1-thread pool.
+    let best_one = best_on(&Pool::new(1), &opts(Traversal::TopDownPar));
+    table.row(&["1-thread baseline".into(), f(best_one, 3), f(1.0, 2)]);
     for (label, strategy) in [
         ("parallel", Traversal::TopDownPar),
         ("hybrid", Traversal::Auto),
     ] {
         let o = opts(strategy);
         for &t in &thread_levels() {
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let (_, secs) = time(|| Pool::new(t).install(|| partition(g, &o)));
-                best = best.min(secs);
-            }
-            table.row(&[format!("{label} x{t}"), f(best, 3), f(best_seq / best, 2)]);
+            let best = best_on(&Pool::new(t), &o);
+            table.row(&[format!("{label} x{t}"), f(best, 3), f(best_one / best, 2)]);
         }
     }
     table.print();

@@ -237,15 +237,14 @@ pub fn validate_list(v: Vertex, degree: u32, bytes: &[u8], n: usize) -> Result<(
     Ok(())
 }
 
-/// Decodes one **validated** list into a vector (used by `to_graph` and
-/// the tests; the engine path streams via [`DecodeNeighbors`] instead).
-pub fn decode_list(v: Vertex, degree: u32, bytes: &[u8]) -> Vec<Vertex> {
-    DecodeNeighbors::new(v, degree, bytes).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes one **validated** list into a vector.
+    fn decode_list(v: Vertex, degree: u32, bytes: &[u8]) -> Vec<Vertex> {
+        DecodeNeighbors::new(v, degree, bytes).collect()
+    }
 
     #[test]
     fn zigzag_roundtrip() {

@@ -68,7 +68,7 @@ use mpx_graph::{GraphView, WeightedGraphView};
 /// let g = mpx_graph::gen::gnm(500, 4000, 1);
 /// let opts = DecompOptions::new(0.3).with_seed(9);
 /// let d = partition(&g, &opts);
-/// assert_eq!(d, partition(&g, &opts.with_traversal(Traversal::TopDownSeq)));
+/// assert_eq!(d, partition(&g, &opts.with_traversal(Traversal::TopDownPar)));
 /// ```
 ///
 /// # Panics
@@ -80,15 +80,11 @@ pub fn partition<V: GraphView>(view: &V, opts: &DecompOptions) -> Decomposition 
 }
 
 /// Computes a weighted decomposition of `view` in one call (paper
-/// Section 6: exponentially shifted multi-source shortest paths), under
-/// `opts.traversal`.
+/// Section 6: exponentially shifted multi-source shortest paths).
 ///
-/// Returns what `Workspace::new().partition_weighted_view(view, opts,
-/// None).0` returns: [`Traversal::TopDownSeq`] runs the sequential
-/// Dijkstra, every other strategy bucketed Δ-stepping with the mean edge
-/// weight as bucket width, all bit-identical. To choose the bucket width,
-/// use a [`WeightedDecomposer`] with
-/// [`with_delta`](WeightedDecomposer::with_delta).
+/// Returns what `Workspace::new().partition_weighted_view(view, opts).0`
+/// returns: bucketed Δ-stepping at the width the engine computes (the
+/// mean edge length, raised to `δ_max / n`).
 ///
 /// # Panics
 ///
@@ -102,7 +98,7 @@ pub fn partition_weighted<W: WeightedGraphView>(
     if let Err(e) = wengine::validate_weights(view) {
         panic!("invalid weighted graph: {e}");
     }
-    Workspace::new().partition_weighted_view(view, opts, None).0
+    Workspace::new().partition_weighted_view(view, opts).0
 }
 
 /// Outcome of [`Decomposer::run_with_retry`].
@@ -247,10 +243,8 @@ impl Workspace {
 
     /// Weighted twin of [`Workspace::partition_view`]: partitions a
     /// [`WeightedGraphView`] under `opts` (Section 6 shifted multi-source
-    /// Dijkstra, strategy-routed — [`Traversal::TopDownSeq`] runs the
-    /// sequential heap reference, everything else bucketed Δ-stepping with
-    /// bucket width `delta`, `None` = mean edge weight), reusing this
-    /// workspace's arenas. Every strategy and width is bit-identical.
+    /// shortest paths, run as bucketed Δ-stepping at the width the engine
+    /// computes), reusing this workspace's arenas.
     ///
     /// # Panics
     ///
@@ -263,7 +257,6 @@ impl Workspace {
         &mut self,
         view: &W,
         opts: &DecompOptions,
-        delta: Option<f64>,
     ) -> (WeightedDecomposition, WeightedTelemetry) {
         opts.assert_valid();
         self.runs += 1;
@@ -272,7 +265,7 @@ impl Workspace {
             view,
             &self.shifts,
             opts.traversal,
-            delta,
+            None,
             opts.determinism,
             &mut self.wscratch,
         )
@@ -441,7 +434,6 @@ impl DecomposerBuilder {
         Ok(WeightedDecomposer {
             view,
             opts,
-            delta: None,
             workspace,
         })
     }
@@ -496,15 +488,6 @@ impl<'g, V: GraphView> Decomposer<'g, V> {
         self.workspace
     }
 
-    /// Switches the determinism contract for subsequent runs on this
-    /// session. Interleaving modes is safe: each protocol fully resets (or
-    /// provably overwrites-before-reading) every arena it consults, so a
-    /// [`Determinism::BitExact`] run after a [`Determinism::Fast`] run
-    /// stays byte-identical to a fresh session's output.
-    pub fn set_determinism(&mut self, d: Determinism) {
-        self.opts.determinism = d;
-    }
-
     /// Decomposes under the configured seed.
     pub fn run(&mut self) -> Decomposition {
         self.run_with_seed(self.opts.seed)
@@ -534,19 +517,13 @@ impl<'g, V: GraphView> Decomposer<'g, V> {
         seeds.iter().map(|&s| self.run_with_seed(s)).collect()
     }
 
-    /// [`run_instrumented`](Decomposer::run_instrumented) under a trace
-    /// session: returns the labels, the telemetry, and the collected
-    /// [`mpx_trace::Trace`] with per-round engine spans plus the
+    /// [`run_with_seed_instrumented`](Decomposer::run_with_seed_instrumented)
+    /// under a trace session: returns the labels, the telemetry, and the
+    /// collected [`mpx_trace::Trace`] with per-round engine spans plus the
     /// telemetry and epoch-scoped runtime-stats deltas absorbed as
     /// counters. Labels are bit-identical to the untraced run. If an
     /// outer trace session is already active the returned trace is empty
     /// (the spans flow to the outer collector).
-    pub fn run_traced(&mut self) -> (Decomposition, PartitionTelemetry, mpx_trace::Trace) {
-        self.run_with_seed_traced(self.opts.seed)
-    }
-
-    /// [`run_traced`](Decomposer::run_traced) with fresh shifts drawn
-    /// from `seed`.
     pub fn run_with_seed_traced(
         &mut self,
         seed: u64,
@@ -643,31 +620,23 @@ impl<'g, V: GraphView> Decomposer<'g, V> {
 /// the Section 6 path through the same session machinery as
 /// [`Decomposer`].
 ///
-/// Built by [`DecomposerBuilder::build_weighted`]. The configured
-/// [`Traversal`] routes the run: `TopDownSeq` is the sequential
-/// multi-source Dijkstra reference, every other strategy the bucketed
-/// Δ-stepping engine — all bit-identical, so the choice (like
-/// [`with_delta`](WeightedDecomposer::with_delta)) affects wall-clock
-/// only.
+/// Built by [`DecomposerBuilder::build_weighted`]. Every run is the
+/// bucketed Δ-stepping engine at the width it computes (the mean edge
+/// length, raised to `δ_max / n`); the configured [`Traversal`] does not
+/// change it.
 ///
 /// ```
-/// use mpx_decomp::{DecomposerBuilder, Traversal};
+/// use mpx_decomp::{partition_weighted, DecomposerBuilder};
 /// let g = mpx_graph::gen::gnm(300, 900, 1);
 /// let wg = mpx_graph::WeightedCsrGraph::unit_weights(&g);
 /// let mut dec = DecomposerBuilder::new(0.2).seed(5).build_weighted(&wg).unwrap();
 /// let d = dec.run();
-/// let mut seq = DecomposerBuilder::new(0.2)
-///     .seed(5)
-///     .traversal(Traversal::TopDownSeq)
-///     .build_weighted(&wg)
-///     .unwrap();
-/// assert_eq!(d, seq.run());
+/// assert_eq!(d, partition_weighted(&wg, dec.options()));
 /// ```
 #[must_use = "a WeightedDecomposer does nothing until one of its run methods is called"]
 pub struct WeightedDecomposer<'g, W: WeightedGraphView> {
     view: &'g W,
     opts: DecompOptions,
-    delta: Option<f64>,
     workspace: Workspace,
 }
 
@@ -693,21 +662,6 @@ impl<'g, W: WeightedGraphView> WeightedDecomposer<'g, W> {
         self.workspace
     }
 
-    /// Pins the Δ-stepping bucket width (`None` = mean edge weight, the
-    /// default). Wall-clock only; output is identical for every width.
-    pub fn with_delta(mut self, delta: Option<f64>) -> Self {
-        self.delta = delta;
-        self
-    }
-
-    /// Switches the determinism contract for subsequent runs on this
-    /// session. On the weighted engine both modes run the same lock-free
-    /// reduction and are bit-identical, so this knob only picks the
-    /// scheduler (fixed chunk layout or work stealing).
-    pub fn set_determinism(&mut self, d: Determinism) {
-        self.opts.determinism = d;
-    }
-
     /// Decomposes under the configured seed.
     pub fn run(&mut self) -> WeightedDecomposition {
         self.run_with_seed(self.opts.seed)
@@ -730,8 +684,7 @@ impl<'g, W: WeightedGraphView> WeightedDecomposer<'g, W> {
         seed: u64,
     ) -> (WeightedDecomposition, WeightedTelemetry) {
         let opts = self.opts.clone().with_seed(seed);
-        self.workspace
-            .partition_weighted_view(self.view, &opts, self.delta)
+        self.workspace.partition_weighted_view(self.view, &opts)
     }
 
     /// Batched multi-seed run: one decomposition per seed, in order, each
@@ -741,19 +694,13 @@ impl<'g, W: WeightedGraphView> WeightedDecomposer<'g, W> {
         seeds.iter().map(|&s| self.run_with_seed(s)).collect()
     }
 
-    /// [`run_instrumented`](WeightedDecomposer::run_instrumented) under a
-    /// trace session: labels, telemetry, and the collected
+    /// [`run_with_seed_instrumented`](WeightedDecomposer::run_with_seed_instrumented)
+    /// under a trace session: labels, telemetry, and the collected
     /// [`mpx_trace::Trace`] with per-bucket/per-phase Δ-stepping spans
     /// plus the [`WeightedTelemetry`] fields
     /// (buckets/phases/relaxations/delta) and epoch-scoped runtime-stats
     /// deltas absorbed as counters. Labels are bit-identical to the
     /// untraced run.
-    pub fn run_traced(&mut self) -> (WeightedDecomposition, WeightedTelemetry, mpx_trace::Trace) {
-        self.run_with_seed_traced(self.opts.seed)
-    }
-
-    /// [`run_traced`](WeightedDecomposer::run_traced) with fresh shifts
-    /// drawn from `seed`.
     pub fn run_with_seed_traced(
         &mut self,
         seed: u64,
@@ -808,12 +755,7 @@ mod tests {
     use mpx_graph::gen;
     use mpx_graph::{CsrGraph, WeightedCsrGraph};
 
-    const ALL_STRATEGIES: [Traversal; 4] = [
-        Traversal::Auto,
-        Traversal::TopDownPar,
-        Traversal::TopDownSeq,
-        Traversal::BottomUp,
-    ];
+    const ALL_STRATEGIES: [Traversal; 2] = [Traversal::Auto, Traversal::TopDownPar];
 
     #[test]
     fn builder_rejects_bad_config_with_typed_errors() {
@@ -1010,20 +952,19 @@ mod tests {
             let opts = DecompOptions::new(0.2).with_seed(s);
             assert_eq!(batch[i], partition_weighted(&wg, &opts), "seed {s}");
         }
-        // Repeats reuse arenas and stay bit-identical; the sequential
-        // traversal and an explicit bucket width change nothing.
+        // Repeats reuse arenas and stay bit-identical; the top-down
+        // traversal changes nothing.
         let again = dec.run_many(&seeds);
         assert_eq!(batch, again);
         assert_eq!(dec.workspace().scratch_bytes(), bytes);
         let ws = dec.into_workspace();
-        let mut seq = builder
-            .traversal(Traversal::TopDownSeq)
+        let mut top_down = builder
+            .traversal(Traversal::TopDownPar)
             .build_weighted_in(&wg, ws)
-            .unwrap()
-            .with_delta(Some(0.3));
-        assert_eq!(seq.run_many(&seeds), batch);
+            .unwrap();
+        assert_eq!(top_down.run_many(&seeds), batch);
         // The workspace moves freely between weighted and unweighted runs.
-        let ws = seq.into_workspace();
+        let ws = top_down.into_workspace();
         let mut udec = DecomposerBuilder::new(0.2)
             .seed(6)
             .build_in(&g, ws)

@@ -16,12 +16,12 @@
 //! traversal direction. This module exploits that: one round loop,
 //! parameterized by
 //!
-//! * a [`Traversal`] strategy — [`Traversal::TopDownPar`],
-//!   [`Traversal::TopDownSeq`], [`Traversal::BottomUp`], or
-//!   [`Traversal::Auto`] (direction optimization: each round takes the
-//!   direction that reads less, with a top-down read weighted by
-//!   [`DecompOptions::alpha`](crate::DecompOptions::alpha)) — all
-//!   **bit-identical** in output, and
+//! * a [`Traversal`] strategy — [`Traversal::Auto`] (direction
+//!   optimization: each round takes the direction that reads less, with a
+//!   top-down read weighted by
+//!   [`DecompOptions::alpha`](crate::DecompOptions::alpha)) or
+//!   [`Traversal::TopDownPar`] (the paper's Algorithm 1, top-down
+//!   throughout) — **bit-identical** in output, and
 //! * a [`GraphView`] — the whole [`CsrGraph`](mpx_graph::CsrGraph), a
 //!   zero-copy [`InducedView`](mpx_graph::InducedView) of a vertex subset,
 //!   or an [`EdgeFilteredView`](mpx_graph::EdgeFilteredView) of an edge
@@ -44,9 +44,10 @@
 //! round) ∪ (own wake bid)" in **both** directions, which is why they can
 //! be mixed freely per round. Bottom-up rounds write each vertex from
 //! exactly one task (itself), avoiding per-edge CAS traffic entirely — the
-//! payoff on fat frontiers. Thin rounds of any parallel strategy run
-//! inline: the worker-pool fan-out costs more than the round's whole work
-//! on mesh-like graphs (an output-invisible scheduling choice).
+//! payoff on fat frontiers. Thin rounds of either strategy run inline:
+//! the worker-pool fan-out costs more than the round's whole work on
+//! mesh-like graphs (an output-invisible scheduling choice the engine
+//! makes per round from its read count, `SEQ_ROUND_CUTOFF`).
 //!
 //! [`Traversal::Auto`] charges each direction what it reads this round.
 //! Top-down reads its wake bucket and every frontier arc. Bottom-up reads
@@ -84,7 +85,7 @@ pub struct PartitionTelemetry {
     pub relaxations: u64,
     /// Number of clusters formed.
     pub clusters: u64,
-    /// Rounds that ran bottom-up (0 under the pure top-down strategies).
+    /// Rounds that ran bottom-up (0 under [`Traversal::TopDownPar`]).
     pub bottom_up_rounds: u64,
     /// Successful single-shot CAS claims ([`Determinism::Fast`] top-down
     /// rounds only; 0 under [`Determinism::BitExact`]).
@@ -187,11 +188,7 @@ impl EngineScratch {
         strategy: Traversal,
         determinism: Determinism,
     ) {
-        // Pure bottom-up never bids through `claim` — skip the reset it
-        // can't see.
-        if strategy != Traversal::BottomUp {
-            reset_atomic_u64(&mut self.claim, n, u64::MAX);
-        }
+        reset_atomic_u64(&mut self.claim, n, u64::MAX);
         if determinism == Determinism::Fast {
             // Fast writes `assignment` and `dist` exactly once per vertex,
             // at claim time, and never reads an unclaimed vertex's slots —
@@ -204,7 +201,7 @@ impl EngineScratch {
             reset_atomic_u32(&mut self.assignment, n, NO_VERTEX);
             reset_atomic_u32(&mut self.dist, n, 0);
         }
-        if matches!(strategy, Traversal::Auto | Traversal::BottomUp) {
+        if strategy == Traversal::Auto {
             grow_atomic_u32(&mut self.settled_round, n);
         }
 
@@ -355,7 +352,7 @@ fn partition_view_protocol<V: GraphView>(
     let fast = determinism == Determinism::Fast;
     scratch.prepare(n, shifts, strategy, determinism);
     let (claim_ref, assignment_ref, dist_ref, settled_ref) = (
-        &scratch.claim[..n.min(scratch.claim.len())],
+        &scratch.claim[..n],
         &scratch.assignment[..n],
         &scratch.dist[..n],
         &scratch.settled_round[..n.min(scratch.settled_round.len())],
@@ -399,11 +396,8 @@ fn partition_view_protocol<V: GraphView>(
         let top_down_reads = bucket.len() as u64 + frontier_degree;
         let bottom_up_reads = listed as u64 + unsettled_degree;
 
-        let bottom_up = match strategy {
-            Traversal::TopDownPar | Traversal::TopDownSeq => false,
-            Traversal::BottomUp => true,
-            Traversal::Auto => top_down_reads.saturating_mul(alpha) > bottom_up_reads,
-        };
+        let bottom_up =
+            strategy == Traversal::Auto && top_down_reads.saturating_mul(alpha) > bottom_up_reads;
 
         // The direction-switch decision and its inputs ride on the round
         // span so traces show *why* each round went top-down or bottom-up.
@@ -428,16 +422,13 @@ fn partition_view_protocol<V: GraphView>(
             // The first bottom-up round filters `0..n` instead, recording
             // each vertex's settling round as it goes: its center's wake
             // round plus its distance, or `u32::MAX` while unsettled. (Fast
-            // leaves stale labels in unclaimed slots, so it asks `claim`;
-            // before anything settles, as in pure bottom-up's round 0,
-            // nothing is asked: `claim` is not even reset there.)
+            // leaves stale labels in unclaimed slots, so it asks `claim`.)
             let record = |v: Vertex| -> bool {
-                let claimed = settled > 0
-                    && if fast {
-                        claim_ref[v as usize].load(Ordering::Relaxed) != u64::MAX
-                    } else {
-                        assignment_ref[v as usize].load(Ordering::Relaxed) != NO_VERTEX
-                    };
+                let claimed = if fast {
+                    claim_ref[v as usize].load(Ordering::Relaxed) != u64::MAX
+                } else {
+                    assignment_ref[v as usize].load(Ordering::Relaxed) != NO_VERTEX
+                };
                 let r = if claimed {
                     let center = assignment_ref[v as usize].load(Ordering::Relaxed);
                     shifts.start_round[center as usize]
@@ -493,7 +484,7 @@ fn partition_view_protocol<V: GraphView>(
                 // slot (the assignment array is not reset in Fast), so a
                 // bottom-up round must record its single-writer wins there
                 // too or a later top-down round under Auto would re-claim.
-                if fast && !claim_ref.is_empty() {
+                if fast {
                     claim_ref[v as usize].store(best, Ordering::Relaxed);
                 }
                 assignment_ref[v as usize].store(center, Ordering::Relaxed);
@@ -518,7 +509,7 @@ fn partition_view_protocol<V: GraphView>(
             // more than the round's whole work on mesh-like graphs
             // (hundreds of rounds of tiny frontiers). The claim logic — and
             // therefore the output — is identical on both paths.
-            let par = strategy != Traversal::TopDownSeq && top_down_reads >= SEQ_ROUND_CUTOFF;
+            let par = top_down_reads >= SEQ_ROUND_CUTOFF;
 
             // Fast's single-shot claim: the first successful exchange wins
             // the vertex permanently and settles it on the spot — there is
@@ -719,17 +710,23 @@ mod tests {
     use super::*;
     use crate::options::DecompOptions;
     use crate::Workspace;
-    use mpx_graph::{gen, CsrGraph, InducedView};
+    use mpx_graph::{gen, CsrGraph, EdgeFilteredView, InducedView};
 
     fn opts(beta: f64, seed: u64) -> DecompOptions {
         DecompOptions::new(beta).with_seed(seed)
     }
 
-    const ALL_STRATEGIES: [Traversal; 4] = [
-        Traversal::Auto,
-        Traversal::TopDownPar,
-        Traversal::TopDownSeq,
-        Traversal::BottomUp,
+    const ALL_STRATEGIES: [Traversal; 2] = [Traversal::Auto, Traversal::TopDownPar];
+
+    /// An `alpha` large enough that Auto takes every round with a nonempty
+    /// top-down side bottom-up: the sweeps' way to reach bottom-up rounds.
+    const BOTTOM_UP_ALPHA: u64 = 1_000_000;
+
+    /// Both strategies at the default `alpha`, then Auto going bottom-up.
+    const SWEEP: [(Traversal, u64); 3] = [
+        (Traversal::Auto, crate::DEFAULT_ALPHA),
+        (Traversal::TopDownPar, crate::DEFAULT_ALPHA),
+        (Traversal::Auto, BOTTOM_UP_ALPHA),
     ];
 
     #[test]
@@ -748,15 +745,17 @@ mod tests {
             let o = opts(beta, 7);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
             let (base, _) = partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, o.alpha);
-            for s in ALL_STRATEGIES {
-                let (d, t) = partition_view_with_shifts(&g, &shifts, s, o.alpha);
-                assert_eq!(base, d, "strategy {s:?}");
+            for (s, alpha) in SWEEP {
+                let (d, t) = partition_view_with_shifts(&g, &shifts, s, alpha);
+                assert_eq!(base, d, "strategy {s:?} alpha {alpha}");
                 assert_eq!(t.clusters as usize, d.num_clusters());
-                if matches!(s, Traversal::TopDownPar | Traversal::TopDownSeq) {
-                    assert_eq!(t.bottom_up_rounds, 0, "strategy {s:?}");
+                if s == Traversal::TopDownPar {
+                    assert_eq!(t.bottom_up_rounds, 0);
                     // Top-down work is linear: every arc is scanned at most
                     // once from each endpoint.
-                    assert!(t.relaxations <= 2 * g.num_arcs() as u64, "strategy {s:?}");
+                    assert!(t.relaxations <= 2 * g.num_arcs() as u64);
+                } else if alpha == BOTTOM_UP_ALPHA && g.num_vertices() > 0 {
+                    assert!(t.bottom_up_rounds > 0, "alpha {alpha}");
                 }
             }
         }
@@ -826,23 +825,13 @@ mod tests {
     }
 
     #[test]
-    fn bottom_up_strategy_counts_its_rounds() {
-        let g = gen::gnm(500, 4000, 1);
-        let o = opts(0.4, 5);
-        let shifts = ExpShifts::generate(g.num_vertices(), &o);
-        let (_, t) = partition_view_with_shifts(&g, &shifts, Traversal::BottomUp, o.alpha);
-        assert_eq!(t.rounds, t.bottom_up_rounds);
-        assert!(t.rounds > 0);
-    }
-
-    #[test]
     fn auto_switch_is_alpha_tunable_but_output_invariant() {
         let g = gen::gnm(2000, 30_000, 4);
         let o = opts(0.5, 2);
         let shifts = ExpShifts::generate(g.num_vertices(), &o);
         let mut profiles = Vec::new();
         let mut outputs = Vec::new();
-        for alpha in [1, 12, 1_000_000] {
+        for alpha in [1, 12, BOTTOM_UP_ALPHA] {
             let (d, t) = partition_view_with_shifts(&g, &shifts, Traversal::Auto, alpha);
             profiles.push(t.bottom_up_rounds);
             outputs.push(d);
@@ -864,11 +853,39 @@ mod tests {
             let view = InducedView::from_mask(&g, &keep);
             let (sub, _) = g.induced_subgraph(&keep);
             let o = opts(0.2, seed);
-            for s in ALL_STRATEGIES {
-                let shifts = ExpShifts::generate(view.num_vertices(), &o);
-                let (via_view, _) = partition_view_with_shifts(&view, &shifts, s, o.alpha);
-                let (via_sub, _) = partition_view_with_shifts(&sub, &shifts, s, o.alpha);
-                assert_eq!(via_view, via_sub, "seed {seed} strategy {s:?}");
+            let shifts = ExpShifts::generate(view.num_vertices(), &o);
+            for (s, alpha) in SWEEP {
+                let (via_view, t) = partition_view_with_shifts(&view, &shifts, s, alpha);
+                let (via_sub, _) = partition_view_with_shifts(&sub, &shifts, s, alpha);
+                assert_eq!(
+                    via_view, via_sub,
+                    "seed {seed} strategy {s:?} alpha {alpha}"
+                );
+                if alpha == BOTTOM_UP_ALPHA {
+                    assert!(t.bottom_up_rounds > 0, "seed {seed}");
+                }
+            }
+
+            // An edge subset: a symmetric arc mask against the graph of
+            // the kept edges.
+            let kept = |u: Vertex, v: Vertex| !(u as u64 + v as u64 + seed).is_multiple_of(3);
+            let live: Vec<bool> = (0..400)
+                .flat_map(|u| g.neighbors(u).iter().map(move |&v| kept(u, v)))
+                .collect();
+            let view = EdgeFilteredView::new(&g, &live);
+            let edges: Vec<(Vertex, Vertex)> = g.edges().filter(|&(u, v)| kept(u, v)).collect();
+            let sub = CsrGraph::from_edges(400, &edges);
+            let shifts = ExpShifts::generate(400, &o);
+            for (s, alpha) in SWEEP {
+                let (via_view, t) = partition_view_with_shifts(&view, &shifts, s, alpha);
+                let (via_sub, _) = partition_view_with_shifts(&sub, &shifts, s, alpha);
+                assert_eq!(
+                    via_view, via_sub,
+                    "edge subset, seed {seed} strategy {s:?} alpha {alpha}"
+                );
+                if alpha == BOTTOM_UP_ALPHA {
+                    assert!(t.bottom_up_rounds > 0, "edge subset, seed {seed}");
+                }
             }
         }
     }

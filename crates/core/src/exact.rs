@@ -84,10 +84,9 @@ mod tests {
             let exact = partition_exact_with_shifts(&g, &shifts);
             let (par, _) =
                 partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, DEFAULT_ALPHA);
-            let (seq, _) =
-                partition_view_with_shifts(&g, &shifts, Traversal::TopDownSeq, DEFAULT_ALPHA);
+            let (auto, _) = partition_view_with_shifts(&g, &shifts, Traversal::Auto, DEFAULT_ALPHA);
             assert_eq!(exact, par, "exact vs parallel, seed {seed}");
-            assert_eq!(exact, seq, "exact vs sequential, seed {seed}");
+            assert_eq!(exact, auto, "exact vs auto, seed {seed}");
         }
     }
 

@@ -23,22 +23,22 @@
 //! edges between pieces is `O(β)` — see [`verify_decomposition`] which
 //! checks all of this on concrete outputs.
 //!
-//! ## Architecture: one engine, four strategies, any view
+//! ## Architecture: one engine, two strategies, any view
 //!
 //! All shifted-BFS variants are **one** implementation: the round loop in
 //! [`engine`] (wake → expand → finalize), parameterized along two
 //! independent axes.
 //!
 //! **Traversal strategy** ([`Traversal`], selectable via
-//! [`DecompOptions::traversal`]) decides how each round is scheduled —
-//! never what it computes; every strategy is bit-identical in output:
+//! [`DecompOptions::traversal`]) decides which directions the rounds may
+//! take — never what they compute; both strategies are bit-identical in
+//! output. Whether a round runs inline or on the worker pool the engine
+//! decides itself, from the round's read count:
 //!
 //! | strategy | when to pick it |
 //! |----------|-----------------|
 //! | [`Traversal::Auto`] | default; each round takes the direction that reads less ([`DecompOptions::alpha`]): bottom-up on fat low-diameter frontiers, top-down throughout on meshes |
 //! | [`Traversal::TopDownPar`] | the paper's Algorithm 1 verbatim; predictable `O(m)` scans |
-//! | [`Traversal::TopDownSeq`] | round loop fully inline (no per-round pool dispatch) — baselines, tiny pieces |
-//! | [`Traversal::BottomUp`] | ablation of the bottom-up half; only competitive on dense, very-low-diameter graphs |
 //!
 //! **Graph view** ([`mpx_graph::GraphView`]) decides what the engine
 //! traverses: the whole [`mpx_graph::CsrGraph`], a zero-copy
@@ -67,7 +67,7 @@
 //! | [`partition_weighted`] | Section 6 | one-shot, any [`mpx_graph::WeightedGraphView`], follows `opts.traversal` |
 //! | [`DecomposerBuilder`] → [`Decomposer`] | Algorithm 1 | session: any [`Traversal`] × any view, amortized scratch |
 //! | [`Decomposer::run_with_retry`] | Theorem 1.2 proof | retries until the `(β, O(log n/β))` guarantee holds |
-//! | [`DecomposerBuilder::build_weighted`] → [`WeightedDecomposer`] | Section 6 | weighted session; [`WeightedDecomposer::with_delta`] picks the Δ-stepping bucket width |
+//! | [`DecomposerBuilder::build_weighted`] → [`WeightedDecomposer`] | Section 6 | weighted session: bucketed Δ-stepping at the width the engine computes |
 //! | [`Workspace::partition_view`] / [`Workspace::partition_weighted_view`] | Algorithm 1 / Section 6 | session machinery for pipelines that partition a *sequence* of views |
 //! | [`engine::partition_view_with_shifts`] | Algorithm 1 | the engine under externally supplied shifts |
 //! | [`partition_exact`] | Algorithm 2 | `O(nm)` literal reference oracle, for testing |

@@ -39,31 +39,23 @@ pub enum ShiftStrategy {
 }
 
 /// Frontier-traversal strategy of the shifted-BFS engine
-/// ([`crate::engine`]). Every strategy produces **bit-identical**
+/// ([`crate::engine`]). Both strategies produce **bit-identical**
 /// decompositions — claims are resolved by content-based key minima, never
-/// by schedule — so this is purely a wall-clock/scaling choice.
+/// by schedule — so this is purely a wall-clock choice. Within either one
+/// the engine decides how each round runs: inline or on the worker pool
+/// from the round's read count, and under `Auto` also its direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Traversal {
     /// Direction optimization: a round goes bottom-up only when that reads
     /// fewer entries than `alpha` times what top-down would read (see
     /// [`DecompOptions::alpha`]), which keeps the work `O(n + m)`. Meshes
     /// stay top-down throughout; fat frontiers on low-diameter graphs go
-    /// bottom-up. The best default on every graph family we measure.
+    /// bottom-up.
     #[default]
     Auto,
-    /// Always top-down, parallel rounds (thin rounds still run inline —
-    /// that is a scheduling detail with no output effect).
+    /// Always top-down: the paper's Algorithm 1 verbatim (thin rounds
+    /// still run inline — a scheduling detail with no output effect).
     TopDownPar,
-    /// Always top-down with every round run inline: the "good sequential
-    /// algorithm" baseline — one pass, no priority queue, no per-round
-    /// worker-pool dispatch. (Shift generation and parent assembly still
-    /// use the shared parallel helpers, as the sequential twin always
-    /// did.)
-    TopDownSeq,
-    /// Always bottom-up: every round scans the unsettled vertices for
-    /// neighbors settled in the previous round. Wins only on very dense,
-    /// very low-diameter graphs; pays `O(unsettled)` per round elsewhere.
-    BottomUp,
 }
 
 impl Traversal {
@@ -72,8 +64,6 @@ impl Traversal {
         match self {
             Traversal::Auto => "auto",
             Traversal::TopDownPar => "parallel",
-            Traversal::TopDownSeq => "sequential",
-            Traversal::BottomUp => "bottomup",
         }
     }
 }
@@ -82,15 +72,14 @@ impl std::str::FromStr for Traversal {
     type Err = String;
 
     /// Parses a CLI token. `hybrid` is accepted as an alias of `auto` (the
-    /// direction-optimizing top-down/bottom-up engine).
+    /// direction-optimizing top-down/bottom-up engine), `topdown` as an
+    /// alias of `parallel`.
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "auto" | "hybrid" => Ok(Traversal::Auto),
             "parallel" | "topdown" => Ok(Traversal::TopDownPar),
-            "sequential" | "seq" => Ok(Traversal::TopDownSeq),
-            "bottomup" | "bottom-up" => Ok(Traversal::BottomUp),
             other => Err(format!(
-                "unknown strategy '{other}' (expected auto|parallel|sequential|bottomup|hybrid)"
+                "unknown strategy '{other}' (expected auto|parallel|hybrid|topdown)"
             )),
         }
     }
@@ -255,8 +244,8 @@ pub struct DecompOptions {
     /// `O(log n / β)` w.h.p. The paper's cut bound assumes `β ≤ 1/2`.
     pub beta: f64,
     /// RNG seed; every run with the same seed (and tie-break rule) is
-    /// bit-identical across the parallel/sequential/exact implementations
-    /// and across thread counts.
+    /// bit-identical across traversals, the exact oracles and thread
+    /// counts.
     pub seed: u64,
     /// Tie-breaking rule (see [`TieBreak`]).
     pub tie_break: TieBreak,
@@ -474,10 +463,10 @@ mod tests {
         assert_eq!(o.traversal, Traversal::Auto);
         assert_eq!(o.alpha, DEFAULT_ALPHA);
         let o = o
-            .with_traversal(Traversal::BottomUp)
+            .with_traversal(Traversal::TopDownPar)
             .with_alpha(5)
             .with_seed(1);
-        assert_eq!(o.traversal, Traversal::BottomUp);
+        assert_eq!(o.traversal, Traversal::TopDownPar);
         assert_eq!(o.alpha, 5);
     }
 
@@ -487,19 +476,15 @@ mod tests {
             ("auto", Traversal::Auto),
             ("hybrid", Traversal::Auto),
             ("parallel", Traversal::TopDownPar),
-            ("sequential", Traversal::TopDownSeq),
-            ("bottomup", Traversal::BottomUp),
+            ("topdown", Traversal::TopDownPar),
         ] {
             assert_eq!(token.parse::<Traversal>().unwrap(), want, "{token}");
         }
-        assert!("bogus".parse::<Traversal>().is_err());
+        for gone in ["bogus", "sequential", "seq", "bottomup", "bottom-up"] {
+            assert!(gone.parse::<Traversal>().is_err(), "{gone}");
+        }
         // Canonical tokens round-trip.
-        for t in [
-            Traversal::Auto,
-            Traversal::TopDownPar,
-            Traversal::TopDownSeq,
-            Traversal::BottomUp,
-        ] {
+        for t in [Traversal::Auto, Traversal::TopDownPar] {
             assert_eq!(t.as_str().parse::<Traversal>().unwrap(), t);
         }
     }

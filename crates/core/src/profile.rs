@@ -45,9 +45,9 @@ pub struct WeightedRunSample {
     pub seed: u64,
     /// Wall-clock time of the run in milliseconds.
     pub ms: f64,
-    /// Δ-stepping buckets processed (0 on the sequential path).
+    /// Δ-stepping buckets processed.
     pub buckets: u64,
-    /// Light-relaxation phases (0 on the sequential path).
+    /// Light-relaxation phases.
     pub phases: u64,
     /// Edge relaxations performed.
     pub relaxations: u64,

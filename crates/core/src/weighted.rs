@@ -13,10 +13,11 @@
 //! related to diameter"). As an engineering extension the workspace has a
 //! bucketed Δ-stepping implementation whose relaxations run in parallel
 //! through an order-independent lock-free reduction; it produces
-//! **bit-identical** decompositions to the sequential Dijkstra.
+//! **bit-identical** decompositions to the per-center reference oracle
+//! [`crate::partition_weighted_exact`].
 //!
 //! This module holds the output type ([`WeightedDecomposition`]) and the
-//! verifier. The strategy-routed engine lives in [`crate::wengine`]; it
+//! verifier. The engine lives in [`crate::wengine`]; it
 //! runs through [`crate::partition_weighted`] and the weighted session
 //! ([`crate::DecomposerBuilder::build_weighted`]).
 //!
@@ -316,8 +317,9 @@ pub fn verify_weighted<W: WeightedGraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{DecompOptions, Traversal};
-    use crate::{partition_weighted, DecomposerBuilder};
+    use crate::options::{DecompOptions, Determinism, Traversal};
+    use crate::wengine::{partition_weighted_view_reusing, WeightedScratch};
+    use crate::{partition_weighted, partition_weighted_exact, ExpShifts};
     use mpx_graph::gen;
     use mpx_graph::{CsrGraph, WeightedCsrGraph};
     use rand::rngs::StdRng;
@@ -378,7 +380,7 @@ mod tests {
         for seed in 0..6u64 {
             let g = random_weighted(&gen::gnm(200, 600, seed), seed + 50);
             let o = opts(0.15, seed);
-            let a = partition_weighted(&g, &o.clone().with_traversal(Traversal::TopDownSeq));
+            let a = partition_weighted_exact(&g, &o);
             let b = partition_weighted(&g, &o.with_traversal(Traversal::TopDownPar));
             assert_eq!(a.assignment, b.assignment, "seed {seed}");
             for v in 0..g.num_vertices() {
@@ -395,13 +397,18 @@ mod tests {
     fn delta_stepping_various_widths() {
         let g = random_weighted(&gen::grid2d(12, 12), 3);
         let o = opts(0.2, 4);
-        let reference = partition_weighted(&g, &o.clone().with_traversal(Traversal::TopDownSeq));
+        let reference = partition_weighted_exact(&g, &o);
+        let shifts = ExpShifts::generate(g.num_vertices(), &o);
+        let mut scratch = WeightedScratch::new();
         for delta in [0.05, 0.5, 2.0, 100.0] {
-            let d = DecomposerBuilder::from_options(o.clone())
-                .build_weighted(&g)
-                .unwrap()
-                .with_delta(Some(delta))
-                .run();
+            let (d, _) = partition_weighted_view_reusing(
+                &g,
+                &shifts,
+                o.traversal,
+                Some(delta),
+                Determinism::BitExact,
+                &mut scratch,
+            );
             assert_eq!(reference.assignment, d.assignment, "delta {delta}");
         }
     }

@@ -1,5 +1,6 @@
 //! The **weighted** decomposition engine: one generic implementation over
-//! any [`WeightedGraphView`], strategy-routed like [`crate::engine`].
+//! any [`WeightedGraphView`] — the paper's Section 6 exponentially shifted
+//! shortest paths, run as one parallel Δ-stepping search.
 //!
 //! The unweighted engine schedules work by *integer* BFS rounds — vertex
 //! `u` wakes in round `⌊δ_max − δ_u⌋`. Weights make arrival times
@@ -13,17 +14,16 @@
 //! its old label and its requests. That minimum does not depend on the
 //! order the atomic operations run in, so the result is a pure function of
 //! `(view, shifts)` — independent of thread count, scheduler and bucket
-//! width, and **bit-identical** to the sequential multi-source Dijkstra
-//! reference ([`Traversal::TopDownSeq`]): both compute, per vertex, the
+//! width, and **bit-identical** to the per-center reference oracle
+//! [`partition_weighted_exact`]: both compute, per vertex, the
 //! lexicographic minimum `(dist, root)` over the same finite set of
 //! left-to-right path sums `start_root + w_1 + … + w_k`, and identical
 //! `f64` additions give identical bits.
 //!
-//! Strategy mapping: [`Traversal::TopDownSeq`] runs the sequential heap
-//! Dijkstra (no pool dispatch); every other strategy — `Auto`,
-//! `TopDownPar`, `BottomUp` — runs Δ-stepping (there is no bottom-up dual
-//! for fractional arrivals; the tokens stay accepted so options are
-//! portable between the weighted and unweighted paths).
+//! Every [`Traversal`] runs the same Δ-stepping search (there is no
+//! bottom-up dual for fractional arrivals); the strategy is accepted so
+//! options are portable between the weighted and unweighted paths, and it
+//! only names the run in its trace span.
 //!
 //! Like [`crate::engine`], all arenas live in a reusable scratch
 //! ([`WeightedScratch`], owned by [`crate::Workspace`]) so repeated runs
@@ -37,7 +37,7 @@ use crate::shift::ExpShifts;
 use crate::weighted::WeightedDecomposition;
 use mpx_graph::{Vertex, WeightedGraphView, NO_VERTEX};
 use rayon::prelude::*;
-use std::cmp::Ordering as CmpOrdering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -45,61 +45,28 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// than the scan on tiny pieces). Matches the unweighted engine's cutoff.
 const RESET_PAR_CUTOFF: usize = 4096;
 
-/// Heap entry for the shifted multi-source Dijkstra: pops in ascending
-/// `(dist, root, vertex)` order (the reversed comparison makes Rust's
-/// max-heap a min-heap) — the lexicographic `(dist, root)` tie-break
-/// shared with the Δ-stepping reduction.
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    root: Vertex,
-    vertex: Vertex,
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(CmpOrdering::Equal)
-            .then_with(|| other.root.cmp(&self.root))
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
-}
-
 /// Counters describing one weighted engine run (wall-clock diagnostics
-/// only; the decomposition itself is strategy-independent).
+/// only; the decomposition itself is width- and schedule-independent).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WeightedTelemetry {
-    /// Outer buckets processed (0 on the sequential Dijkstra path).
+    /// Outer buckets processed.
     pub buckets: u64,
-    /// Light-relaxation phases across all buckets (0 on the sequential
-    /// path).
+    /// Light-relaxation phases across all buckets.
     pub phases: u64,
-    /// Edge relaxations: requests generated (Δ-stepping; an arc whose
-    /// `(dist, root)` does not beat its target's label is not a request)
-    /// or heap pushes beyond the seeds (sequential).
+    /// Edge relaxations: requests generated (an arc whose `(dist, root)`
+    /// does not beat its target's label is not a request).
     pub relaxations: u64,
     /// Clusters in the resulting decomposition.
     pub clusters: usize,
-    /// Bucket width actually used: the requested Δ raised to at least
-    /// `δ_max / n` (0.0 on the sequential path).
+    /// Bucket width actually used: the requested Δ (by default the mean
+    /// edge length) raised to at least `δ_max / n`.
     pub delta: f64,
     /// Distinct targets whose tentative distance a lock-free CAS-min
-    /// improved, summed over batches (Δ-stepping in either
-    /// [`Determinism`] mode; 0 on the sequential path).
+    /// improved, summed over batches (in either [`Determinism`] mode).
     pub cas_success: u64,
     /// CAS attempts that lost a race and had to re-read the slot — a
-    /// direct measure of relaxation contention (Δ-stepping only; depends
-    /// on the schedule, unlike every other field).
+    /// direct measure of relaxation contention (depends on the schedule,
+    /// unlike every other field).
     pub cas_retries: u64,
 }
 
@@ -108,18 +75,13 @@ pub struct WeightedTelemetry {
 /// different sizes, staying sized for the largest seen.
 #[derive(Default)]
 pub struct WeightedScratch {
-    /// Per-vertex start times `δ_max − δ_u` (shared by both paths).
+    /// Per-vertex start times `δ_max − δ_u`.
     start: Vec<f64>,
-    // Δ-stepping arenas. Non-negative f64s order the same as their bit
-    // patterns, so distance bits in an AtomicU64 compare correctly.
+    // Non-negative f64s order the same as their bit patterns, so distance
+    // bits in an AtomicU64 compare correctly.
     tent: Vec<AtomicU64>,
     root_atomic: Vec<AtomicU32>,
     buckets: Vec<Vec<Vertex>>,
-    // Sequential Dijkstra arenas.
-    dist: Vec<f64>,
-    root: Vec<Vertex>,
-    settled: Vec<bool>,
-    heap: Vec<HeapEntry>,
 }
 
 impl WeightedScratch {
@@ -139,10 +101,6 @@ impl WeightedScratch {
                 .map(|b| b.capacity() * std::mem::size_of::<Vertex>())
                 .sum::<usize>()
             + self.buckets.capacity() * std::mem::size_of::<Vec<Vertex>>()
-            + self.dist.capacity() * std::mem::size_of::<f64>()
-            + self.root.capacity() * std::mem::size_of::<Vertex>()
-            + self.settled.capacity()
-            + self.heap.capacity() * std::mem::size_of::<HeapEntry>()
     }
 }
 
@@ -172,12 +130,13 @@ pub fn validate_weights<W: WeightedGraphView>(view: &W) -> Result<(), ConfigErro
 /// [`crate::engine::partition_view_reusing`] and the engine behind
 /// [`crate::Workspace::partition_weighted_view`].
 ///
-/// `delta` is the Δ-stepping bucket width; `None` uses the mean edge
-/// weight. The engine raises it to at least `δ_max / n`: no label exceeds
-/// its vertex's start time `≤ δ_max`, so at most `n + 1` buckets exist
-/// however small the lengths or β. The width (like the strategy and the
-/// thread count) affects wall-clock only — output is bit-identical for
-/// every choice.
+/// `delta` is the Δ-stepping bucket width; `None` (what every session
+/// passes) uses the mean edge weight. The engine raises it to at least
+/// `δ_max / n`: no label exceeds its vertex's start time `≤ δ_max`, so at
+/// most `n + 1` buckets exist however small the lengths or β. The width
+/// (like the thread count) affects wall-clock only — output is
+/// bit-identical for every choice. `traversal` is recorded on the run's
+/// trace span and changes nothing else.
 ///
 /// Δ-stepping resolves each request batch with two barrier-separated
 /// lock-free passes (CAS-min the distance bits, resetting the root of
@@ -188,7 +147,6 @@ pub fn validate_weights<W: WeightedGraphView>(view: &W) -> Result<(), ConfigErro
 /// [`Determinism::BitExact`] runs them on the fixed chunk layout,
 /// [`Determinism::Fast`] on the work-stealing scheduler. Unlike the
 /// unweighted engine, **weighted output is bit-identical in both modes**.
-/// The sequential Dijkstra ([`Traversal::TopDownSeq`]) ignores the knob.
 pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
     view: &W,
     shifts: &ExpShifts,
@@ -231,30 +189,25 @@ pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
         }
     }
 
-    let (assignment, arrival, mut telemetry) = match traversal {
-        Traversal::TopDownSeq => dijkstra_multi_source(view, &start[..n], scratch),
-        _ => {
-            let delta = delta.unwrap_or_else(|| {
-                let m = (view.total_degree() / 2) as usize;
-                if m == 0 {
-                    1.0
-                } else {
-                    (2.0 * view.total_weight() / (2.0 * m as f64)).max(f64::MIN_POSITIVE)
-                }
-            });
-            assert!(
-                delta > 0.0 && delta.is_finite(),
-                "delta must be positive and finite, got {delta}"
-            );
-            let width = delta.max(shifts.delta_max / n as f64);
-            if determinism == Determinism::Fast {
-                mpx_runtime::with_scheduler(mpx_runtime::Scheduler::WorkStealing, || {
-                    delta_stepping(view, &start[..n], width, scratch)
-                })
-            } else {
-                delta_stepping(view, &start[..n], width, scratch)
-            }
+    let delta = delta.unwrap_or_else(|| {
+        let m = (view.total_degree() / 2) as usize;
+        if m == 0 {
+            1.0
+        } else {
+            (2.0 * view.total_weight() / (2.0 * m as f64)).max(f64::MIN_POSITIVE)
         }
+    });
+    assert!(
+        delta > 0.0 && delta.is_finite(),
+        "delta must be positive and finite, got {delta}"
+    );
+    let width = delta.max(shifts.delta_max / n as f64);
+    let (assignment, arrival, mut telemetry) = if determinism == Determinism::Fast {
+        mpx_runtime::with_scheduler(mpx_runtime::Scheduler::WorkStealing, || {
+            delta_stepping(view, &start[..n], width, scratch)
+        })
+    } else {
+        delta_stepping(view, &start[..n], width, scratch)
     };
     scratch.start = start;
 
@@ -263,86 +216,10 @@ pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
     (d, telemetry)
 }
 
-/// Sequential exponentially shifted multi-source Dijkstra (paper
-/// Section 6 via the super-source reduction of Section 5): every vertex
-/// enters the heap at `start_u = δ_max − δ_u` carrying itself as root;
-/// root labels propagate along settled shortest paths. Returns each
-/// vertex's root and arrival time.
-fn dijkstra_multi_source<W: WeightedGraphView>(
-    view: &W,
-    start: &[f64],
-    scratch: &mut WeightedScratch,
-) -> (Vec<Vertex>, Vec<f64>, WeightedTelemetry) {
-    let n = start.len();
-    if scratch.dist.len() < n {
-        scratch.dist.resize(n, 0.0);
-        scratch.root.resize(n, 0);
-        scratch.settled.resize(n, false);
-    }
-    let dist = &mut scratch.dist[..n];
-    let root = &mut scratch.root[..n];
-    let settled = &mut scratch.settled[..n];
-    let mut heap_vec = std::mem::take(&mut scratch.heap);
-    heap_vec.clear();
-    heap_vec.reserve(n);
-    for u in 0..n as Vertex {
-        dist[u as usize] = start[u as usize];
-        root[u as usize] = u;
-        settled[u as usize] = false;
-        heap_vec.push(HeapEntry {
-            dist: start[u as usize],
-            root: u,
-            vertex: u,
-        });
-    }
-    let mut heap = BinaryHeap::from(heap_vec);
-    let _dijkstra_span = mpx_trace::span!("wengine.dijkstra", n = n);
-    let mut relaxations = 0u64;
-    while let Some(HeapEntry {
-        dist: du,
-        root: ru,
-        vertex: u,
-    }) = heap.pop()
-    {
-        if settled[u as usize]
-            || du > dist[u as usize]
-            || (du == dist[u as usize] && ru != root[u as usize])
-        {
-            continue;
-        }
-        settled[u as usize] = true;
-        for (v, w) in view.neighbors_weighted_iter(u) {
-            let cand = du + w;
-            let better =
-                cand < dist[v as usize] || (cand == dist[v as usize] && ru < root[v as usize]);
-            if !settled[v as usize] && better {
-                dist[v as usize] = cand;
-                root[v as usize] = ru;
-                relaxations += 1;
-                heap.push(HeapEntry {
-                    dist: cand,
-                    root: ru,
-                    vertex: v,
-                });
-            }
-        }
-    }
-    let mut spent = heap.into_vec();
-    spent.clear();
-    scratch.heap = spent;
-
-    mpx_trace::event!("wengine.relax", count = relaxations, kind = "dijkstra");
-    let telemetry = WeightedTelemetry {
-        relaxations,
-        ..WeightedTelemetry::default()
-    };
-    (root.to_vec(), dist.to_vec(), telemetry)
-}
-
 /// Bucketed Δ-stepping: the fractional generalization of the unweighted
 /// engine's integer wake schedule. Produces the same labels as
-/// [`dijkstra_multi_source`], bit-for-bit, for every bucket width, thread
-/// count and scheduler: each vertex's root and arrival time. `width` must
+/// [`partition_weighted_exact`], bit-for-bit, for every bucket width,
+/// thread count and scheduler: each vertex's root and arrival time. `width` must
 /// be at least `δ_max / n` so that the bucket indices stay `≤ n`.
 fn delta_stepping<W: WeightedGraphView>(
     view: &W,
@@ -551,9 +428,9 @@ fn delta_stepping<W: WeightedGraphView>(
 /// per-vertex lexicographic minimum `(dist, root)` — the literal
 /// "assign each vertex to the center minimizing the shifted weighted
 /// distance" rule of Section 6, with no super-source reduction. Per-root
-/// path sums accumulate left-to-right exactly like the multi-source
-/// versions, so equal paths give bit-equal `f64`s and the result is
-/// **bit-identical** to the engine. Testing/small graphs only.
+/// path sums accumulate left-to-right exactly like the engine's, so equal
+/// paths give bit-equal `f64`s and the result is **bit-identical** to the
+/// engine. Testing/small graphs only.
 pub fn partition_weighted_exact<W: WeightedGraphView>(
     view: &W,
     opts: &DecompOptions,
@@ -566,21 +443,15 @@ pub fn partition_weighted_exact<W: WeightedGraphView>(
     let mut best_dist = vec![f64::INFINITY; n];
     let mut best_root = vec![NO_VERTEX; n];
     let mut dist = vec![f64::INFINITY; n];
+    // Distances are non-negative, so their bit patterns order like the
+    // values: a min-heap on `(bits, vertex)`.
+    let mut heap = BinaryHeap::new();
     for r in 0..n as Vertex {
         dist.iter_mut().for_each(|d| *d = f64::INFINITY);
         dist[r as usize] = start[r as usize];
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapEntry {
-            dist: start[r as usize],
-            root: r,
-            vertex: r,
-        });
-        while let Some(HeapEntry {
-            dist: du,
-            vertex: u,
-            ..
-        }) = heap.pop()
-        {
+        heap.push(Reverse((start[r as usize].to_bits(), r)));
+        while let Some(Reverse((bits, u))) = heap.pop() {
+            let du = f64::from_bits(bits);
             if du > dist[u as usize] {
                 continue;
             }
@@ -588,11 +459,7 @@ pub fn partition_weighted_exact<W: WeightedGraphView>(
                 let cand = du + w;
                 if cand < dist[v as usize] {
                     dist[v as usize] = cand;
-                    heap.push(HeapEntry {
-                        dist: cand,
-                        root: r,
-                        vertex: v,
-                    });
+                    heap.push(Reverse((cand.to_bits(), v)));
                 }
             }
         }
@@ -698,17 +565,9 @@ mod tests {
             let g = random_weighted(&gen::gnm(150, 450, seed), seed + 7);
             let o = opts(0.2, seed);
             let exact = partition_weighted_exact(&g, &o);
-            for traversal in [
-                Traversal::Auto,
-                Traversal::TopDownPar,
-                Traversal::TopDownSeq,
-                Traversal::BottomUp,
-            ] {
-                let (d, t) = crate::Workspace::new().partition_weighted_view(
-                    &g,
-                    &o.clone().with_traversal(traversal),
-                    None,
-                );
+            for traversal in [Traversal::Auto, Traversal::TopDownPar] {
+                let (d, t) = crate::Workspace::new()
+                    .partition_weighted_view(&g, &o.clone().with_traversal(traversal));
                 assert_eq!(d.assignment, exact.assignment, "{traversal:?} seed {seed}");
                 for v in 0..g.num_vertices() {
                     assert_eq!(
@@ -749,16 +608,16 @@ mod tests {
             assert_eq!(first, again);
         }
         assert_eq!(scratch.capacity_bytes(), bytes, "arenas regrew");
-        // The same scratch serves the sequential path and a smaller view.
-        let (seq, _) = partition_weighted_view_reusing(
+        // The same scratch serves another bucket width and a smaller view.
+        let (narrow, _) = partition_weighted_view_reusing(
             &g,
             &shifts,
-            Traversal::TopDownSeq,
-            None,
+            Traversal::TopDownPar,
+            Some(0.3),
             Determinism::BitExact,
             &mut scratch,
         );
-        assert_eq!(first, seq);
+        assert_eq!(first, narrow);
         let small = random_weighted(&gen::path(9), 0);
         let small_shifts = ExpShifts::generate(9, &o);
         let (d, _) = partition_weighted_view_reusing(

@@ -8,6 +8,7 @@
 
 use crate::csr::{CsrGraph, Vertex};
 use rayon::prelude::*;
+use std::collections::TryReserveError;
 
 /// Accumulates edges and produces a [`CsrGraph`].
 ///
@@ -45,11 +46,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edge records added so far (before dedup).
-    pub fn num_edge_records(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`. Self-loops are silently dropped.
     ///
     /// Panics if an endpoint is out of range.
@@ -65,15 +61,19 @@ impl GraphBuilder {
         }
     }
 
-    /// Adds every edge from an iterator.
-    pub fn extend_edges<I: IntoIterator<Item = (Vertex, Vertex)>>(&mut self, iter: I) {
-        for (u, v) in iter {
-            self.add_edge(u, v);
-        }
+    /// Finalizes into a [`CsrGraph`], deduplicating and symmetrizing.
+    ///
+    /// Panics if the CSR arrays cannot be allocated;
+    /// [`try_build`](GraphBuilder::try_build) returns that as an error.
+    pub fn build(self) -> CsrGraph {
+        self.try_build()
+            .unwrap_or_else(|e| panic!("cannot allocate the graph: {e}"))
     }
 
-    /// Finalizes into a [`CsrGraph`], deduplicating and symmetrizing.
-    pub fn build(self) -> CsrGraph {
+    /// [`build`](GraphBuilder::build), returning a failed allocation of the
+    /// `O(n + m)` CSR arrays as an error instead of aborting the process:
+    /// a text header can claim billions of vertices in a few bytes.
+    pub fn try_build(self) -> Result<CsrGraph, TryReserveError> {
         let GraphBuilder { n, mut edges } = self;
         // Sort + dedup the canonical (u < v) pairs.
         if edges.len() > 1 << 14 {
@@ -84,22 +84,18 @@ impl GraphBuilder {
         edges.dedup();
 
         // Count degrees (each edge contributes to both endpoints).
-        let mut degree = vec![0usize; n];
+        let mut degree = zeroed(n, 0usize)?;
         for &(u, v) in &edges {
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
+        let offsets = prefix_offsets(&degree)?;
+        let acc = offsets[n];
 
         // Scatter both directions. Reuse `degree` as per-vertex cursors.
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0 as Vertex; acc];
+        let mut cursor = degree;
+        cursor.copy_from_slice(&offsets[..n]);
+        let mut targets = zeroed(acc, 0 as Vertex)?;
         for &(u, v) in &edges {
             targets[cursor[u as usize]] = v;
             cursor[u as usize] += 1;
@@ -114,7 +110,8 @@ impl GraphBuilder {
             let offs = &offsets;
             // Split `targets` into per-vertex chunks without overlap.
             let mut rest: &mut [Vertex] = &mut targets;
-            let mut chunks: Vec<&mut [Vertex]> = Vec::with_capacity(n);
+            let mut chunks: Vec<&mut [Vertex]> = Vec::new();
+            chunks.try_reserve_exact(n)?;
             let mut prev = 0usize;
             for v in 0..n {
                 let len = offs[v + 1] - prev;
@@ -125,8 +122,30 @@ impl GraphBuilder {
             }
             chunks.par_iter_mut().for_each(|c| c.sort_unstable());
         }
-        CsrGraph::from_parts(offsets, targets)
+        Ok(CsrGraph::from_parts(offsets, targets))
     }
+}
+
+/// `len` copies of `zero`, reserved fallibly.
+pub(crate) fn zeroed<T: Clone>(len: usize, zero: T) -> Result<Vec<T>, TryReserveError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)?;
+    v.resize(len, zero);
+    Ok(v)
+}
+
+/// CSR offsets `[0, d0, d0 + d1, …]` of a degree array, reserved
+/// fallibly.
+pub(crate) fn prefix_offsets(degree: &[usize]) -> Result<Vec<usize>, TryReserveError> {
+    let mut offsets = Vec::new();
+    offsets.try_reserve_exact(degree.len() + 1)?;
+    offsets.push(0);
+    let mut acc = 0usize;
+    for d in degree {
+        acc += d;
+        offsets.push(acc);
+    }
+    Ok(offsets)
 }
 
 #[cfg(test)]
@@ -145,14 +164,6 @@ mod tests {
         assert_eq!(g.neighbors(1), &[0, 3]);
         assert_eq!(g.neighbors(3), &[1]);
         assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn builder_extend() {
-        let mut b = GraphBuilder::new(5);
-        b.extend_edges((0..4).map(|i| (i, i + 1)));
-        let g = b.build();
-        assert_eq!(g.num_edges(), 4);
     }
 
     #[test]

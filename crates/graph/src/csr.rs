@@ -146,20 +146,6 @@ impl CsrGraph {
         })
     }
 
-    /// Collects the undirected edge list (`u < v`) in parallel.
-    pub fn edge_vec(&self) -> Vec<(Vertex, Vertex)> {
-        (0..self.num_vertices() as Vertex)
-            .into_par_iter()
-            .flat_map_iter(|u| {
-                self.neighbors(u)
-                    .iter()
-                    .copied()
-                    .filter(move |&v| u < v)
-                    .map(move |v| (u, v))
-            })
-            .collect()
-    }
-
     /// Raw CSR offsets (length `n + 1`).
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
@@ -245,34 +231,6 @@ impl CsrGraph {
         }
         (CsrGraph::from_parts(offsets, targets), old_of_new)
     }
-
-    /// Removes the listed undirected edges, returning the remaining graph.
-    ///
-    /// `remove` entries may be in either orientation; unknown edges are
-    /// ignored.
-    pub fn remove_edges(&self, remove: &[(Vertex, Vertex)]) -> CsrGraph {
-        use std::collections::HashSet;
-        let gone: HashSet<(Vertex, Vertex)> = remove
-            .iter()
-            .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect();
-        let kept: Vec<(Vertex, Vertex)> = self
-            .edges()
-            .filter(|&(u, v)| !gone.contains(&(u, v)))
-            .collect();
-        CsrGraph::from_edges(self.num_vertices(), &kept)
-    }
-
-    /// Keeps only the listed undirected edges (which must exist in the
-    /// graph), producing a subgraph on the same vertex set.
-    pub fn edge_subgraph(&self, keep: &[(Vertex, Vertex)]) -> CsrGraph {
-        CsrGraph::from_edges(self.num_vertices(), keep)
-    }
-
-    /// Total degree sum (`2m`) — sanity helper.
-    pub fn degree_sum(&self) -> usize {
-        self.targets.len()
-    }
 }
 
 static INDUCED_MATERIALIZATIONS: std::sync::atomic::AtomicU64 =
@@ -336,7 +294,6 @@ mod tests {
         for &(u, v) in &edges {
             assert!(u < v);
         }
-        assert_eq!(g.edge_vec().len(), 4);
     }
 
     #[test]
@@ -374,21 +331,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_edges_drops_only_requested() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let h = g.remove_edges(&[(2, 1)]);
-        assert_eq!(h.num_edges(), 2);
-        assert!(h.has_edge(0, 1));
-        assert!(!h.has_edge(1, 2));
-        assert!(h.has_edge(2, 3));
-    }
-
-    #[test]
     fn max_degree_star() {
         let edges: Vec<_> = (1..10u32).map(|v| (0, v)).collect();
         let g = CsrGraph::from_edges(10, &edges);
         assert_eq!(g.max_degree(), 9);
-        assert_eq!(g.degree_sum(), 18);
     }
 
     #[test]

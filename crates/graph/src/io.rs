@@ -16,7 +16,9 @@
 //! endings, and reject out-of-range endpoints and impossible headers with a
 //! clean [`io::ErrorKind::InvalidData`] error (never a panic): a vertex
 //! count above `u32::MAX` is refused, and a header's edge count reserves no
-//! more records than the file's length can hold. All writers use buffered
+//! more records than the file's length can hold. A vertex count whose CSR
+//! arrays cannot be allocated fails with [`io::ErrorKind::OutOfMemory`]
+//! instead of aborting the process. All writers use buffered
 //! output per the HPC I/O guidance (never write a big graph through an
 //! unbuffered handle).
 //!
@@ -40,12 +42,21 @@ use crate::csr::{CsrGraph, Vertex};
 use crate::snapshot::{self, MappedCsr};
 use crate::weighted::{WeightedCsrGraph, WeightedGraphBuilder};
 use std::borrow::Cow;
+use std::collections::TryReserveError;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// A builder's failed allocation as a typed error.
+fn out_of_memory(n: usize, e: TryReserveError) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::OutOfMemory,
+        format!("cannot allocate a graph on {n} vertices: {e}"),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +278,7 @@ pub fn read_edge_list<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
         let v = parse(it.next(), "v")?;
         builder.add_edge(check_endpoint(u, n)?, check_endpoint(v, n)?);
     }
-    Ok(builder.build())
+    builder.try_build().map_err(|e| out_of_memory(n, e))
 }
 
 /// Reads DIMACS `.gr`; ignores arc weights (graphs are unweighted here).
@@ -303,7 +314,13 @@ pub fn read_dimacs<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
             }
         }
     }
-    Ok(builder.map_or_else(|| CsrGraph::empty(0), GraphBuilder::build))
+    match builder {
+        Some(b) => {
+            let n = b.num_vertices();
+            b.try_build().map_err(|e| out_of_memory(n, e))
+        }
+        None => Ok(CsrGraph::empty(0)),
+    }
 }
 
 /// Reads METIS adjacency format (unweighted variant only).
@@ -345,7 +362,7 @@ pub fn read_metis<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
         }
         u += 1;
     }
-    Ok(builder.build())
+    builder.try_build().map_err(|e| out_of_memory(n, e))
 }
 
 /// Reads the format produced by [`write_weighted_edge_list`].
@@ -372,7 +389,7 @@ pub fn read_weighted_edge_list<P: AsRef<Path>>(path: P) -> io::Result<WeightedCs
         }
         builder.add_edge(u, v, w);
     }
-    Ok(builder.build())
+    builder.try_build().map_err(|e| out_of_memory(n, e))
 }
 
 /// The `n m` header of an edge list or METIS file. `m` only sizes a

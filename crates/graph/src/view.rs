@@ -214,17 +214,6 @@ impl<'a, G: GraphView> InducedView<'a, G> {
     pub fn num_edges(&self) -> usize {
         (self.total_degree() / 2) as usize
     }
-
-    /// Sum of the *underlying* degrees of the active vertices — the raw
-    /// scan cost of one full neighbor sweep through this view. The ratio
-    /// against [`GraphView::total_degree`] measures how much filtering the
-    /// view pays compared to a materialized subgraph.
-    pub fn raw_degree(&self) -> u64 {
-        self.active
-            .iter()
-            .map(|&v| self.graph.degree(v) as u64)
-            .sum()
-    }
 }
 
 /// Active-degree prefix sums for an induced view (parallel above the tiny
@@ -521,7 +510,6 @@ mod tests {
         assert_eq!(view.dense_of(8), None);
         // Path 0-..-9 keeping {0,2,3,6,9}: only edge {2,3} survives.
         assert_eq!(view.num_edges(), 1);
-        assert!(view.raw_degree() >= view.total_degree());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! Weights must be finite and strictly positive.
 
+use crate::builder::{prefix_offsets, zeroed};
 use crate::csr::{CsrGraph, Vertex};
+use std::collections::TryReserveError;
 
 /// An immutable, undirected, weighted simple graph in CSR form.
 ///
@@ -191,7 +193,20 @@ impl WeightedGraphBuilder {
     }
 
     /// Finalizes the graph. Duplicate edges keep the minimum weight.
+    ///
+    /// Panics if the CSR arrays cannot be allocated;
+    /// [`try_build`](WeightedGraphBuilder::try_build) returns that as an
+    /// error.
     pub fn build(self) -> WeightedCsrGraph {
+        self.try_build()
+            .unwrap_or_else(|e| panic!("cannot allocate the graph: {e}"))
+    }
+
+    /// [`build`](WeightedGraphBuilder::build), returning a failed
+    /// allocation of the `O(n + m)` CSR arrays as an error instead of
+    /// aborting the process: a text header can claim billions of vertices
+    /// in a few bytes.
+    pub fn try_build(self) -> Result<WeightedCsrGraph, TryReserveError> {
         let WeightedGraphBuilder { n, mut edges } = self;
         edges.sort_unstable_by(|a, b| {
             (a.0, a.1)
@@ -200,21 +215,18 @@ impl WeightedGraphBuilder {
         });
         edges.dedup_by_key(|e| (e.0, e.1));
 
-        let mut degree = vec![0usize; n];
+        let mut degree = zeroed(n, 0usize)?;
         for &(u, v, _) in &edges {
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0 as Vertex; acc];
-        let mut weights = vec![0f64; acc];
+        let offsets = prefix_offsets(&degree)?;
+        let acc = offsets[n];
+        // Reuse `degree` as per-vertex cursors.
+        let mut cursor = degree;
+        cursor.copy_from_slice(&offsets[..n]);
+        let mut targets = zeroed(acc, 0 as Vertex)?;
+        let mut weights = zeroed(acc, 0f64)?;
         for &(u, v, w) in &edges {
             targets[cursor[u as usize]] = v;
             weights[cursor[u as usize]] = w;
@@ -240,7 +252,7 @@ impl WeightedGraphBuilder {
             weights,
         };
         debug_assert!(g.validate().is_ok());
-        g
+        Ok(g)
     }
 }
 

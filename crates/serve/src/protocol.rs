@@ -187,18 +187,6 @@ impl ErrorCode {
             ErrorCode::Internal => "internal",
         }
     }
-
-    /// True if the server closes the connection after replying with this
-    /// code (framing can no longer be trusted).
-    pub fn is_fatal(self) -> bool {
-        matches!(
-            self,
-            ErrorCode::BadMagic
-                | ErrorCode::BadVersion
-                | ErrorCode::Oversized
-                | ErrorCode::Truncated
-        )
-    }
 }
 
 /// Decode-side failure, produced by [`read_frame`] and the payload
@@ -272,7 +260,8 @@ impl From<io::Error> for WireError {
 /// 0   u32  snapshot id (index into the server's snapshot list)
 /// 4   u64  seed
 /// 12  f64  beta
-/// 20  u8   traversal  (0 auto | 1 parallel | 2 sequential | 3 bottomup)
+/// 20  u8   traversal  (0 auto | 1 parallel; 2 and 3 are accepted as
+///              1 and 0, see [`traversal_from_code`])
 /// 21  u8   determinism (0 bitexact | 1 fast)
 /// 22  u8   flags (bit 0 = return labels, bit 1 = skip verification;
 ///              other bits must be zero)
@@ -642,23 +631,26 @@ impl std::fmt::Display for ErrorReply {
     }
 }
 
-/// Wire code of a [`Traversal`] (stable; part of the v1 protocol).
+/// Wire code of a [`Traversal`] (stable; part of the v1 protocol). Only
+/// 0 and 1 are ever emitted.
 pub fn traversal_code(t: Traversal) -> u8 {
     match t {
         Traversal::Auto => 0,
         Traversal::TopDownPar => 1,
-        Traversal::TopDownSeq => 2,
-        Traversal::BottomUp => 3,
     }
 }
 
 /// Parses a [`Traversal`] wire code; `None` for unknown codes.
+///
+/// Codes are append-only within a protocol version, so 2 (the retired
+/// all-inline top-down strategy) and 3 (the retired pure bottom-up one)
+/// stay valid. They are served as 1 (`parallel`) and 0 (`auto`): under
+/// [`Determinism::BitExact`] labels never depend on the strategy, so the
+/// replies carry the labels the retired strategies returned.
 pub fn traversal_from_code(c: u8) -> Option<Traversal> {
     Some(match c {
-        0 => Traversal::Auto,
-        1 => Traversal::TopDownPar,
-        2 => Traversal::TopDownSeq,
-        3 => Traversal::BottomUp,
+        0 | 3 => Traversal::Auto,
+        1 | 2 => Traversal::TopDownPar,
         _ => return None,
     })
 }
@@ -771,7 +763,7 @@ mod tests {
     #[test]
     fn partition_request_roundtrip() {
         let mut req = PartitionRequest::new(3, 0xDEAD_BEEF, 0.25);
-        req.traversal = Traversal::BottomUp;
+        req.traversal = Traversal::TopDownPar;
         req.determinism = Determinism::Fast;
         req.want_labels = true;
         let enc = req.encode();
@@ -921,14 +913,13 @@ mod tests {
 
     #[test]
     fn enum_codes_roundtrip() {
-        for t in [
-            Traversal::Auto,
-            Traversal::TopDownPar,
-            Traversal::TopDownSeq,
-            Traversal::BottomUp,
-        ] {
+        for t in [Traversal::Auto, Traversal::TopDownPar] {
             assert_eq!(traversal_from_code(traversal_code(t)), Some(t));
         }
+        // The retired codes decode to the strategies that serve them.
+        assert_eq!(traversal_from_code(2), Some(Traversal::TopDownPar));
+        assert_eq!(traversal_from_code(3), Some(Traversal::Auto));
+        assert_eq!(traversal_from_code(4), None);
         for d in [Determinism::BitExact, Determinism::Fast] {
             assert_eq!(determinism_from_code(determinism_code(d)), Some(d));
         }

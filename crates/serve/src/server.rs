@@ -254,7 +254,7 @@ fn prewarm(pool: &SessionPool, snapshots: &[Snapshot]) {
                     let _ = lease.partition_view(m, &opts);
                 }
                 Snapshot::Weighted(m) => {
-                    let _ = lease.partition_weighted_view(m, &opts, None);
+                    let _ = lease.partition_weighted_view(m, &opts);
                 }
                 Snapshot::Compressed(m) => {
                     let _ = lease.partition_view(m, &opts);
@@ -512,7 +512,7 @@ fn run_partition(
         Snapshot::Unweighted(m) => run_unweighted(ws, m, None, req, opts),
         Snapshot::Compressed(m) => run_unweighted(ws, m, m.permutation(), req, opts),
         Snapshot::Weighted(m) => {
-            let (d, tel) = ws.partition_weighted_view(m, opts, None);
+            let (d, tel) = ws.partition_weighted_view(m, opts);
             let verified = if req.skip_verify {
                 false
             } else {

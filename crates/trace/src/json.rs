@@ -62,14 +62,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The value's object members if it is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(members) => Some(members),
-            _ => None,
-        }
-    }
 }
 
 /// Parse a JSON document. Returns a message with a byte offset on error.

@@ -1,18 +1,17 @@
 //! The Section 6 weighted pipeline end-to-end: exponentially shifted
-//! *Dijkstra* decomposition of a weighted graph (sequential vs bucketed
-//! Δ-stepping, bit-identical), the weighted session API, and the weighted
-//! applications stacked on top (spanner, low-stretch tree, distance
-//! oracle).
+//! *Dijkstra* decomposition of a weighted graph by bucketed Δ-stepping
+//! (bit-identical on one thread and on the default pool), the weighted
+//! session API, and the weighted applications stacked on top (spanner,
+//! low-stretch tree, distance oracle).
 //!
 //! ```sh
 //! cargo run --release --example weighted_partition
 //! ```
 
 use mpx::apps::{spanner_weighted, WeightedDistanceOracle};
-use mpx::decomp::{
-    partition_weighted, verify_weighted, DecompOptions, DecomposerBuilder, Traversal,
-};
+use mpx::decomp::{partition_weighted, verify_weighted, DecompOptions, DecomposerBuilder};
 use mpx::graph::{algo, gen, Vertex, WeightedCsrGraph};
+use mpx::runtime::Pool;
 
 /// Deterministic `U[0.25, 4]` edge lengths hashed from seed + endpoints —
 /// the same length model `mpx gen --weighted` writes.
@@ -37,38 +36,37 @@ fn main() {
         g.total_weight()
     );
 
-    // One-shot call, pinned to the sequential multi-source shifted
-    // Dijkstra.
-    let opts = DecompOptions::new(0.1)
-        .with_seed(7)
-        .with_traversal(Traversal::TopDownSeq);
-    let d = partition_weighted(&g, &opts);
+    // One-shot call on a 1-thread pool: the multi-source shifted
+    // Dijkstra, run sequentially.
+    let opts = DecompOptions::new(0.1).with_seed(7);
+    let d = Pool::new(1).install(|| partition_weighted(&g, &opts));
     println!(
-        "\nsequential Dijkstra:  {} clusters, max radius {:.3}, cut fraction {:.4}",
+        "\n1 thread:      {} clusters, max radius {:.3}, cut fraction {:.4}",
         d.num_clusters(),
         d.max_radius(),
         d.cut_fraction(&g)
     );
     verify_weighted(&g, &d).expect("Section 6 guarantees");
 
-    // Session API: the parallel Δ-stepping engine through a reusable
-    // workspace — same labels, bit for bit.
-    let builder = DecomposerBuilder::new(0.1)
-        .seed(7)
-        .traversal(Traversal::TopDownPar);
+    // Session API: the same Δ-stepping engine on the default pool through
+    // a reusable workspace — same labels, bit for bit.
+    let builder = DecomposerBuilder::new(0.1).seed(7);
     let mut session = builder.build_weighted(&g).expect("valid weighted graph");
     let (dp, telemetry) = session.run_instrumented();
     println!(
-        "parallel Δ-stepping:  {} buckets, {} phases, {} relaxations (Δ = {:.3})",
+        "default pool:  {} buckets, {} phases, {} relaxations (Δ = {:.3})",
         telemetry.buckets, telemetry.phases, telemetry.relaxations, telemetry.delta
     );
-    assert_eq!(d.assignment, dp.assignment, "engines must agree exactly");
+    assert_eq!(
+        d.assignment, dp.assignment,
+        "thread counts must agree exactly"
+    );
     assert!(d
         .dist_to_center
         .iter()
         .zip(&dp.dist_to_center)
         .all(|(a, b)| a.to_bits() == b.to_bits()));
-    println!("engines agree bit-for-bit.");
+    println!("1 thread and the default pool agree bit-for-bit.");
 
     // Weighted spanner: cluster shortest-path trees + lightest
     // representative edges, additive surplus ≤ 4·max_radius.

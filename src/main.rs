@@ -43,11 +43,12 @@
 //! Thread count resolution: `--threads N` wins, else the `MPX_THREADS`
 //! environment variable, else the machine's logical CPU count.
 //!
-//! `--strategy` selects the engine traversal
-//! (`auto|parallel|sequential|bottomup|hybrid`, default `auto`); every
-//! strategy produces byte-identical labels — it is a wall-clock knob, and
-//! `mpx profile` reports each run's engine telemetry (rounds,
-//! relaxations) to compare them.
+//! `--strategy` selects the engine traversal (`auto`, the default, or
+//! `parallel`, the paper's top-down Algorithm 1; `hybrid` and `topdown`
+//! are their aliases). Both produce byte-identical labels — it is a
+//! wall-clock knob, and `mpx profile` reports each run's engine telemetry
+//! (rounds, relaxations) to compare them. Whether a round runs inline or
+//! on the worker pool the engine decides from the round's size.
 //!
 //! `--trace[=path]` on `partition` (or the `MPX_TRACE=human|json|chrome`
 //! environment variable, which also selects the export format) collects a
@@ -63,9 +64,9 @@
 //! to the Section 6 weighted pipeline: inputs are weighted edge lists
 //! (`u v w` records) or weighted `.mpx` snapshots (mmap'd zero-copy), and
 //! the engine is the bucketed Δ-stepping multi-source shifted Dijkstra
-//! (`--strategy sequential` runs the heap Dijkstra; the labels are
-//! bit-identical). Generated weighted workloads get deterministic
-//! `U[0.25, 4]` edge lengths hashed from the seed and endpoints.
+//! under every `--strategy`. Generated weighted workloads get
+//! deterministic `U[0.25, 4]` edge lengths hashed from the seed and
+//! endpoints.
 
 use mpx::compress::{
     apply_permutation, reorder_permutation, write_compressed_snapshot, MappedCompressedCsr,
@@ -96,7 +97,7 @@ fn main() {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default) | parallel | sequential | bottomup | hybrid (alias of auto)\ndeterminism: bitexact (default; byte-identical across thread counts) | fast (lock-free CAS claiming + work stealing)\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx\n.mpx inputs: the header picks the format (v1 or v2, mmap'd); --weighted picks the kind (a weighted snapshot needs it, an unweighted one refuses it)"
+    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default; alias hybrid) | parallel (alias topdown)\ndeterminism: bitexact (default; byte-identical across thread counts) | fast (lock-free CAS claiming + work stealing)\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx\n.mpx inputs: the header picks the format (v1 or v2, mmap'd); --weighted picks the kind (a weighted snapshot needs it, an unweighted one refuses it)"
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -1013,9 +1014,8 @@ impl PartitionRun<'_> {
         Ok(())
     }
 
-    /// The `--weighted` run: a weighted session (`--strategy sequential`
-    /// = multi-source Dijkstra, anything else = bucketed Δ-stepping;
-    /// labels are bit-identical either way), then the Section 6 checks.
+    /// The `--weighted` run: a weighted session (bucketed Δ-stepping),
+    /// then the Section 6 checks.
     fn weighted<W: WeightedGraphView>(mut self, g: &W, source: &str) -> Result<(), String> {
         let (d, telemetry) = with_thread_choice(self.flags.threads, || {
             let mut session = DecomposerBuilder::from_options(self.opts.clone())
@@ -1257,8 +1257,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 }
 
 /// The `--weighted` arm of `profile`: same report over the weighted
-/// session (Δ-stepping under any parallel strategy, multi-source
-/// Dijkstra under `--strategy sequential`). The consistency invariant
+/// session (Δ-stepping under every strategy). The consistency invariant
 /// checks `wengine.phase` span counts against `telemetry.phases` and the
 /// `wengine.relax` mark counts against `telemetry.relaxations`; the
 /// label check compares the whole traced and untraced outputs (labels,

@@ -90,7 +90,7 @@ fn strategy_flag_is_a_pure_wall_clock_knob() {
     assert!(out.status.success());
 
     let mut labels: Vec<String> = Vec::new();
-    for strategy in ["auto", "parallel", "sequential", "bottomup", "hybrid"] {
+    for strategy in ["auto", "parallel", "hybrid", "topdown"] {
         let labels_path = tmp(&format!("strat-{strategy}.txt"));
         let out = mpx()
             .args([
@@ -132,6 +132,68 @@ fn strategy_flag_is_a_pure_wall_clock_knob() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown strategy"));
 
+    std::fs::remove_file(graph_path).ok();
+}
+
+#[test]
+fn retired_strategy_tokens_are_unknown() {
+    let graph_path = tmp("retired-g.txt");
+    run_ok(&["gen", "gnm:100:300", graph_path.to_str().unwrap(), "5"]);
+    for token in ["sequential", "bottomup"] {
+        let out = mpx()
+            .args([
+                "partition",
+                graph_path.to_str().unwrap(),
+                "0.3",
+                "11",
+                "--strategy",
+                token,
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{token}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("error: --strategy: unknown strategy '{token}'")),
+            "{err}"
+        );
+        assert!(
+            err.contains("(expected auto|parallel|hybrid|topdown)"),
+            "{err}"
+        );
+    }
+    std::fs::remove_file(graph_path).ok();
+}
+
+/// A 13-byte edge list whose header claims 4·10⁹ vertices asks the
+/// builder for tens of gigabytes. Under an 8 GB address-space limit the
+/// allocation fails, and the reader must report that as an error line and
+/// a non-zero exit instead of aborting the process.
+#[test]
+fn huge_header_vertex_count_is_an_error_not_an_abort() {
+    let graph_path = tmp("huge-header.txt");
+    std::fs::write(&graph_path, "4000000000 0\n").unwrap();
+    let bin = env!("CARGO_BIN_EXE_mpx");
+    let path = graph_path.to_str().unwrap();
+    for args in [vec!["stats", path], vec!["inspect", path, "--weighted"]] {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(r#"ulimit -v 8000000; exec "$0" "$@""#)
+            .arg(bin)
+            .args(&args)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.code().is_some_and(|c| c != 0),
+            "{args:?}: expected a non-zero exit, got {:?}: {err}",
+            out.status
+        );
+        assert!(
+            err.lines().any(|l| l.starts_with("error:")),
+            "{args:?}: {err}"
+        );
+    }
     std::fs::remove_file(graph_path).ok();
 }
 
@@ -389,7 +451,7 @@ fn mmap_partition_matches_across_all_strategies() {
         std::fs::remove_file(labels_path).ok();
         s
     };
-    for strategy in ["auto", "parallel", "sequential", "bottomup", "hybrid"] {
+    for strategy in ["auto", "parallel", "hybrid", "topdown"] {
         let labels_path = tmp(&format!("strat-all-{strategy}"));
         run_ok(&[
             "partition",
@@ -546,10 +608,10 @@ fn weighted_pipeline_round_trips_and_strategies_agree() {
     assert!(text.contains("(weighted)"), "{text}");
     assert!(text.contains("weights:"), "{text}");
 
-    // Δ-stepping over the mmap'd snapshot and sequential Dijkstra over
-    // the text file: identical labels.
+    // Δ-stepping over the mmap'd snapshot and over the text file, under
+    // every strategy token: identical labels.
     let mut labels: Vec<String> = Vec::new();
-    for (path, strategy) in [(&snap, "parallel"), (&txt, "sequential"), (&snap, "auto")] {
+    for (path, strategy) in [(&snap, "parallel"), (&txt, "hybrid"), (&snap, "auto")] {
         let labels_path = tmp(&format!("w-labels-{strategy}"));
         let text = run_ok(&[
             "partition",

@@ -1,6 +1,7 @@
 //! The compressed-snapshot contract, end to end: `.mpx` v2 files drive
-//! the engine to labels byte-identical to the raw v1 path — for every
-//! traversal strategy, with and without offline reordering — and corrupt
+//! the engine to labels byte-identical to the raw v1 path — for both
+//! traversal strategies and for bottom-up rounds, with and without offline
+//! reordering — and corrupt
 //! files die with clean typed errors, never a panic or an out-of-range
 //! neighbor.
 
@@ -23,11 +24,12 @@ fn tmp(name: &str) -> std::path::PathBuf {
     p
 }
 
-const STRATEGIES: [Traversal; 4] = [
-    Traversal::Auto,
-    Traversal::TopDownPar,
-    Traversal::TopDownSeq,
-    Traversal::BottomUp,
+/// Both strategies, plus Auto at an `alpha` so large that it takes its
+/// rounds bottom-up (the `bool` marks that configuration).
+const STRATEGIES: [(Traversal, u64, bool); 3] = [
+    (Traversal::Auto, mpx::decomp::DEFAULT_ALPHA, false),
+    (Traversal::TopDownPar, mpx::decomp::DEFAULT_ALPHA, false),
+    (Traversal::Auto, 1_000_000, true),
 ];
 
 /// The acceptance matrix of the v2 format: raw v1, compressed v2, and
@@ -54,12 +56,16 @@ fn v1_v2_and_reordered_v2_labels_are_byte_identical() {
             reordered.push((r, pr));
         }
 
-        for strategy in STRATEGIES {
+        for (strategy, alpha, bottom_up) in STRATEGIES {
             let opts = DecompOptions::new(0.12)
                 .with_seed(23)
-                .with_traversal(strategy);
+                .with_traversal(strategy)
+                .with_alpha(alpha);
             let reference = partition(&v1, &opts);
-            let compressed = partition(&v2, &opts);
+            let (compressed, t) = Workspace::new().partition_view(&v2, &opts);
+            if bottom_up {
+                assert!(t.bottom_up_rounds > 0, "{name}: no bottom-up round on v2");
+            }
             assert_eq!(
                 compressed.assignment(),
                 reference.assignment(),
@@ -71,7 +77,10 @@ fn v1_v2_and_reordered_v2_labels_are_byte_identical() {
             for (r, pr) in &reordered {
                 let m = MappedCompressedCsr::open(pr).unwrap();
                 let perm = m.permutation().unwrap().to_vec();
-                let (permuted, _) = Workspace::new().partition_view_permuted(&m, &opts, &perm);
+                let (permuted, t) = Workspace::new().partition_view_permuted(&m, &opts, &perm);
+                if bottom_up {
+                    assert!(t.bottom_up_rounds > 0, "{name}/{r}: no bottom-up round");
+                }
                 let remapped = permuted.remap_labels(&perm);
                 assert_eq!(
                     remapped.assignment(),

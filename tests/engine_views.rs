@@ -1,21 +1,21 @@
-//! Engine matrix smoke tests: every [`Traversal`] strategy must be
+//! Engine matrix smoke tests: both [`Traversal`] strategies must be
 //! **bit-identical** (a) to the one-shot `partition` call on full graphs
 //! and (b) between a zero-copy `InducedView` and the materialized
 //! `induced_subgraph` of the same mask — across graph families, seeds and
 //! 1/2/4/8 worker threads. This is the contract that lets callers treat
 //! the traversal strategy as a pure wall-clock knob and the views as free
-//! of semantic cost.
+//! of semantic cost. Auto with a huge `alpha` takes its rounds bottom-up,
+//! which keeps bottom-up rounds over views in the sweep.
 
 use mpx::decomp::{partition, DecompOptions, Traversal, Workspace};
 use mpx::graph::{gen, CsrGraph, InducedView};
 use mpx::runtime::Pool;
 
-const STRATEGIES: [Traversal; 4] = [
-    Traversal::Auto,
-    Traversal::TopDownPar,
-    Traversal::TopDownSeq,
-    Traversal::BottomUp,
-];
+const STRATEGIES: [Traversal; 2] = [Traversal::Auto, Traversal::TopDownPar];
+
+/// An `alpha` at which Auto takes every round with a nonempty top-down
+/// side bottom-up.
+const BOTTOM_UP_ALPHA: u64 = 1_000_000;
 
 fn families() -> Vec<(&'static str, CsrGraph)> {
     vec![
@@ -81,6 +81,21 @@ fn induced_view_bit_identical_to_materialized_subgraph() {
                         "{name}: view != materialized ({strategy:?}, seed {seed}, {threads} threads)"
                     );
                 }
+                let opts = DecompOptions::new(0.25)
+                    .with_seed(seed)
+                    .with_alpha(BOTTOM_UP_ALPHA);
+                let ((via_view, t), via_sub) = Pool::new(threads).install(|| {
+                    (
+                        Workspace::new().partition_view(&view, &opts),
+                        partition(&sub, &opts),
+                    )
+                });
+                assert!(t.bottom_up_rounds > 0, "{name}: no bottom-up round");
+                assert_eq!(
+                    via_view.assignment(),
+                    via_sub.assignment(),
+                    "{name}: bottom-up view != materialized (seed {seed}, {threads} threads)"
+                );
             }
         }
     }
@@ -93,14 +108,17 @@ fn engine_telemetry_strategy_profiles_differ_but_outputs_agree() {
     let g = gen::gnm(2000, 30_000, 4);
     let opts = DecompOptions::new(0.5).with_seed(2);
     let mut ws = Workspace::new();
-    let mut run = |t: Traversal| ws.partition_view(&g, &opts.clone().with_traversal(t));
-    let (d_td, t_td) = run(Traversal::TopDownPar);
-    let (d_auto, t_auto) = run(Traversal::Auto);
-    let (d_bu, t_bu) = run(Traversal::BottomUp);
+    let mut run = |o: DecompOptions| ws.partition_view(&g, &o);
+    let (d_td, t_td) = run(opts.clone().with_traversal(Traversal::TopDownPar));
+    let (d_auto, t_auto) = run(opts.clone());
+    let (d_bu, t_bu) = run(opts.clone().with_alpha(BOTTOM_UP_ALPHA));
     assert_eq!(d_td, d_auto);
     assert_eq!(d_td, d_bu);
     assert_eq!(t_td.bottom_up_rounds, 0);
     assert!(t_auto.bottom_up_rounds > 0, "auto never switched");
-    assert_eq!(t_bu.bottom_up_rounds, t_bu.rounds);
+    assert!(
+        t_bu.bottom_up_rounds > t_auto.bottom_up_rounds,
+        "a larger alpha must switch more rounds: {t_bu:?} vs {t_auto:?}"
+    );
     assert_ne!(t_td.relaxations, t_auto.relaxations);
 }

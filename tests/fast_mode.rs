@@ -3,8 +3,8 @@
 //! Fast trades BitExact's byte-identical-output contract for single-shot
 //! CAS claiming and work-stealing scheduling; what it must keep is the
 //! paper's `(β, O(log n / β))` guarantee. This suite sweeps graph
-//! families × strategy tokens × thread counts × seeds asserting, on every
-//! Fast run:
+//! families × strategy tokens (plus Auto at an `alpha` that takes its
+//! rounds bottom-up) × thread counts × seeds asserting, on every Fast run:
 //!
 //! 1. the full verifier passes (partition, strong diameter, Lemma 4.1);
 //! 2. the canonical radius bound and the slackened `βm` cut bound hold
@@ -16,16 +16,29 @@
 //! and, alongside, that BitExact never takes the CAS path (zero CAS
 //! successes and retries on every BitExact run of the sweep) and that its
 //! output remains byte-identical across thread counts and unperturbed by
-//! interleaved Fast runs on the same session (no scratch
+//! interleaved Fast runs on the same workspace (no scratch
 //! cross-contamination) — pinned against pre-change label hashes.
 
-use mpx::decomp::{verify_decomposition, DecomposerBuilder, Determinism, Traversal, VerifyReport};
+use mpx::decomp::{
+    verify_decomposition, DecompOptions, DecomposerBuilder, Determinism, PartitionTelemetry,
+    Traversal, VerifyReport, Workspace, DEFAULT_ALPHA,
+};
 use mpx::graph::{gen, CsrGraph};
 use mpx::runtime::Pool;
 
-/// Every CLI strategy token (hybrid is an alias of auto — kept distinct
-/// here so the token surface itself is exercised).
-const STRATEGY_TOKENS: [&str; 5] = ["auto", "parallel", "sequential", "bottomup", "hybrid"];
+/// Every CLI strategy token (hybrid and topdown are aliases of auto and
+/// parallel — kept distinct here so the token surface itself is
+/// exercised), each with the default `alpha`; then `auto` at an `alpha`
+/// so large that every round with a nonempty top-down side goes
+/// bottom-up, which keeps bottom-up rounds in the sweep.
+const STRATEGY_TOKENS: [(&str, u64); 5] = [
+    ("auto", DEFAULT_ALPHA),
+    ("parallel", DEFAULT_ALPHA),
+    ("hybrid", DEFAULT_ALPHA),
+    ("topdown", DEFAULT_ALPHA),
+    ("auto", BOTTOM_UP_ALPHA),
+];
+const BOTTOM_UP_ALPHA: u64 = 1_000_000;
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 const SEEDS: [u64; 2] = [3, 11];
 const BETA: f64 = 0.15;
@@ -39,10 +52,17 @@ fn families() -> Vec<(&'static str, CsrGraph)> {
     ]
 }
 
-fn run(g: &CsrGraph, strategy: Traversal, determinism: Determinism, seed: u64) -> VerifyReport {
+fn run(
+    g: &CsrGraph,
+    strategy: Traversal,
+    alpha: u64,
+    determinism: Determinism,
+    seed: u64,
+) -> (VerifyReport, PartitionTelemetry) {
     let mut session = DecomposerBuilder::new(BETA)
         .seed(seed)
         .traversal(strategy)
+        .alpha(alpha)
         .determinism(determinism)
         .build(g)
         .unwrap();
@@ -54,24 +74,32 @@ fn run(g: &CsrGraph, strategy: Traversal, determinism: Determinism, seed: u64) -
             "BitExact took the CAS path ({strategy:?}, seed {seed})"
         );
     }
-    verify_decomposition(g, &d)
+    (verify_decomposition(g, &d), telemetry)
 }
 
 #[test]
 fn fast_runs_hold_invariants_across_families_strategies_threads() {
     for (name, g) in families() {
         let n = g.num_vertices();
-        for token in STRATEGY_TOKENS {
+        for (token, alpha) in STRATEGY_TOKENS {
             let strategy: Traversal = token.parse().unwrap();
             for threads in THREAD_COUNTS {
                 for seed in SEEDS {
-                    let ctx = format!("{name} --strategy {token} --threads {threads} seed {seed}");
-                    let (exact, fast) = Pool::new(threads).install(|| {
+                    let ctx = format!(
+                        "{name} --strategy {token} alpha {alpha} --threads {threads} seed {seed}"
+                    );
+                    let ((exact, _), (fast, fast_telemetry)) = Pool::new(threads).install(|| {
                         (
-                            run(&g, strategy, Determinism::BitExact, seed),
-                            run(&g, strategy, Determinism::Fast, seed),
+                            run(&g, strategy, alpha, Determinism::BitExact, seed),
+                            run(&g, strategy, alpha, Determinism::Fast, seed),
                         )
                     });
+                    if alpha == BOTTOM_UP_ALPHA {
+                        assert!(
+                            fast_telemetry.bottom_up_rounds > 0,
+                            "{ctx}: no bottom-up round"
+                        );
+                    }
                     assert!(fast.is_valid(), "{ctx}: {:?}", fast.errors);
                     assert!(
                         fast.radius_within_bound(n, BETA),
@@ -147,10 +175,10 @@ const PIN_SEED_1: u64 = 2265413317203918694;
 const PIN_SEED_2: u64 = 18224854147524983632;
 const PIN_SEED_3: u64 = 17970877362129580436;
 
-/// Hammers one session with interleaved Fast/BitExact runs: the BitExact
-/// outputs must stay byte-identical to a fresh session's (and to the
-/// pins above) — Fast's unreset scratch must never leak into a BitExact
-/// round.
+/// Hammers one workspace with interleaved Fast/BitExact runs: the
+/// BitExact outputs must stay byte-identical to a fresh session's (and to
+/// the pins above) — Fast's unreset scratch must never leak into a
+/// BitExact round.
 #[test]
 fn interleaved_fast_runs_do_not_perturb_bitexact_outputs() {
     let g = gen::grid2d(30, 30);
@@ -159,15 +187,16 @@ fn interleaved_fast_runs_do_not_perturb_bitexact_outputs() {
 
     for threads in THREAD_COUNTS {
         Pool::new(threads).install(|| {
-            let mut session = DecomposerBuilder::new(BETA).build(&g).unwrap();
+            let mut ws = Workspace::new();
+            let bitexact = DecompOptions::new(BETA);
+            let fast = bitexact.clone().with_determinism(Determinism::Fast);
             for round in 0..4u64 {
                 for (i, seed) in (1..=3u64).enumerate() {
-                    session.set_determinism(Determinism::Fast);
                     // Fast runs with rotating seeds dirty the scratch.
-                    let fast = session.run_with_seed(100 + round * 3 + seed);
-                    assert!(verify_decomposition(&g, &fast).is_valid());
-                    session.set_determinism(Determinism::BitExact);
-                    let d = session.run_with_seed(seed);
+                    let fast_seed = 100 + round * 3 + seed;
+                    let (d, _) = ws.partition_view(&g, &fast.clone().with_seed(fast_seed));
+                    assert!(verify_decomposition(&g, &d).is_valid());
+                    let (d, _) = ws.partition_view(&g, &bitexact.clone().with_seed(seed));
                     assert_eq!(
                         d, pins[i],
                         "bitexact seed {seed} perturbed at {threads} threads (round {round})"

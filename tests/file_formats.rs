@@ -1,10 +1,11 @@
 //! The on-disk ingestion contract, end to end: every format round-trips
 //! losslessly, a text file loads the same way at every thread count,
 //! mmap-loaded snapshots drive the engine to byte-identical labels under
-//! every traversal strategy, and malformed inputs die with clean errors.
+//! both traversal strategies and through bottom-up rounds, and malformed
+//! inputs die with clean errors.
 
 use mpx::compress::{codec, write_compressed_snapshot, MappedCompressedCsr, Snapshot};
-use mpx::decomp::{partition, DecompOptions, Traversal};
+use mpx::decomp::{partition, DecompOptions, Traversal, Workspace, DEFAULT_ALPHA};
 use mpx::graph::snapshot::{self, MappedCsr, MappedWeightedCsr, HEADER_LEN};
 use mpx::graph::{gen, io, CsrGraph, GraphFormat, Vertex, WeightedCsrGraph};
 use mpx::runtime::Pool;
@@ -58,21 +59,28 @@ fn mapped_snapshot_partitions_identically_under_every_strategy() {
     let p = tmp("strategies.mpx");
     snapshot::write_snapshot(&g, &p).unwrap();
     let mapped = MappedCsr::open(&p).unwrap();
-    for strategy in [
-        Traversal::Auto,
-        Traversal::TopDownPar,
-        Traversal::TopDownSeq,
-        Traversal::BottomUp,
+    // Auto at a huge alpha takes its rounds bottom-up.
+    for (strategy, alpha) in [
+        (Traversal::Auto, DEFAULT_ALPHA),
+        (Traversal::TopDownPar, DEFAULT_ALPHA),
+        (Traversal::Auto, 1_000_000),
     ] {
         let opts = DecompOptions::new(0.15)
             .with_seed(5)
-            .with_traversal(strategy);
-        let from_file = partition(&mapped, &opts);
+            .with_traversal(strategy)
+            .with_alpha(alpha);
+        let (from_file, t) = Workspace::new().partition_view(&mapped, &opts);
+        if alpha != DEFAULT_ALPHA {
+            assert!(
+                t.bottom_up_rounds > 0,
+                "no bottom-up round on the mapped file"
+            );
+        }
         let from_memory = partition(&g, &opts);
         assert_eq!(
             from_file.assignment(),
             from_memory.assignment(),
-            "{strategy:?}: mapped labels must equal in-memory labels"
+            "{strategy:?} alpha {alpha}: mapped labels must equal in-memory labels"
         );
     }
     std::fs::remove_file(p).ok();

@@ -43,9 +43,9 @@ fn three_implementations_agree_end_to_end() {
         let g = gen::gnm(120, 400, seed);
         let opts = DecompOptions::new(0.15).with_seed(seed);
         let par = partition(&g, &opts.clone().with_traversal(Traversal::TopDownPar));
-        let seq = partition(&g, &opts.clone().with_traversal(Traversal::TopDownSeq));
+        let auto = partition(&g, &opts.clone().with_traversal(Traversal::Auto));
         let exact = partition_exact(&g, &opts);
-        assert_eq!(par, seq);
+        assert_eq!(par, auto);
         assert_eq!(par, exact);
     }
 }

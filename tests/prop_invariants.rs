@@ -6,6 +6,7 @@ use mpx::decomp::{
     TieBreak, Traversal, DEFAULT_ALPHA,
 };
 use mpx::graph::{algo, CsrGraph, Vertex};
+use mpx::runtime::Pool;
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary simple graph with up to `max_n` vertices and
@@ -38,8 +39,10 @@ proptest! {
         prop_assert!(r.is_valid(), "{:?}", r.errors);
     }
 
-    /// Parallel and sequential implementations are bit-identical under
-    /// shared shifts, for every tie-break rule.
+    /// The top-down search on the default pool, the same search on a
+    /// 1-thread pool, and Auto taking its rounds bottom-up (a huge
+    /// `alpha`) are bit-identical under shared shifts, for every tie-break
+    /// rule.
     #[test]
     fn parallel_equals_sequential(
         g in arb_graph(100, 300),
@@ -53,9 +56,12 @@ proptest! {
     ) {
         let opts = DecompOptions::new(beta).with_seed(seed).with_tie_break(tb);
         let shifts = ExpShifts::generate(g.num_vertices(), &opts);
-        let (par, _) = partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, DEFAULT_ALPHA);
-        let (seq, _) = partition_view_with_shifts(&g, &shifts, Traversal::TopDownSeq, DEFAULT_ALPHA);
-        prop_assert_eq!(par, seq);
+        let run = |t: Traversal, alpha: u64| partition_view_with_shifts(&g, &shifts, t, alpha).0;
+        let par = run(Traversal::TopDownPar, DEFAULT_ALPHA);
+        let seq = Pool::new(1).install(|| run(Traversal::TopDownPar, DEFAULT_ALPHA));
+        let bottom_up = run(Traversal::Auto, 1_000_000);
+        prop_assert_eq!(&par, &seq);
+        prop_assert_eq!(&par, &bottom_up);
     }
 
     /// Radius never exceeds δ_max + 1 (the paper's Section 4 argument:
@@ -158,7 +164,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let opts = DecompOptions::new(beta).with_seed(seed);
-        let seq = opts.clone().with_traversal(Traversal::TopDownSeq);
-        prop_assert_eq!(partition(&g, &opts), partition(&g, &seq));
+        let top_down = opts.clone().with_traversal(Traversal::TopDownPar);
+        prop_assert_eq!(partition(&g, &opts), partition(&g, &top_down));
     }
 }

@@ -6,10 +6,11 @@
 //! under arbitrary inputs.
 
 use mpx::compress::{write_compressed_snapshot, MappedCompressedCsr};
+use mpx::decomp::wengine::partition_weighted_view_reusing;
 use mpx::decomp::{
-    partition, partition_weighted, verify_decomposition, verify_weighted, DecompOptions,
-    DecomposerBuilder, Decomposition, Determinism, ShiftStrategy, Traversal, WeightedDecomposition,
-    Workspace,
+    partition, partition_weighted, partition_weighted_exact, verify_decomposition, verify_weighted,
+    DecompOptions, DecomposerBuilder, Decomposition, Determinism, ExpShifts, ShiftStrategy,
+    Traversal, WeightedDecomposition, WeightedScratch, Workspace,
 };
 use mpx::graph::snapshot::{write_snapshot, write_weighted_snapshot, MappedCsr};
 use mpx::graph::{
@@ -520,8 +521,8 @@ proptest! {
         );
     }
 
-    /// Weighted Δ-stepping equals weighted Dijkstra on arbitrary weighted
-    /// graphs and bucket widths.
+    /// Weighted Δ-stepping at any bucket width equals the per-center
+    /// Dijkstra reference on arbitrary weighted graphs.
     #[test]
     fn delta_stepping_always_matches_dijkstra(
         g in arb_graph(50, 120),
@@ -538,12 +539,15 @@ proptest! {
             .collect();
         let wg = WeightedCsrGraph::from_edges(g.num_vertices(), &edges);
         let opts = DecompOptions::new(0.2).with_seed(seed);
-        let a = partition_weighted(&wg, &opts.clone().with_traversal(Traversal::TopDownSeq));
-        let b = DecomposerBuilder::from_options(opts.with_traversal(Traversal::TopDownPar))
-            .build_weighted(&wg)
-            .unwrap()
-            .with_delta(Some(2f64.powi(delta_exp)))
-            .run();
+        let a = partition_weighted_exact(&wg, &opts);
+        let (b, _) = partition_weighted_view_reusing(
+            &wg,
+            &ExpShifts::generate(wg.num_vertices(), &opts),
+            opts.traversal,
+            Some(2f64.powi(delta_exp)),
+            opts.determinism,
+            &mut WeightedScratch::new(),
+        );
         prop_assert_eq!(&a.assignment, &b.assignment);
         prop_assert!(verify_weighted(&wg, &a).is_ok());
     }

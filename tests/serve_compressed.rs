@@ -33,7 +33,7 @@ fn compressed_snapshots_serve_byte_identical_labels() {
         .unwrap();
 
     for seed in [1u64, 42] {
-        for traversal in [Traversal::Auto, Traversal::BottomUp] {
+        for traversal in [Traversal::Auto, Traversal::TopDownPar] {
             let opts = DecompOptions::new(0.3)
                 .with_seed(seed)
                 .with_traversal(traversal);

@@ -6,6 +6,7 @@
 
 mod serve_common;
 
+use mpx::compress::{apply_permutation, reorder_permutation, write_compressed_snapshot, Reorder};
 use mpx::serve::protocol::{
     self, ErrorCode, FrameKind, PartitionRequest, FRAME_HEADER_LEN, MAGIC, VERSION,
 };
@@ -302,6 +303,61 @@ fn random_garbage_fuzz_gets_typed_errors_or_close() {
 
 /// After an error reply with a fatal code, the server closes the
 /// connection: further reads see EOF promptly rather than hanging.
+/// Traversal codes are append-only within wire v1: bytes 2 and 3, which
+/// named the retired all-inline top-down and pure bottom-up strategies,
+/// must still decode (no `bad_payload`) and return labels byte-identical
+/// to byte 0's — on an unweighted v1, a permuted compressed v2 and a
+/// weighted snapshot.
+#[test]
+fn retired_traversal_codes_still_serve_identical_labels() {
+    let g = mpx::graph::gen::rmat(9, 4 << 9, 0.57, 0.19, 0.19, 3);
+    let v1 = serve_common::temp_snapshot("codes-v1", &g);
+    let v2 = serve_common::temp_file("codes-v2");
+    let perm = reorder_permutation(&g, Reorder::Bfs).unwrap();
+    write_compressed_snapshot(&apply_permutation(&g, &perm), Some(&perm), &v2)
+        .expect("write permuted v2");
+    let weighted = serve_common::weighted_gnm(600, 2400, 5);
+    let w = serve_common::temp_weighted_snapshot("codes-w", &weighted);
+    let server = TestServer::start(&[&v1, &v2, &w], 2, 4);
+    let mut client = Client::connect(server.addr).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+
+    for snapshot in 0..3u32 {
+        let mut req = PartitionRequest::new(snapshot, 7, 0.2);
+        req.want_labels = true;
+        let mut labels_for = |code: u8| -> Vec<u32> {
+            let mut payload = req.encode();
+            payload[20] = code;
+            let mut frame = Vec::new();
+            protocol::write_frame(&mut frame, FrameKind::Partition, &payload).unwrap();
+            client.send_raw(&frame).unwrap();
+            match client.read_reply().expect("reply frame") {
+                Reply::Partition(p) => {
+                    assert!(p.verified, "snapshot {snapshot} traversal byte {code}");
+                    p.labels.expect("labels were requested")
+                }
+                other => panic!("snapshot {snapshot} traversal byte {code}: {other:?}"),
+            }
+        };
+        let auto = labels_for(0);
+        for code in [2u8, 3] {
+            assert_eq!(
+                labels_for(code),
+                auto,
+                "snapshot {snapshot}: traversal byte {code} changed the labels"
+            );
+        }
+    }
+
+    client.shutdown().expect("shutdown ack");
+    server.join();
+    for p in [v1, v2, w] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
 fn assert_connection_closed(client: &mut Client) {
     match client.read_reply() {
         Err(ClientError::Wire(protocol::WireError::Closed))

@@ -19,8 +19,8 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Every CLI strategy token, including the `hybrid` alias.
-const STRATEGIES: [&str; 5] = ["auto", "parallel", "sequential", "bottomup", "hybrid"];
+/// Every CLI strategy token, including the `hybrid` and `topdown` aliases.
+const STRATEGIES: [&str; 4] = ["auto", "parallel", "hybrid", "topdown"];
 
 #[test]
 fn traced_labels_identical_across_strategies_and_threads() {
@@ -70,9 +70,9 @@ fn weighted_traced_labels_and_counts_agree() {
         .map(|(u, v)| (u, v, 1.0 + ((u * 7 + v) % 5) as f64 * 0.5))
         .collect();
     let wg = mpx::graph::WeightedCsrGraph::from_edges(g.num_vertices(), &edges);
-    // Δ-stepping (parallel) and multi-source Dijkstra (sequential) carry
-    // different span shapes; the relax-mark invariant holds for both.
-    for strategy in [Traversal::TopDownPar, Traversal::TopDownSeq] {
+    // Both strategies run Δ-stepping; the relax-mark invariant holds under
+    // each.
+    for strategy in [Traversal::Auto, Traversal::TopDownPar] {
         let mut session = DecomposerBuilder::new(0.3)
             .seed(5)
             .traversal(strategy)
@@ -105,7 +105,7 @@ fn trace_json_round_trips_through_the_vendored_parser() {
     let _g = lock();
     let g = gen::grid2d(24, 24);
     let mut session = DecomposerBuilder::new(0.25).seed(3).build(&g).unwrap();
-    let (_, telemetry, trace) = session.run_traced();
+    let (_, telemetry, trace) = session.run_with_seed_traced(3);
 
     let parsed = mpx::trace::json::parse(&trace.to_json()).expect("exporter emits valid JSON");
     assert_eq!(parsed.get("version").and_then(|v| v.as_f64()), Some(1.0));

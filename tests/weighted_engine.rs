@@ -1,13 +1,14 @@
 //! The weighted (Section 6) engine equivalence sweep: bucketed
-//! Δ-stepping ≡ sequential multi-source Dijkstra ≡ the per-root exact
-//! reference, bit for bit, across traversal strategies, bucket widths,
-//! graph families, pool sizes, and in-memory vs memory-mapped weighted
-//! snapshots. The CI matrix also reruns this file under `MPX_THREADS=1`
-//! and `MPX_THREADS=4`.
+//! Δ-stepping ≡ the per-root exact reference, bit for bit, across
+//! traversal strategies, bucket widths, graph families, pool sizes, and
+//! in-memory vs memory-mapped weighted snapshots. The CI matrix also
+//! reruns this file under `MPX_THREADS=1` and `MPX_THREADS=4`.
 
+use mpx::decomp::wengine::partition_weighted_view_reusing;
 use mpx::decomp::{
     compute_parents_weighted, partition, partition_weighted, partition_weighted_exact,
-    verify_weighted, DecompOptions, DecomposerBuilder, Traversal, WeightedDecomposition,
+    verify_weighted, DecompOptions, DecomposerBuilder, ExpShifts, Traversal, WeightedDecomposition,
+    WeightedScratch,
 };
 use mpx::graph::{gen, snapshot, CsrGraph, MappedWeightedCsr, Vertex, WeightedCsrGraph};
 use mpx::runtime::Pool;
@@ -27,24 +28,25 @@ fn random_lengths(g: &CsrGraph, seed: u64) -> WeightedCsrGraph {
     WeightedCsrGraph::from_edges(g.num_vertices(), &edges)
 }
 
-const STRATEGIES: [Traversal; 4] = [
-    Traversal::Auto,
-    Traversal::TopDownPar,
-    Traversal::TopDownSeq,
-    Traversal::BottomUp,
-];
+const STRATEGIES: [Traversal; 2] = [Traversal::Auto, Traversal::TopDownPar];
 
-/// One Δ-stepping run with bucket width `delta` (`None` = mean weight).
+/// One Δ-stepping run with bucket width `delta` (`None` = the width the
+/// sessions use, the mean length).
 fn delta_stepping(
     g: &WeightedCsrGraph,
     opts: &DecompOptions,
     delta: Option<f64>,
 ) -> WeightedDecomposition {
-    DecomposerBuilder::from_options(opts.clone().with_traversal(Traversal::TopDownPar))
-        .build_weighted(g)
-        .expect("valid weighted graph")
-        .with_delta(delta)
-        .run()
+    let shifts = ExpShifts::generate(g.num_vertices(), opts);
+    partition_weighted_view_reusing(
+        g,
+        &shifts,
+        opts.traversal,
+        delta,
+        opts.determinism,
+        &mut WeightedScratch::new(),
+    )
+    .0
 }
 
 fn assert_bit_identical(a: &WeightedDecomposition, b: &WeightedDecomposition, what: &str) {
@@ -103,25 +105,23 @@ fn all_strategies_match_exact_reference_across_families() {
                         .run_instrumented()
                 });
                 assert_bit_identical(&exact, &d, &what);
-                if strategy != Traversal::TopDownSeq {
-                    assert!(
-                        telemetry.relaxations <= m,
-                        "{what}: {} requests for {m} edges",
-                        telemetry.relaxations
-                    );
-                }
+                assert!(
+                    telemetry.relaxations <= m,
+                    "{what}: {} requests for {m} edges",
+                    telemetry.relaxations
+                );
             }
         }
     }
 }
 
 /// The Δ bucket width is a pure wall-clock knob: any positive width gives
-/// the same labels and distances as the sequential Dijkstra.
+/// the same labels and distances as the exact reference.
 #[test]
 fn bucket_width_never_changes_the_answer() {
     let g = random_lengths(&gen::gnm(200, 800, 3), 23);
     let opts = DecompOptions::new(0.2).with_seed(9);
-    let reference = partition_weighted(&g, &opts.clone().with_traversal(Traversal::TopDownSeq));
+    let reference = partition_weighted_exact(&g, &opts);
     for delta in [None, Some(1e-9), Some(0.1), Some(1.0), Some(7.5), Some(1e6)] {
         let d = delta_stepping(&g, &opts, delta);
         assert_bit_identical(&reference, &d, &format!("delta={delta:?}"));
@@ -131,7 +131,7 @@ fn bucket_width_never_changes_the_answer() {
 /// Tiny lengths, or a tiny β, make `δ_max` huge against the mean length.
 /// Δ-stepping's bucket width is at least `δ_max / n`, so it holds at most
 /// `n + 1` buckets instead of one per mean length of start time, and its
-/// labels stay bit-identical to the sequential Dijkstra. The outputs pass
+/// labels stay bit-identical to the exact reference. The outputs pass
 /// the verifier and yield parents even where start times near `1e12`
 /// (the second of two components at β = 1e-12) leave `dist_to_center`
 /// too coarse to tie with a relative tolerance.
@@ -165,7 +165,7 @@ fn tiny_lengths_and_tiny_beta_match_dijkstra() {
     ];
     for (what, g, beta) in &cases {
         let opts = DecompOptions::new(*beta).with_seed(1);
-        let reference = partition_weighted(g, &opts.clone().with_traversal(Traversal::TopDownSeq));
+        let reference = partition_weighted_exact(g, &opts);
         assert_bit_identical(&reference, &delta_stepping(g, &opts, None), what);
         verify_weighted(g, &reference).unwrap_or_else(|e| panic!("{what}: {e}"));
         let parents = compute_parents_weighted(g, &reference);
@@ -236,9 +236,9 @@ fn arb_weighted_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Weigh
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// On *any* weighted graph, β, seed, and bucket width: Δ-stepping,
-    /// sequential Dijkstra, and the exact reference agree bit for bit,
-    /// and the result passes the Section 6 verifier.
+    /// On *any* weighted graph, β, seed, and bucket width: Δ-stepping at
+    /// that width, the one-shot call, and the exact reference agree bit
+    /// for bit, and the result passes the Section 6 verifier.
     #[test]
     fn engines_agree_on_arbitrary_weighted_graphs(
         g in arb_weighted_graph(90, 280),
@@ -250,7 +250,7 @@ proptest! {
         // under- and over-bucketed regimes.
         let delta = (delta_k > 0).then_some(delta_k as f64 * delta_k as f64 * 0.75);
         let opts = DecompOptions::new(beta).with_seed(seed);
-        let dij = partition_weighted(&g, &opts.clone().with_traversal(Traversal::TopDownSeq));
+        let dij = partition_weighted(&g, &opts);
         let ds = delta_stepping(&g, &opts, delta);
         let exact = partition_weighted_exact(&g, &opts);
         prop_assert_eq!(&dij.assignment, &ds.assignment);
