@@ -32,7 +32,8 @@
 //! (`dist_T ≥ dist_G`, because two vertices separated below a node of
 //! bound `Δ` pay `≥ Δ ≥ dist_G` in the tree) and exceeds it by at most
 //! `O(log n)` per level in expectation — Bartal's `O(log² n)` expected
-//! stretch for this simple variant. The experiment table T13 measures it.
+//! stretch for this simple variant; `stretch_is_polylogarithmic_in_practice`
+//! asserts it.
 
 use mpx_decomp::{DecompOptions, Workspace};
 use mpx_graph::{algo, view_edges, GraphView, InducedView, Vertex};

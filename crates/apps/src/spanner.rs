@@ -11,8 +11,8 @@
 //!
 //! so the result is a `(4·radius + 1)`-spanner with
 //! `n − k + (#adjacent cluster pairs)` edges, `radius = O(log n / β)`
-//! w.h.p. Smaller `β` ⇒ sparser but longer-stretch — the trade-off the
-//! experiment table T9 sweeps.
+//! w.h.p. Smaller `β` ⇒ sparser but longer-stretch — the trade-off
+//! `beta_controls_size_stretch_tradeoff` asserts.
 
 use crate::coarsen::{coarsen_view, coarsen_weighted};
 use mpx_decomp::{

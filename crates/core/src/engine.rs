@@ -681,8 +681,8 @@ fn partition_view_protocol<V: GraphView>(
 /// that would falsify the decomposition.
 ///
 /// Public because every decomposition algorithm in the workspace, including
-/// the baselines and the Algorithm 2 oracle, assembles its
-/// [`Decomposition`] through this helper.
+/// the Algorithm 2 oracle, assembles its [`Decomposition`] through this
+/// helper.
 pub fn compute_parents_view<V: GraphView>(
     view: &V,
     assignment: &[Vertex],
@@ -745,15 +745,24 @@ mod tests {
             let o = opts(beta, 7);
             let shifts = ExpShifts::generate(g.num_vertices(), &o);
             let (base, _) = partition_view_with_shifts(&g, &shifts, Traversal::TopDownPar, o.alpha);
+            // Theorem 1.2's depth: the run ends one round after its last
+            // vertex settles, at its center's wake round plus its distance,
+            // and every vertex could start its own cluster by round ⌊δ_max⌋.
+            let last_settle = (0..g.num_vertices() as Vertex)
+                .map(|v| shifts.start_round[base.center_of(v) as usize] + base.dist_to_center(v))
+                .max();
+            let rounds = last_settle.map_or(0, |r| u64::from(r) + 1);
+            assert!(rounds as f64 <= shifts.delta_max.floor() + 1.0);
             for (s, alpha) in SWEEP {
                 let (d, t) = partition_view_with_shifts(&g, &shifts, s, alpha);
                 assert_eq!(base, d, "strategy {s:?} alpha {alpha}");
                 assert_eq!(t.clusters as usize, d.num_clusters());
+                assert_eq!(t.rounds, rounds, "strategy {s:?} alpha {alpha}");
                 if s == Traversal::TopDownPar {
                     assert_eq!(t.bottom_up_rounds, 0);
-                    // Top-down work is linear: every arc is scanned at most
-                    // once from each endpoint.
-                    assert!(t.relaxations <= 2 * g.num_arcs() as u64);
+                    // Top-down work is linear: an arc is relaxed only from
+                    // its settled tail, so each of the 2m arcs at most once.
+                    assert!(t.relaxations <= g.num_arcs() as u64);
                 } else if alpha == BOTTOM_UP_ALPHA && g.num_vertices() > 0 {
                     assert!(t.bottom_up_rounds > 0, "alpha {alpha}");
                 }

@@ -1,5 +1,5 @@
-//! Summary statistics for decompositions (the numbers every experiment
-//! table reports).
+//! Summary statistics for decompositions (the numbers `mpx partition`
+//! prints).
 
 use crate::decomposition::Decomposition;
 use mpx_graph::{Dist, GraphView};

@@ -415,15 +415,20 @@ mod tests {
 
     #[test]
     fn weighted_cut_scales_with_beta() {
+        // Section 6: the cut grows with β and the radius shrinks with it.
         let g = random_weighted(&gen::grid2d(30, 30), 9);
         let runs = 4;
-        let avg_cut = |beta: f64| -> f64 {
-            (0..runs)
-                .map(|s| partition_weighted(&g, &opts(beta, s)).cut_fraction(&g))
-                .sum::<f64>()
-                / runs as f64
+        let means = |beta: f64| -> (f64, f64) {
+            let (cut, radius) = (0..runs)
+                .map(|s| partition_weighted(&g, &opts(beta, s)))
+                .fold((0.0, 0.0), |(c, r), d| {
+                    (c + d.cut_fraction(&g), r + d.max_radius())
+                });
+            (cut / runs as f64, radius / runs as f64)
         };
-        assert!(avg_cut(0.02) < avg_cut(0.4));
+        let ((cut_lo, radius_lo), (cut_hi, radius_hi)) = (means(0.02), means(0.4));
+        assert!(cut_lo < cut_hi, "cut {cut_lo} vs {cut_hi}");
+        assert!(radius_lo > radius_hi, "radius {radius_lo} vs {radius_hi}");
     }
 
     #[test]

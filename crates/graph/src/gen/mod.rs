@@ -1,8 +1,8 @@
 //! Graph generators.
 //!
-//! Every workload used in the paper's Figure 1 and in our experiment tables
+//! Every workload used in the paper's Figure 1, the test suites and the CLI
 //! comes from this module. All randomized generators are deterministic given
-//! a `u64` seed so that experiments are exactly reproducible.
+//! a `u64` seed so that every run is exactly reproducible.
 //!
 //! | family | functions |
 //! |--------|-----------|
@@ -30,110 +30,3 @@ pub use random::{gnm, gnp, random_regular};
 pub use sbm::{sbm, sbm_block};
 pub use smallworld::watts_strogatz;
 pub use trees::{balanced_tree, binary_tree, random_tree};
-
-use crate::CsrGraph;
-
-/// A named workload, convenient for sweeping experiment tables over several
-/// graph families with one loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // field meanings are given on each variant
-pub enum Workload {
-    /// `side × side` square grid (the paper's Figure 1 workload).
-    Grid { side: usize },
-    /// 3-D cube grid.
-    Grid3d { side: usize },
-    /// Erdős–Rényi `G(n, m)` with average degree `avg_deg`.
-    Gnm { n: usize, avg_deg: usize },
-    /// RMAT power-law graph of `2^scale` vertices, `edge_factor · 2^scale` edges.
-    Rmat { scale: u32, edge_factor: usize },
-    /// Barabási–Albert preferential attachment with `m` edges per new vertex.
-    Ba { n: usize, m: usize },
-    /// Random `d`-regular graph.
-    Regular { n: usize, d: usize },
-    /// Watts–Strogatz ring with `k` nearest neighbours rewired w.p. 0.1.
-    SmallWorld { n: usize, k: usize },
-    /// Path graph (the paper's worst case for sequential ball growing).
-    Path { n: usize },
-}
-
-impl Workload {
-    /// Instantiates the workload.
-    pub fn build(self, seed: u64) -> CsrGraph {
-        match self {
-            Workload::Grid { side } => grid2d(side, side),
-            Workload::Grid3d { side } => grid3d(side, side, side),
-            Workload::Gnm { n, avg_deg } => gnm(n, n * avg_deg / 2, seed),
-            Workload::Rmat { scale, edge_factor } => {
-                rmat(scale, edge_factor << scale, 0.57, 0.19, 0.19, seed)
-            }
-            Workload::Ba { n, m } => barabasi_albert(n, m, seed),
-            Workload::Regular { n, d } => random_regular(n, d, seed),
-            Workload::SmallWorld { n, k } => watts_strogatz(n, k, 0.1, seed),
-            Workload::Path { n } => path(n),
-        }
-    }
-
-    /// Short label for table printing.
-    pub fn label(self) -> String {
-        match self {
-            Workload::Grid { side } => format!("grid-{side}x{side}"),
-            Workload::Grid3d { side } => format!("grid3d-{side}^3"),
-            Workload::Gnm { n, avg_deg } => format!("gnm-n{n}-d{avg_deg}"),
-            Workload::Rmat { scale, edge_factor } => format!("rmat-s{scale}-ef{edge_factor}"),
-            Workload::Ba { n, m } => format!("ba-n{n}-m{m}"),
-            Workload::Regular { n, d } => format!("reg-n{n}-d{d}"),
-            Workload::SmallWorld { n, k } => format!("ws-n{n}-k{k}"),
-            Workload::Path { n } => format!("path-{n}"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workload_labels_unique() {
-        let ws = [
-            Workload::Grid { side: 10 },
-            Workload::Gnm { n: 100, avg_deg: 4 },
-            Workload::Rmat {
-                scale: 6,
-                edge_factor: 8,
-            },
-            Workload::Ba { n: 100, m: 3 },
-        ];
-        let labels: std::collections::HashSet<_> = ws.iter().map(|w| w.label()).collect();
-        assert_eq!(labels.len(), ws.len());
-    }
-
-    #[test]
-    fn workload_build_produces_valid_graphs() {
-        for w in [
-            Workload::Grid { side: 8 },
-            Workload::Grid3d { side: 4 },
-            Workload::Gnm { n: 200, avg_deg: 6 },
-            Workload::Rmat {
-                scale: 7,
-                edge_factor: 8,
-            },
-            Workload::Ba { n: 150, m: 2 },
-            Workload::Regular { n: 100, d: 4 },
-            Workload::SmallWorld { n: 120, k: 4 },
-            Workload::Path { n: 50 },
-        ] {
-            let g = w.build(42);
-            assert!(g.validate().is_ok(), "{} invalid", w.label());
-            assert!(g.num_vertices() > 0);
-        }
-    }
-
-    #[test]
-    fn workload_build_deterministic() {
-        let w = Workload::Rmat {
-            scale: 7,
-            edge_factor: 8,
-        };
-        assert_eq!(w.build(7), w.build(7));
-    }
-}

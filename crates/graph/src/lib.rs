@@ -13,7 +13,7 @@
 //!   finalization (sort + dedup + CSR assembly via rayon).
 //! * [`gen`] — a suite of graph generators (grids, random graphs, power-law
 //!   graphs, trees, …) that provide every workload used in the paper's
-//!   Figure 1 and our experiment tables.
+//!   Figure 1, the test suites and the CLI.
 //! * [`view`] — zero-copy graph views: the [`GraphView`] traversal trait
 //!   plus [`InducedView`] (vertex subsets) and [`EdgeFilteredView`] (edge
 //!   subsets) over a borrowed [`CsrGraph`], so recursive pipelines can

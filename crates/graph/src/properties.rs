@@ -1,4 +1,4 @@
-//! Summary statistics of graphs, used for experiment-table headers.
+//! Summary statistics of graphs, as `mpx stats` prints them.
 
 use crate::csr::CsrGraph;
 use rayon::prelude::*;

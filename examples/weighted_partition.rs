@@ -36,8 +36,8 @@ fn main() {
         g.total_weight()
     );
 
-    // One-shot call on a 1-thread pool: the multi-source shifted
-    // Dijkstra, run sequentially.
+    // One-shot call on a 1-thread pool: the same Δ-stepping engine with
+    // a single worker.
     let opts = DecompOptions::new(0.1).with_seed(7);
     let d = Pool::new(1).install(|| partition_weighted(&g, &opts));
     println!(

@@ -13,10 +13,9 @@
 //!   dedicated pools ([`runtime::Pool`]), schedulers (fixed-chunk,
 //!   work-stealing) and utilization counters ([`runtime::stats`]).
 //! * [`decomp`] — **the paper's contribution**: low-diameter decompositions
-//!   via exponentially shifted shortest paths — one engine with four
-//!   traversal strategies, a weighted engine, and exact reference oracles.
-//! * [`baselines`] — sequential ball growing and other comparison
-//!   decomposition algorithms.
+//!   via exponentially shifted shortest paths — one engine with two
+//!   traversal strategies (`auto` and `parallel`), a weighted engine, and
+//!   exact reference oracles.
 //! * [`apps`] — spanners, low-stretch spanning trees, Linial–Saks block
 //!   decompositions, coarsening.
 //! * [`solver`] — Laplacian (SDD) solver substrate with spanning-tree
@@ -73,7 +72,6 @@
 #![deny(missing_docs)]
 
 pub use mpx_apps as apps;
-pub use mpx_baselines as baselines;
 pub use mpx_compress as compress;
 pub use mpx_decomp as decomp;
 pub use mpx_graph as graph;

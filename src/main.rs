@@ -550,9 +550,8 @@ fn parse_workload(spec: &str, seed: u64) -> Result<CsrGraph, String> {
 /// Weighted twin of [`parse_workload`]: `file:<path>` (or a bare path)
 /// loads a weighted edge list or weighted snapshot as-is; a generator
 /// spec builds the unweighted topology and attaches deterministic
-/// `U[0.25, 4]` edge lengths hashed from the seed and the endpoints — the
-/// same length model the T12 experiment table uses, reproducible across
-/// runs and thread counts.
+/// `U[0.25, 4]` edge lengths hashed from the seed and the endpoints —
+/// reproducible across runs and thread counts.
 fn parse_weighted_workload(spec: &str, seed: u64) -> Result<WeightedCsrGraph, String> {
     let from_file = |path: &str| read_weighted(path).map_err(|e| format!("workload '{spec}': {e}"));
     if let Some(path) = spec.strip_prefix("file:") {

@@ -4,35 +4,42 @@
 
 use mpx::decomp::{
     partition, partition_exact, verify_decomposition, DecompOptions, DecomposerBuilder,
-    RetryPolicy, TieBreak, Traversal, VerifyReport,
+    RetryPolicy, ShiftStrategy, TieBreak, Traversal, VerifyReport,
 };
-use mpx::graph::gen::{self, Workload};
+use mpx::graph::gen;
 use mpx::runtime::Pool;
 
 #[test]
 fn all_workloads_all_betas_valid() {
+    // Theorem 1.2 on every family: a valid partition whose radius stays
+    // within O(log n / β) and whose cut stays at most β·m, at each β.
     let workloads = [
-        Workload::Grid { side: 40 },
-        Workload::Grid3d { side: 12 },
-        Workload::Gnm {
-            n: 2000,
-            avg_deg: 6,
-        },
-        Workload::Rmat {
-            scale: 11,
-            edge_factor: 8,
-        },
-        Workload::Ba { n: 1500, m: 3 },
-        Workload::Regular { n: 1600, d: 4 },
-        Workload::SmallWorld { n: 1500, k: 3 },
-        Workload::Path { n: 3000 },
+        ("grid-40x40", gen::grid2d(40, 40)),
+        ("grid3d-12^3", gen::grid3d(12, 12, 12)),
+        ("gnm-n2000-d6", gen::gnm(2000, 2000 * 6 / 2, 1)),
+        ("rmat-s11-ef8", gen::rmat(11, 8 << 11, 0.57, 0.19, 0.19, 1)),
+        ("ba-n1500-m3", gen::barabasi_albert(1500, 3, 1)),
+        ("reg-n1600-d4", gen::random_regular(1600, 4, 1)),
+        ("ws-n1500-k3", gen::watts_strogatz(1500, 3, 0.1, 1)),
+        ("path-3000", gen::path(3000)),
     ];
-    for w in workloads {
-        let g = w.build(1);
+    for (label, g) in &workloads {
+        let n = g.num_vertices();
         for beta in [0.02, 0.1, 0.3] {
-            let d = partition(&g, &DecompOptions::new(beta).with_seed(7));
-            let r = verify_decomposition(&g, &d);
-            assert!(r.is_valid(), "{} β={beta}: {:?}", w.label(), r.errors);
+            let d = partition(g, &DecompOptions::new(beta).with_seed(7));
+            let r = verify_decomposition(g, &d);
+            assert!(r.is_valid(), "{label} β={beta}: {:?}", r.errors);
+            assert!(
+                r.radius_within_bound(n, beta),
+                "{label} β={beta}: radius {} > {}",
+                r.max_radius,
+                VerifyReport::radius_bound(n, beta)
+            );
+            assert!(
+                r.cut_within_fraction(beta, 1.0),
+                "{label} β={beta}: cut fraction {}",
+                r.cut_fraction
+            );
         }
     }
 }
@@ -83,24 +90,27 @@ fn retry_driver_delivers_theorem_1_2() {
 fn tie_break_rules_valid_and_similar_quality() {
     let g = gen::grid2d(50, 50);
     let beta = 0.1;
+    let base = DecompOptions::new(beta);
+    // The three tie-breaks of the sampled shifts, then the order-statistic
+    // shifts under the default tie-break.
+    let variants = [
+        base.clone().with_tie_break(TieBreak::FractionalShift),
+        base.clone().with_tie_break(TieBreak::Permutation),
+        base.clone().with_tie_break(TieBreak::Lexicographic),
+        base.with_shift_strategy(ShiftStrategy::OrderStatisticPermutation),
+    ];
     let mut cuts = Vec::new();
-    for tb in [
-        TieBreak::FractionalShift,
-        TieBreak::Permutation,
-        TieBreak::Lexicographic,
-    ] {
+    for opts in variants {
         let mut acc = 0.0;
         for seed in 0..5u64 {
-            let d = partition(
-                &g,
-                &DecompOptions::new(beta).with_seed(seed).with_tie_break(tb),
-            );
+            let d = partition(&g, &opts.clone().with_seed(seed));
             assert!(verify_decomposition(&g, &d).is_valid());
             acc += d.cut_fraction(&g);
         }
         cuts.push(acc / 5.0);
     }
-    // Section 5: quality should be nearly identical across rules.
+    // Section 5: quality should be nearly identical across rules, and the
+    // expected order statistics should change it only marginally.
     let max = cuts.iter().cloned().fold(f64::MIN, f64::max);
     let min = cuts.iter().cloned().fold(f64::MAX, f64::min);
     assert!(max - min < 0.25 * max, "tie-break rules diverge: {cuts:?}");
@@ -109,20 +119,31 @@ fn tie_break_rules_valid_and_similar_quality() {
 #[test]
 fn corollary_4_5_cut_fraction_scales_with_beta() {
     // E[cut] = O(β·m): the measured cut/β ratio should stay bounded across
-    // two orders of magnitude of β.
+    // two orders of magnitude of β. Figure 1's caption: lower β gives
+    // larger pieces and fewer cut edges, so as β rises the mean cut must
+    // rise and the mean max radius fall.
     let g = gen::grid2d(80, 80);
+    let trials = 5;
+    let mut means = Vec::new();
     for beta in [0.01, 0.05, 0.2] {
-        let mut acc = 0.0;
-        let trials = 5;
+        let (mut cut, mut radius) = (0.0, 0.0);
         for seed in 0..trials {
             let d = partition(&g, &DecompOptions::new(beta).with_seed(seed));
-            acc += d.cut_fraction(&g);
+            cut += d.cut_fraction(&g);
+            radius += d.max_radius() as f64;
         }
-        let ratio = acc / trials as f64 / beta;
+        let (cut, radius) = (cut / trials as f64, radius / trials as f64);
+        let ratio = cut / beta;
         assert!(
             ratio < 1.5,
             "β={beta}: cut/β = {ratio}, violates Corollary 4.5 shape"
         );
+        means.push((beta, cut, radius));
+    }
+    for w in means.windows(2) {
+        let ((b0, cut0, r0), (b1, cut1, r1)) = (w[0], w[1]);
+        assert!(cut0 < cut1, "mean cut β={b0}: {cut0} vs β={b1}: {cut1}");
+        assert!(r0 > r1, "mean max radius β={b0}: {r0} vs β={b1}: {r1}");
     }
 }
 

@@ -6,15 +6,25 @@ use mpx::decomp::shift::{harmonic, ExpShifts};
 use mpx::decomp::DecompOptions;
 use mpx::par::rng::uniform_open01;
 
-/// Lemma 4.2: E[δ_max] = H_n / β.
+/// Lemma 4.2: E[δ_max] = H_n / β, and δ_max ≤ 2·ln(n)/β with
+/// probability ≥ 1 − 1/n.
 #[test]
 fn lemma_4_2_expected_max_shift() {
     let n = 5000;
     let beta = 0.2;
     let trials = 120;
+    let tail = 2.0 * (n as f64).ln() / beta;
     let mut sum = 0.0;
     for t in 0..trials {
         let s = ExpShifts::generate(n, &DecompOptions::new(beta).with_seed(31 + t));
+        // Each trial exceeds the tail bound with probability < 1/n, so
+        // all 120 stay below it except with probability < 2.4%.
+        assert!(
+            s.delta_max <= tail,
+            "seed {}: δ_max {} > 2 ln n/β = {tail}",
+            31 + t,
+            s.delta_max
+        );
         sum += s.delta_max;
     }
     let measured = sum / trials as f64;

@@ -115,18 +115,6 @@ proptest! {
         }
     }
 
-    /// Ball growing keeps its deterministic cut guarantee on arbitrary
-    /// graphs: cut ≤ β·m (+1 rounding slack).
-    #[test]
-    fn ball_growing_cut_bound(
-        g in arb_graph(100, 300),
-        beta in 0.05f64..0.5,
-    ) {
-        let d = mpx::baselines::ball_growing(&g, beta);
-        let cut = d.cut_edges(&g) as f64;
-        prop_assert!(cut <= beta * g.num_edges() as f64 + 1.0);
-    }
-
     /// The spanner always stays a subgraph and preserves connectivity.
     #[test]
     fn spanner_subgraph_connectivity(

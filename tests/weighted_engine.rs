@@ -15,7 +15,7 @@ use mpx::runtime::Pool;
 use proptest::prelude::*;
 
 /// Deterministic `U[0.25, 4]` lengths hashed from seed + endpoints — the
-/// same model the bench CLI and the T12 table use.
+/// same model `mpx gen --weighted` writes.
 fn random_lengths(g: &CsrGraph, seed: u64) -> WeightedCsrGraph {
     let edges: Vec<(Vertex, Vertex, f64)> = g
         .edges()
