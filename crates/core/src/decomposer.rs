@@ -187,8 +187,8 @@ impl Workspace {
     /// original vertex `new_to_old[u]` (the permutation section of a
     /// reordered `.mpx` v2 snapshot).
     ///
-    /// Shifts are drawn per **original** id and gathered through the
-    /// permutation ([`ExpShifts::regenerate_permuted`]), so the returned
+    /// Shifts are drawn per **original** id
+    /// ([`ExpShifts::regenerate_permuted`]), so the returned
     /// decomposition — still in the view's current id space, matching the
     /// view for telemetry, cut and radius queries — maps back through
     /// [`Decomposition::remap_labels`]`(new_to_old)` to assignments and
@@ -219,8 +219,9 @@ impl Workspace {
     ///
     /// # Panics
     ///
-    /// Panics if `opts` fails [`DecompOptions::validate`] or `new_to_old`
-    /// is not a permutation of `0..n`.
+    /// Panics if `opts` fails [`DecompOptions::validate`], or if
+    /// `new_to_old` is not a permutation of `0..n`, naming the
+    /// out-of-range or repeated id.
     pub fn partition_view_permuted<V: GraphView>(
         &mut self,
         view: &V,
@@ -756,6 +757,52 @@ mod tests {
     use mpx_graph::{CsrGraph, WeightedCsrGraph};
 
     const ALL_STRATEGIES: [Traversal; 2] = [Traversal::Auto, Traversal::TopDownPar];
+
+    /// A pseudo-random permutation `new id → original id` of `0..n`.
+    fn shuffled(n: u32) -> Vec<u32> {
+        let mut p: Vec<u32> = (0..n).collect();
+        p.sort_unstable_by_key(|&v| mpx_par::rng::hash_index(17, u64::from(v)));
+        p
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation repeats original id 5")]
+    fn permuted_partition_rejects_a_repeated_id() {
+        let mut p: Vec<u32> = (0..16).collect();
+        p[7] = 5;
+        let _ = Workspace::new().partition_view_permuted(
+            &gen::grid2d(4, 4),
+            &DecompOptions::new(0.3),
+            &p,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation names out-of-range original id 16")]
+    fn permuted_partition_rejects_an_out_of_range_id() {
+        let mut p: Vec<u32> = (0..16).collect();
+        p[3] = 16;
+        let _ = Workspace::new().partition_view_permuted(
+            &gen::grid2d(4, 4),
+            &DecompOptions::new(0.3),
+            &p,
+        );
+    }
+
+    #[test]
+    fn warm_permuted_runs_keep_scratch_constant() {
+        // 6,400 vertices: above the shifts' parallel cutoff.
+        let g = gen::grid2d(80, 80);
+        let p = shuffled(g.num_vertices() as u32);
+        let opts = |seed| DecompOptions::new(0.2).with_seed(seed);
+        let mut ws = Workspace::new();
+        let _ = ws.partition_view_permuted(&g, &opts(1), &p);
+        let warm = ws.scratch_bytes();
+        for seed in 2..6 {
+            let _ = ws.partition_view_permuted(&g, &opts(seed), &p);
+            assert_eq!(ws.scratch_bytes(), warm, "seed {seed}");
+        }
+    }
 
     #[test]
     fn builder_rejects_bad_config_with_typed_errors() {

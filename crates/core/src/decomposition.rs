@@ -1,5 +1,6 @@
 //! The output type of all partition routines.
 
+use crate::shift::not_a_permutation;
 use mpx_graph::{CsrGraph, Dist, GraphView, Vertex, NO_VERTEX};
 use rayon::prelude::*;
 
@@ -44,6 +45,21 @@ impl Decomposition {
         dist_to_center: Vec<Dist>,
         parent: Vec<Vertex>,
     ) -> Self {
+        let d = Self::with_clusters(assignment, dist_to_center, parent);
+        if let Err(e) = d.check_internal() {
+            panic!("invalid decomposition: {e}");
+        }
+        d
+    }
+
+    /// [`Decomposition::from_raw`] without the `dist`/`parent` coherence
+    /// check, for arrays coherent by construction. Still panics unless
+    /// every assigned center is an in-range, self-assigned vertex.
+    fn with_clusters(
+        assignment: Vec<Vertex>,
+        dist_to_center: Vec<Dist>,
+        parent: Vec<Vertex>,
+    ) -> Self {
         let n = assignment.len();
         assert_eq!(dist_to_center.len(), n);
         assert_eq!(parent.len(), n);
@@ -67,17 +83,13 @@ impl Decomposition {
                 _ => panic!("invalid decomposition: center {c} is not a self-assigned vertex"),
             })
             .collect();
-        let d = Decomposition {
+        Decomposition {
             assignment,
             dist_to_center,
             parent,
             centers,
             cluster_index,
-        };
-        if let Err(e) = d.check_internal() {
-            panic!("invalid decomposition: {e}");
         }
-        d
     }
 
     /// Translates a decomposition computed in a **reordered** id space
@@ -90,26 +102,37 @@ impl Decomposition {
     /// parent. Combined with `ExpShifts::regenerate_permuted`, the result
     /// is bit-identical to decomposing the original graph directly.
     ///
-    /// Panics if `new_to_old` is not a permutation of `0..n`.
+    /// One sequential pass scatters the three arrays (and checks the
+    /// permutation); the clusters are then rebuilt as
+    /// [`Decomposition::from_raw`] does, but a bijection keeps `self`'s
+    /// coherence, so it is not checked again. Measured on 2 cores, the
+    /// pass beat an inversion plus a parallel gather: the pool's wake-up
+    /// and the random writes' shared cache lines cost more than the
+    /// second thread saved.
+    ///
+    /// Panics if `new_to_old` is not a permutation of `0..n`, naming the
+    /// out-of-range or repeated id.
     pub fn remap_labels(&self, new_to_old: &[Vertex]) -> Decomposition {
         let n = self.assignment.len();
         assert_eq!(new_to_old.len(), n, "permutation length != num_vertices");
+        // `assignment` doubles as the record of which original ids the
+        // permutation has named.
         let mut assignment = vec![NO_VERTEX; n];
         let mut dist_to_center = vec![0 as Dist; n];
         let mut parent = vec![NO_VERTEX; n];
-        let mut seen = vec![false; n];
-        for v in 0..n {
-            let old = new_to_old[v] as usize;
-            assert!(!seen[old], "permutation repeats original id {old}");
-            seen[old] = true;
-            assignment[old] = new_to_old[self.assignment[v] as usize];
-            dist_to_center[old] = self.dist_to_center[v];
-            parent[old] = match self.parent[v] {
+        for (v, &old) in new_to_old.iter().enumerate() {
+            match assignment.get_mut(old as usize) {
+                Some(slot) if *slot == NO_VERTEX => *slot = new_to_old[self.assignment[v] as usize],
+                Some(_) => not_a_permutation("repeats", old),
+                None => not_a_permutation("names out-of-range", old),
+            }
+            dist_to_center[old as usize] = self.dist_to_center[v];
+            parent[old as usize] = match self.parent[v] {
                 NO_VERTEX => NO_VERTEX,
                 p => new_to_old[p as usize],
             };
         }
-        Decomposition::from_raw(assignment, dist_to_center, parent)
+        Decomposition::with_clusters(assignment, dist_to_center, parent)
     }
 
     /// Internal coherence checks (cheap; full graph-aware verification lives
@@ -383,9 +406,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "permutation repeats original id 0")]
     fn remap_labels_rejects_non_permutation() {
         let _ = sample().remap_labels(&[0, 0, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation names out-of-range original id 4")]
+    fn remap_labels_rejects_out_of_range_ids() {
+        let _ = sample().remap_labels(&[0, 4, 2, 3]);
     }
 
     #[test]

@@ -20,9 +20,16 @@ use rayon::prelude::*;
 /// the bits that produced the exponential shifts.
 const TIEBREAK_SALT: u64 = 0x7f4a_7c15_9e37_79b9;
 
+/// Smallest number of vertices one parallel chunk of a pass handles:
+/// below it the pass runs inline, since the pool fan-out would dominate
+/// (the HST pipeline draws shifts for thousands of tiny pieces).
+const PAR_CUTOFF: usize = 4096;
+
 /// Per-vertex exponential shifts plus the derived quantities used by the
-/// BFS implementations.
-#[derive(Clone, Debug)]
+/// BFS implementations. The default covers zero vertices — the state a
+/// reusable [`crate::Workspace`] starts from before its first
+/// [`regenerate`](ExpShifts::regenerate).
+#[derive(Clone, Debug, Default)]
 pub struct ExpShifts {
     /// Raw shifts `δ_u ~ Exp(β)`.
     pub delta: Vec<f64>,
@@ -34,20 +41,8 @@ pub struct ExpShifts {
     /// [`TieBreak`]: the quantized fractional part of `δ_max − δ_u`, a
     /// random priority, or zero.
     pub frac_key: Vec<u32>,
-}
-
-impl Default for ExpShifts {
-    /// Shifts covering zero vertices — the state a reusable
-    /// [`crate::Workspace`] starts from before its first
-    /// [`regenerate`](ExpShifts::regenerate).
-    fn default() -> Self {
-        ExpShifts {
-            delta: Vec::new(),
-            delta_max: 0.0,
-            start_round: Vec::new(),
-            frac_key: Vec::new(),
-        }
-    }
+    /// Buffers of [`ExpShifts::regenerate_permuted`]'s claim-key rank.
+    rank: ClaimRank,
 }
 
 impl ExpShifts {
@@ -61,83 +56,15 @@ impl ExpShifts {
     /// Resamples shifts for `n` vertices in place, reusing the existing
     /// buffers (no allocation once the buffers have reached capacity `n`).
     ///
-    /// Bit-identical to [`ExpShifts::generate`] with the same `n` and
-    /// options: every value is a pure function of `(seed, vertex id)`, so
-    /// in-place filling and collecting produce the same arrays.
+    /// Two passes over the vertices, each parallel above 4,096 of them:
+    /// the first draws every `δ_u` and reduces `δ_max`, the second writes
+    /// wake rounds and tie keys — `O(n)` work, no sort (the
+    /// order-statistic strategy sorts `n` hashes). Bit-identical to
+    /// [`ExpShifts::generate`] with the same `n` and options: every value
+    /// is a pure function of `(seed, vertex id)`, so in-place filling and
+    /// collecting produce the same arrays.
     pub fn regenerate(&mut self, n: usize, opts: &DecompOptions) {
-        let beta = opts.beta;
-        let seed = opts.seed;
-        // Below this size the parallel-iterator overhead dominates; the
-        // HST pipeline calls this on thousands of tiny pieces.
-        const PAR_CUTOFF: usize = 4096;
-        self.delta.resize(n, 0.0);
-        self.start_round.resize(n, 0);
-        self.frac_key.resize(n, 0);
-        match opts.shift_strategy {
-            // δ_u = −ln(U)/β with U uniform on (0, 1]: the inverse-CDF method.
-            ShiftStrategy::SampledExponential if n >= PAR_CUTOFF => {
-                self.delta
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(u, d)| *d = -uniform_open01(seed, u as u64).ln() / beta);
-            }
-            ShiftStrategy::SampledExponential => {
-                for (u, d) in self.delta.iter_mut().enumerate() {
-                    *d = -uniform_open01(seed, u as u64).ln() / beta;
-                }
-            }
-            // Section 5 variant: rank the vertices by a random permutation
-            // and hand rank k the expected (k+1)-st order statistic
-            // (H_n − H_{n−k−1})/β, per Fact 3.1.
-            ShiftStrategy::OrderStatisticPermutation => {
-                let mut perm: Vec<u32> = (0..n as u32).collect();
-                perm.par_sort_unstable_by_key(|&v| hash_index(seed, v as u64));
-                // Prefix of expected order statistics: gap k (0-based,
-                // from the smallest) is 1/((n − k)·β).
-                let mut expected = Vec::with_capacity(n);
-                let mut acc = 0.0f64;
-                for k in 0..n {
-                    acc += 1.0 / ((n - k) as f64 * beta);
-                    expected.push(acc);
-                }
-                for (rank, &v) in perm.iter().enumerate() {
-                    self.delta[v as usize] = expected[rank];
-                }
-            }
-        }
-        self.delta_max = if n >= PAR_CUTOFF {
-            self.delta.par_iter().cloned().reduce(|| 0.0, f64::max)
-        } else {
-            self.delta.iter().cloned().fold(0.0, f64::max)
-        };
-        let delta_max = self.delta_max;
-        let quantize = |s: f64| -> u32 {
-            // Quantize the fractional part of [0,1) to the full u32 range.
-            (s.fract() * 4_294_967_296.0).min(u32::MAX as f64) as u32
-        };
-        let delta = &self.delta;
-        for (u, r) in self.start_round.iter_mut().enumerate() {
-            *r = (delta_max - delta[u]).floor() as u32;
-        }
-        match opts.tie_break {
-            TieBreak::FractionalShift if n >= PAR_CUTOFF => {
-                self.frac_key
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(u, k)| *k = quantize(delta_max - delta[u]));
-            }
-            TieBreak::FractionalShift => {
-                for (u, k) in self.frac_key.iter_mut().enumerate() {
-                    *k = quantize(delta_max - delta[u]);
-                }
-            }
-            TieBreak::Permutation => {
-                for (u, k) in self.frac_key.iter_mut().enumerate() {
-                    *k = (hash_index(seed ^ TIEBREAK_SALT, u as u64) >> 32) as u32;
-                }
-            }
-            TieBreak::Lexicographic => self.frac_key.fill(0),
-        }
+        self.fill(n, opts, false, |u| u as u32);
     }
 
     /// Resamples shifts for a **reordered** graph whose current id `u`
@@ -146,44 +73,118 @@ impl ExpShifts {
     /// is bit-identical to decomposing the original graph (see
     /// `Decomposition::remap_labels`).
     ///
-    /// Per-vertex quantities are gathered through the permutation
-    /// (`delta'[u] = delta[new_to_old[u]]`, likewise `start_round`), so
-    /// every vertex keeps the shift its original id drew. `frac_key`
-    /// cannot simply be gathered: the engine's claim keys fall back to the
-    /// low 32 **current-id** bits on full ties ([`ExpShifts::claim_key`]),
-    /// and original ids are not available there. Instead each vertex's
-    /// key becomes the dense rank of its original claim key — ranks are
-    /// unique, so claim-key order under the new ids reduces to exactly the
-    /// original claim-key order and the lexicographic fallback never
-    /// fires.
+    /// Vertex `u` draws its shift under its original id, in the same two
+    /// passes as [`ExpShifts::regenerate`], so `delta[u]` and
+    /// `start_round[u]` are the values `new_to_old[u]` draws there.
+    /// `frac_key` cannot carry over as drawn: the engine's claim keys fall
+    /// back to the low 32 **current-id** bits on full ties
+    /// ([`ExpShifts::claim_key`]), and original ids are not available
+    /// there. Instead each vertex's key becomes the dense rank of its
+    /// `(tie key, original id)` pair — ranks are unique, so claim-key
+    /// order under the new ids reduces to exactly the original claim-key
+    /// order and the lexicographic fallback never fires. One counting
+    /// pass on the keys' top bits orders the pairs, so the whole call is
+    /// `O(n)` expected work with no comparison sort (for
+    /// [`TieBreak::Lexicographic`] the rank is the original id itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_to_old` is not a permutation of `0..n`, naming the
+    /// out-of-range or repeated id.
     pub fn regenerate_permuted(&mut self, n: usize, opts: &DecompOptions, new_to_old: &[u32]) {
         assert_eq!(new_to_old.len(), n, "permutation length != n");
-        self.regenerate(n, opts);
-        // Claim keys are unique and carry their vertex id in the low 32
-        // bits, so sorting the keys themselves yields the vertex order.
-        let mut keys: Vec<u64> = (0..n as u32)
-            .into_par_iter()
-            .map(|u| self.claim_key(u))
-            .collect();
-        keys.par_sort_unstable();
-        let mut rank = vec![0u32; n];
-        for (r, &key) in keys.iter().enumerate() {
-            rank[(key & u64::from(u32::MAX)) as usize] = r as u32;
+        self.fill(n, opts, true, |u| match new_to_old[u] {
+            old if (old as usize) < n => old,
+            old => not_a_permutation("names out-of-range", old),
+        });
+    }
+
+    /// Draws the shifts of vertices `0..n`, vertex `u` under id `id(u)`,
+    /// in two passes: `δ` with `δ_max`, then wake rounds with tie keys.
+    /// With `permuted`, the tie keys then become the dense rank of the
+    /// `(tie key, id)` pairs. That rank also proves the ids distinct,
+    /// since a repeated id repeats its pair — except under the
+    /// order-statistic strategy, whose own sort catches it first.
+    fn fill(
+        &mut self,
+        n: usize,
+        opts: &DecompOptions,
+        permuted: bool,
+        id: impl Fn(usize) -> u32 + Sync,
+    ) {
+        let _span = mpx_trace::span!("shift.regenerate", n = n, permuted = permuted);
+        let (beta, seed) = (opts.beta, opts.seed);
+        self.delta.resize(n, 0.0);
+        self.start_round.resize(n, 0);
+        self.frac_key.resize(n, 0);
+        self.delta_max = match opts.shift_strategy {
+            // δ_u = −ln(U)/β with U uniform on (0, 1]: the inverse-CDF method.
+            ShiftStrategy::SampledExponential => self
+                .delta
+                .par_iter_mut()
+                .enumerate()
+                .with_min_len(PAR_CUTOFF)
+                .map(|(u, d)| {
+                    *d = -uniform_open01(seed, u64::from(id(u))).ln() / beta;
+                    *d
+                })
+                .reduce(|| 0.0, f64::max),
+            // Section 5 variant: rank the vertices by a random permutation
+            // and hand rank k the expected (k+1)-st order statistic
+            // (H_n − H_{n−k−1})/β, per Fact 3.1. The prefix is increasing,
+            // so its last entry is δ_max.
+            ShiftStrategy::OrderStatisticPermutation => {
+                let mut order: Vec<(u64, u32)> = (0..n)
+                    .into_par_iter()
+                    .with_min_len(PAR_CUTOFF)
+                    .map(|u| (hash_index(seed, u64::from(id(u))), u as u32))
+                    .collect();
+                order.par_sort_unstable();
+                // Gap k (0-based, from the smallest) is 1/((n − k)·β).
+                let mut acc = 0.0f64;
+                for (k, &(hash, u)) in order.iter().enumerate() {
+                    // The hash is a bijection of the id, so a repeated id
+                    // sorts next to its twin.
+                    if k > 0 && order[k - 1].0 == hash {
+                        not_a_permutation("repeats", id(u as usize));
+                    }
+                    acc += 1.0 / ((n - k) as f64 * beta);
+                    self.delta[u as usize] = acc;
+                }
+                acc
+            }
+        };
+        let (delta, delta_max) = (&self.delta, self.delta_max);
+        let (rounds, keys) = (&mut self.start_round[..], &mut self.frac_key[..]);
+        match opts.tie_break {
+            // Quantize the fractional part of [0,1) to the full u32 range.
+            TieBreak::FractionalShift => {
+                fill_rounds_and_keys(rounds, keys, delta, delta_max, |_, frac| {
+                    (frac * 4_294_967_296.0).min(u32::MAX as f64) as u32
+                })
+            }
+            TieBreak::Permutation => {
+                fill_rounds_and_keys(rounds, keys, delta, delta_max, |u, _| {
+                    (hash_index(seed ^ TIEBREAK_SALT, u64::from(id(u))) >> 32) as u32
+                })
+            }
+            // Every tie key is zero, so claims fall back to original ids
+            // alone. A reordered graph keys each vertex by its original id
+            // shifted to the top bits, which spreads the rank's buckets
+            // evenly; the rank of that key is the id itself.
+            TieBreak::Lexicographic if permuted => {
+                let spread = 32 - n.next_power_of_two().trailing_zeros();
+                fill_rounds_and_keys(rounds, keys, delta, delta_max, |u, _| {
+                    (u64::from(id(u)) << spread) as u32
+                })
+            }
+            TieBreak::Lexicographic => {
+                fill_rounds_and_keys(rounds, keys, delta, delta_max, |_, _| 0)
+            }
         }
-        let delta: Vec<f64> = new_to_old
-            .par_iter()
-            .map(|&o| self.delta[o as usize])
-            .collect();
-        let start_round: Vec<u32> = new_to_old
-            .par_iter()
-            .map(|&o| self.start_round[o as usize])
-            .collect();
-        let frac_key: Vec<u32> = new_to_old.par_iter().map(|&o| rank[o as usize]).collect();
-        // Copy back instead of assigning so the workspace keeps its
-        // amortized buffer capacity.
-        self.delta.copy_from_slice(&delta);
-        self.start_round.copy_from_slice(&start_round);
-        self.frac_key.copy_from_slice(&frac_key);
+        if permuted {
+            self.rank.rank(&mut self.frac_key, &id);
+        }
     }
 
     /// Bytes of buffer capacity currently reserved (the quantity a
@@ -192,6 +193,7 @@ impl ExpShifts {
         self.delta.capacity() * std::mem::size_of::<f64>()
             + self.start_round.capacity() * std::mem::size_of::<u32>()
             + self.frac_key.capacity() * std::mem::size_of::<u32>()
+            + self.rank.capacity_bytes()
     }
 
     /// Number of vertices covered.
@@ -221,6 +223,138 @@ impl ExpShifts {
             buckets[r as usize].push(u as u32);
         }
         buckets
+    }
+}
+
+/// The panic of a `new_to_old` that is not a permutation, kept out of
+/// line so the loops that check ids stay small.
+#[cold]
+#[inline(never)]
+pub(crate) fn not_a_permutation(what: &str, id: u32) -> ! {
+    panic!("permutation {what} original id {id}")
+}
+
+/// Writes `start_round[u] = ⌊s⌋` and `frac_key[u] = key(u, s − ⌊s⌋)` for
+/// each start time `s = δ_max − δ_u ≥ 0`, in one pass over the vertices.
+fn fill_rounds_and_keys(
+    start_round: &mut [u32],
+    frac_key: &mut [u32],
+    delta: &[f64],
+    delta_max: f64,
+    key: impl Fn(usize, f64) -> u32 + Sync,
+) {
+    let slots = start_round.par_iter_mut().zip(frac_key.par_iter_mut());
+    slots
+        .enumerate()
+        .with_min_len(PAR_CUTOFF)
+        .for_each(|(u, (round, k))| {
+            let start = delta_max - delta[u];
+            // For a start ≥ 0 the truncating cast is the floor, exact below
+            // 2^64 (every f64 from 2^53 up is whole); it saturates above,
+            // where the fraction is 0. No libm call, unlike `floor`.
+            let whole = start as u64;
+            let frac = if whole < u64::MAX {
+                start - whole as f64
+            } else {
+                0.0
+            };
+            *round = whole.min(u64::from(u32::MAX)) as u32;
+            *k = key(u, frac);
+        });
+}
+
+/// Buffers of the dense rank [`ExpShifts::regenerate_permuted`] takes of
+/// its `(tie key, original id)` pairs, kept so that a warm workspace
+/// allocates nothing per run.
+#[derive(Clone, Debug, Default)]
+struct ClaimRank {
+    /// `(tie key << 32) | current id`, in full order once ranked.
+    sorted: Vec<u64>,
+    /// One counter per bucket of top key bits, turned into offsets.
+    counts: Vec<u32>,
+}
+
+impl ClaimRank {
+    fn capacity_bytes(&self) -> usize {
+        self.sorted.capacity() * std::mem::size_of::<u64>()
+            + self.counts.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Replaces every `keys[u]` by the dense rank of the pair
+    /// `(keys[u], id(u))` among all `n` pairs.
+    ///
+    /// One counting pass on the top `⌈log₂ n⌉ + 1` key bits and a stable
+    /// scatter group the pairs into buckets in key order, two buckets per
+    /// pair; one insertion pass then sorts every bucket by the full pair.
+    /// Near-uniform keys (fractional shifts, hashed priorities) leave
+    /// under one pair per bucket, so this is `O(n)` expected. Keys that
+    /// share their top bits (tiny β) fill large buckets, which are
+    /// comparison-sorted first, so the worst case is one sort. It runs
+    /// on the calling thread: measured on 2 cores, splitting it across
+    /// the pool cost more in wake-ups and shared cache lines than it
+    /// saved.
+    ///
+    /// Panics naming the id if two pairs are equal: ids drawn from a
+    /// permutation are distinct.
+    fn rank(&mut self, keys: &mut [u32], id: &impl Fn(usize) -> u32) {
+        /// Buckets above this size are sorted before the insertion pass.
+        const SMALL_BUCKET: u32 = 16;
+        let n = keys.len();
+        // Two buckets per pair, and at most 2^32 buckets.
+        let bits = (n.next_power_of_two().trailing_zeros() + 1).min(32);
+        let bucket = |k: u32| (u64::from(k) >> (32 - bits)) as usize;
+        let counts = &mut self.counts;
+        counts.clear();
+        counts.resize(1 << bits, 0);
+        for &k in keys.iter() {
+            counts[bucket(k)] += 1;
+        }
+        let (mut start, mut largest) = (0, 0);
+        for c in counts.iter_mut() {
+            largest = largest.max(*c);
+            (*c, start) = (start, start + *c);
+        }
+        // The scatter leaves counts[b] at the end of bucket b.
+        self.sorted.resize(n, 0);
+        let sorted = &mut self.sorted[..];
+        for (u, &k) in keys.iter().enumerate() {
+            let slot = &mut counts[bucket(k)];
+            sorted[*slot as usize] = u64::from(k) << 32 | u as u64;
+            *slot += 1;
+        }
+        let original = |pair: u64| id(pair as u32 as usize);
+        let order = |a: &u64, b: &u64| {
+            (a >> 32)
+                .cmp(&(b >> 32))
+                .then_with(|| original(*a).cmp(&original(*b)))
+        };
+        if largest > SMALL_BUCKET {
+            let mut start = 0;
+            for &end in counts.iter() {
+                let run = &mut sorted[start..end as usize];
+                if run.len() > SMALL_BUCKET as usize {
+                    run.sort_unstable_by(order);
+                }
+                start = end as usize;
+            }
+        }
+        // Buckets are in key order, so no pair moves past its bucket's
+        // start.
+        for i in 1..n {
+            let x = sorted[i];
+            let mut j = i;
+            while j > 0 && order(&x, &sorted[j - 1]).is_lt() {
+                sorted[j] = sorted[j - 1];
+                j -= 1;
+            }
+            sorted[j] = x;
+        }
+        for (r, &pair) in sorted.iter().enumerate() {
+            if r > 0 && order(&sorted[r - 1], &pair).is_eq() {
+                not_a_permutation("repeats", original(pair));
+            }
+            keys[pair as u32 as usize] = r as u32;
+        }
     }
 }
 
@@ -480,6 +614,151 @@ mod tests {
                     let original = base.claim_key(new_to_old[u as usize])
                         < base.claim_key(new_to_old[v as usize]);
                     assert_eq!(permuted, original, "tie_break {tb:?} pair ({u}, {v})");
+                }
+            }
+        }
+    }
+
+    /// `regenerate_permuted` composed from public calls: shifts drawn
+    /// under the original ids, the dense rank of their claim keys by a
+    /// plain sort, and a gather through the permutation.
+    fn permuted_reference(n: usize, o: &DecompOptions, new_to_old: &[u32]) -> ExpShifts {
+        let base = ExpShifts::generate(n, o);
+        let mut keys: Vec<u64> = (0..n as u32).map(|v| base.claim_key(v)).collect();
+        keys.sort_unstable();
+        let mut rank = vec![0u32; n];
+        for (r, &key) in keys.iter().enumerate() {
+            rank[key as u32 as usize] = r as u32;
+        }
+        let gathered = |values: &[u32]| new_to_old.iter().map(|&v| values[v as usize]).collect();
+        ExpShifts {
+            delta: new_to_old.iter().map(|&v| base.delta[v as usize]).collect(),
+            delta_max: base.delta_max,
+            start_round: gathered(&base.start_round),
+            frac_key: gathered(&rank),
+            rank: ClaimRank::default(),
+        }
+    }
+
+    #[test]
+    fn permuted_shifts_equal_the_gathered_reference() {
+        use crate::options::ShiftStrategy;
+        let mut p = ExpShifts::default();
+        // n = 20,000 crosses the parallel cutoff; β = 1e-12 leaves the
+        // fractional keys about 9 significant bits, so most pairs share
+        // a bucket with others and many tie on the key alone.
+        for n in [1usize, 600, 20_000] {
+            let mut new_to_old: Vec<u32> = (0..n as u32).collect();
+            new_to_old.sort_unstable_by_key(|&v| hash_index(99, v as u64));
+            for strategy in [
+                ShiftStrategy::SampledExponential,
+                ShiftStrategy::OrderStatisticPermutation,
+            ] {
+                for tb in [
+                    TieBreak::FractionalShift,
+                    TieBreak::Permutation,
+                    TieBreak::Lexicographic,
+                ] {
+                    for beta in [0.3, 1e-12] {
+                        let o = opts(beta, 11)
+                            .with_tie_break(tb)
+                            .with_shift_strategy(strategy);
+                        p.regenerate_permuted(n, &o, &new_to_old);
+                        let r = permuted_reference(n, &o, &new_to_old);
+                        let case = format!("n {n} {strategy:?} {tb:?} β {beta}");
+                        assert_eq!(p.delta, r.delta, "{case}");
+                        assert_eq!(p.delta_max, r.delta_max, "{case}");
+                        assert_eq!(p.start_round, r.start_round, "{case}");
+                        assert_eq!(p.frac_key, r.frac_key, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn claim_rank_matches_a_sort_on_crafted_keys() {
+        let n = 5000u32;
+        let shuffled: Vec<u32> = {
+            let mut ids: Vec<u32> = (0..n).collect();
+            ids.sort_unstable_by_key(|&v| hash_index(3, v as u64));
+            ids
+        };
+        let cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
+            (vec![], vec![]),
+            (vec![7], vec![0]),
+            // All keys equal: id order alone, one large bucket.
+            (vec![5; 40], (0..40).rev().collect()),
+            // Ties at both ends of the key range.
+            (vec![u32::MAX, 0, u32::MAX, 0, 1 << 31], vec![4, 3, 2, 1, 0]),
+            // Eight distinct keys: a few large buckets.
+            ((0..n).map(|i| (i % 8) << 29).collect(), shuffled.clone()),
+            // Near-uniform keys, as fractional shifts give.
+            (
+                (0..n)
+                    .map(|i| (hash_index(5, i as u64) >> 32) as u32)
+                    .collect(),
+                shuffled,
+            ),
+        ];
+        for (keys, ids) in cases {
+            let mut by_sort: Vec<usize> = (0..keys.len()).collect();
+            by_sort.sort_by_key(|&u| (keys[u], ids[u]));
+            let mut expect = vec![0u32; keys.len()];
+            for (r, &u) in by_sort.iter().enumerate() {
+                expect[u] = r as u32;
+            }
+            let mut ranked = keys.clone();
+            ClaimRank::default().rank(&mut ranked, &|u| ids[u]);
+            assert_eq!(ranked, expect, "keys {:?}…", &keys[..keys.len().min(5)]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation repeats original id 3")]
+    fn claim_rank_rejects_equal_pairs() {
+        let ids = [0, 3, 1, 3];
+        ClaimRank::default().rank(&mut [9, 4, 9, 4], &|u| ids[u]);
+    }
+
+    #[test]
+    fn permuted_shifts_reject_non_permutations_under_every_option() {
+        use crate::options::ShiftStrategy;
+        for n in [16usize, 5000] {
+            let mut repeated: Vec<u32> = (0..n as u32).collect();
+            repeated[7] = 5;
+            let mut out_of_range: Vec<u32> = (0..n as u32).collect();
+            out_of_range[3] = n as u32;
+            for strategy in [
+                ShiftStrategy::SampledExponential,
+                ShiftStrategy::OrderStatisticPermutation,
+            ] {
+                for tb in [
+                    TieBreak::FractionalShift,
+                    TieBreak::Permutation,
+                    TieBreak::Lexicographic,
+                ] {
+                    let o = opts(0.3, 2)
+                        .with_tie_break(tb)
+                        .with_shift_strategy(strategy);
+                    for (p, expect) in [
+                        (&repeated, "permutation repeats original id 5".to_string()),
+                        (
+                            &out_of_range,
+                            format!("permutation names out-of-range original id {n}"),
+                        ),
+                    ] {
+                        let caught = std::panic::catch_unwind(|| {
+                            ExpShifts::default().regenerate_permuted(n, &o, p)
+                        });
+                        let case = format!("n {n} {strategy:?} {tb:?}: {expect}");
+                        let payload = caught.expect_err(&case);
+                        let message = payload
+                            .downcast_ref::<String>()
+                            .cloned()
+                            .unwrap_or_default();
+                        assert_eq!(message, expect, "{case}");
+                    }
                 }
             }
         }

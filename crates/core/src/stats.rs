@@ -2,6 +2,7 @@
 //! prints).
 
 use crate::decomposition::Decomposition;
+use crate::verify::VerifyReport;
 use mpx_graph::{Dist, GraphView};
 
 /// Quantitative summary of one decomposition, aligned with Definition 1.1:
@@ -51,6 +52,28 @@ impl DecompositionStats {
             avg_radius,
             cut_edges: cut,
             cut_fraction: if m == 0 { 0.0 } else { cut as f64 / m as f64 },
+        }
+    }
+
+    /// The same statistics from a [`VerifyReport`] of `d`, whose one scan
+    /// already counted the cut and the radii: only the cluster sizes are
+    /// left to count, in `O(n)`.
+    pub fn from_report(d: &Decomposition, report: &VerifyReport) -> Self {
+        let sizes = d.cluster_sizes();
+        let n = d.num_vertices();
+        DecompositionStats {
+            num_clusters: report.num_clusters,
+            min_cluster: sizes.iter().copied().min().unwrap_or(0),
+            max_cluster: sizes.iter().copied().max().unwrap_or(0),
+            avg_cluster: if n == 0 {
+                0.0
+            } else {
+                n as f64 / report.num_clusters as f64
+            },
+            max_radius: report.max_radius,
+            avg_radius: report.avg_radius,
+            cut_edges: report.cut_edges,
+            cut_fraction: report.cut_fraction,
         }
     }
 }
@@ -113,6 +136,24 @@ mod tests {
         let (cut_hi, rad_hi) = avg(0.4);
         assert!(cut_lo < cut_hi, "cut: {cut_lo} !< {cut_hi}");
         assert!(rad_lo > rad_hi, "radius: {rad_lo} !> {rad_hi}");
+    }
+
+    #[test]
+    fn from_report_matches_compute() {
+        use crate::verify::verify_decomposition;
+        for (g, beta) in [
+            (gen::grid2d(30, 30), 0.2),
+            (gen::rmat(10, 8 << 10, 0.57, 0.19, 0.19, 3), 0.1),
+            (gen::path(1), 0.5),
+            (CsrGraph::empty(0), 0.5),
+        ] {
+            let d = partition(&g, &DecompOptions::new(beta).with_seed(4));
+            let report = verify_decomposition(&g, &d);
+            assert_eq!(
+                DecompositionStats::from_report(&d, &report),
+                DecompositionStats::compute(&g, &d)
+            );
+        }
     }
 
     #[test]

@@ -48,17 +48,6 @@ pub fn complete(n: usize) -> CsrGraph {
     b.build()
 }
 
-/// Complete bipartite graph `K_{a,b}` (side A is `0..a`, side B is `a..a+b`).
-pub fn complete_bipartite(a: usize, b: usize) -> CsrGraph {
-    let mut builder = GraphBuilder::with_capacity(a + b, a * b);
-    for i in 0..a {
-        for j in 0..b {
-            builder.add_edge(i as Vertex, (a + j) as Vertex);
-        }
-    }
-    builder.build()
-}
-
 /// `dim`-dimensional hypercube on `2^dim` vertices; vertices adjacent iff
 /// their ids differ in exactly one bit.
 pub fn hypercube(dim: u32) -> CsrGraph {
@@ -72,44 +61,6 @@ pub fn hypercube(dim: u32) -> CsrGraph {
                 b.add_edge(v as Vertex, u as Vertex);
             }
         }
-    }
-    b.build()
-}
-
-/// Caterpillar: a spine path of `spine` vertices, each with `legs` pendant
-/// leaves. Total `spine * (legs + 1)` vertices.
-pub fn caterpillar(spine: usize, legs: usize) -> CsrGraph {
-    assert!(spine >= 1);
-    let n = spine * (legs + 1);
-    let mut b = GraphBuilder::with_capacity(n, n - 1);
-    for i in 1..spine {
-        b.add_edge((i - 1) as Vertex, i as Vertex);
-    }
-    let mut next = spine;
-    for i in 0..spine {
-        for _ in 0..legs {
-            b.add_edge(i as Vertex, next as Vertex);
-            next += 1;
-        }
-    }
-    b.build()
-}
-
-/// Lollipop: `K_clique` glued to a path of `tail` vertices. A classic
-/// mixing-time pathology; here it stresses decompositions that must place a
-/// dense blob and a long thread in one pass.
-pub fn lollipop(clique: usize, tail: usize) -> CsrGraph {
-    assert!(clique >= 1);
-    let n = clique + tail;
-    let mut b = GraphBuilder::with_capacity(n, clique * clique / 2 + tail);
-    for i in 0..clique {
-        for j in (i + 1)..clique {
-            b.add_edge(i as Vertex, j as Vertex);
-        }
-    }
-    for i in 0..tail {
-        let prev = if i == 0 { clique - 1 } else { clique + i - 1 };
-        b.add_edge(prev as Vertex, (clique + i) as Vertex);
     }
     b.build()
 }
@@ -155,15 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn bipartite_structure() {
-        let g = complete_bipartite(3, 4);
-        assert_eq!(g.num_vertices(), 7);
-        assert_eq!(g.num_edges(), 12);
-        assert!(!g.has_edge(0, 1)); // same side
-        assert!(g.has_edge(0, 3));
-    }
-
-    #[test]
     fn hypercube_structure() {
         let g = hypercube(4);
         assert_eq!(g.num_vertices(), 16);
@@ -171,21 +113,5 @@ mod tests {
         assert!(g.vertices().all(|v| g.degree(v) == 4));
         assert!(g.has_edge(0b0000, 0b1000));
         assert!(!g.has_edge(0b0000, 0b0011));
-    }
-
-    #[test]
-    fn caterpillar_is_tree() {
-        let g = caterpillar(4, 2);
-        assert_eq!(g.num_vertices(), 12);
-        assert_eq!(g.num_edges(), 11);
-    }
-
-    #[test]
-    fn lollipop_structure() {
-        let g = lollipop(5, 3);
-        assert_eq!(g.num_vertices(), 8);
-        assert_eq!(g.num_edges(), 10 + 3);
-        assert_eq!(g.degree(7), 1); // tail end
-        assert_eq!(g.degree(4), 5); // clique vertex holding the tail
     }
 }

@@ -7,11 +7,11 @@
 //! | family | functions |
 //! |--------|-----------|
 //! | meshes | [`grid2d`], [`grid3d`], [`torus2d`] |
-//! | classics | [`path`], [`cycle`], [`star`], [`complete`], [`complete_bipartite`], [`hypercube`], [`caterpillar`], [`lollipop`] |
-//! | random | [`gnp`], [`gnm`], [`random_regular`], [`sbm`] |
+//! | classics | [`path`], [`cycle`], [`star`], [`complete`], [`hypercube`] |
+//! | random | [`gnm`], [`random_regular`], [`sbm`] |
 //! | power-law | [`rmat`], [`barabasi_albert`] |
 //! | small world | [`watts_strogatz`] |
-//! | trees | [`random_tree`], [`balanced_tree`], [`binary_tree`] |
+//! | trees | [`random_tree`] |
 
 mod classic;
 mod grid;
@@ -21,12 +21,10 @@ mod sbm;
 mod smallworld;
 mod trees;
 
-pub use classic::{
-    caterpillar, complete, complete_bipartite, cycle, hypercube, lollipop, path, star,
-};
+pub use classic::{complete, cycle, hypercube, path, star};
 pub use grid::{grid2d, grid3d, torus2d};
 pub use powerlaw::{barabasi_albert, rmat};
-pub use random::{gnm, gnp, random_regular};
+pub use random::{gnm, random_regular};
 pub use sbm::{sbm, sbm_block};
 pub use smallworld::watts_strogatz;
-pub use trees::{balanced_tree, binary_tree, random_tree};
+pub use trees::random_tree;

@@ -19,28 +19,6 @@ pub fn random_tree(n: usize, seed: u64) -> CsrGraph {
     b.build()
 }
 
-/// Complete `arity`-ary tree of the given `depth` (depth 0 = single root).
-pub fn balanced_tree(arity: usize, depth: u32) -> CsrGraph {
-    assert!(arity >= 1);
-    // n = (arity^(depth+1) - 1) / (arity - 1) for arity > 1, depth+1 for arity = 1.
-    let n: usize = if arity == 1 {
-        depth as usize + 1
-    } else {
-        (arity.pow(depth + 1) - 1) / (arity - 1)
-    };
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for i in 1..n {
-        let parent = (i - 1) / arity;
-        b.add_edge(parent as Vertex, i as Vertex);
-    }
-    b.build()
-}
-
-/// Complete binary tree with `depth` levels below the root.
-pub fn binary_tree(depth: u32) -> CsrGraph {
-    balanced_tree(2, depth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,27 +29,5 @@ mod tests {
         assert_eq!(g.num_edges(), 99);
         let dist = crate::algo::bfs(&g, 0);
         assert!(dist.iter().all(|&d| d != crate::INFINITY), "tree connected");
-    }
-
-    #[test]
-    fn balanced_tree_counts() {
-        let g = balanced_tree(3, 2); // 1 + 3 + 9 = 13
-        assert_eq!(g.num_vertices(), 13);
-        assert_eq!(g.num_edges(), 12);
-        assert_eq!(g.degree(0), 3);
-    }
-
-    #[test]
-    fn binary_tree_depth_zero() {
-        let g = binary_tree(0);
-        assert_eq!(g.num_vertices(), 1);
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn unary_tree_is_path() {
-        let g = balanced_tree(1, 4);
-        assert_eq!(g.num_vertices(), 5);
-        assert!(g.vertices().filter(|&v| g.degree(v) == 1).count() == 2);
     }
 }

@@ -987,7 +987,10 @@ impl PartitionRun<'_> {
             ("bottom_up_rounds", telemetry.bottom_up_rounds as f64),
             ("clusters", telemetry.clusters as f64),
         ])?;
-        println!("{}", DecompositionStats::compute(g, &d));
+        // The verifier's scan counts the cut and the radii the stats line
+        // prints, so it runs first.
+        let report = verify_decomposition(g, &d);
+        println!("{}", DecompositionStats::from_report(&d, &report));
         println!(
             "engine: strategy={} determinism={} rounds={} relaxations={} bottom_up_rounds={} cas_success={} cas_retries={} source={source}",
             self.flags.strategy.as_str(),
@@ -998,7 +1001,6 @@ impl PartitionRun<'_> {
             telemetry.cas_success,
             telemetry.cas_retries,
         );
-        let report = verify_decomposition(g, &d);
         if !report.is_valid() {
             return Err(format!("verification FAILED: {:?}", report.errors));
         }

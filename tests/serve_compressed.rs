@@ -1,8 +1,8 @@
 //! `mpx serve` over compressed snapshots: a server loaded with the raw
-//! v1 file, the compressed v2 file, and a reordered compressed v2 file
-//! of the same graph must answer every request with byte-identical
-//! labels — equal to an in-process run over the in-memory graph — and
-//! identical aggregate stats.
+//! v1 file, the compressed v2 file, and degree- and BFS-reordered
+//! compressed v2 files of the same graph must answer every request with
+//! byte-identical labels — equal to an in-process run over the in-memory
+//! graph — and identical aggregate stats.
 
 mod serve_common;
 
@@ -25,8 +25,13 @@ fn compressed_snapshots_serve_byte_identical_labels() {
     let perm = reorder_permutation(&g, Reorder::Degree).unwrap();
     write_compressed_snapshot(&apply_permutation(&g, &perm), Some(&perm), &v2r)
         .expect("write reordered v2");
+    // The order the benchmark's served snapshot uses.
+    let v2b = serve_common::temp_file("compressed-v2b");
+    let bfs = reorder_permutation(&g, Reorder::Bfs).unwrap();
+    write_compressed_snapshot(&apply_permutation(&g, &bfs), Some(&bfs), &v2b)
+        .expect("write BFS-reordered v2");
 
-    let server = TestServer::start(&[&v1, &v2, &v2r], 2, 4);
+    let server = TestServer::start(&[&v1, &v2, &v2r, &v2b], 2, 4);
     let mut client = Client::connect(server.addr).expect("connect");
     client
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -39,7 +44,7 @@ fn compressed_snapshots_serve_byte_identical_labels() {
                 .with_traversal(traversal);
             let reference = partition(&g, &opts);
             let mut replies = Vec::new();
-            for snapshot in 0..3u32 {
+            for snapshot in 0..4u32 {
                 let mut req = PartitionRequest::new(snapshot, seed, 0.3);
                 req.traversal = traversal;
                 req.want_labels = true;
@@ -55,7 +60,7 @@ fn compressed_snapshots_serve_byte_identical_labels() {
                 replies.push(reply);
             }
             // Cut, cluster count and radius are permutation-invariant:
-            // all three snapshots must agree exactly.
+            // all four snapshots must agree exactly.
             for r in &replies[1..] {
                 assert_eq!(r.clusters, replies[0].clusters);
                 assert_eq!(r.cut_edges, replies[0].cut_edges);
@@ -66,7 +71,7 @@ fn compressed_snapshots_serve_byte_identical_labels() {
 
     client.shutdown().expect("shutdown ack");
     server.join();
-    for p in [v1, v2, v2r] {
+    for p in [v1, v2, v2r, v2b] {
         std::fs::remove_file(p).ok();
     }
 }

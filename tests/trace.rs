@@ -171,3 +171,27 @@ fn profiled_runs_match_plain_runs_and_summarize_latency() {
     assert!(report.latency.p99_ms <= report.latency.max_ms);
     assert!(report.max_rounds() >= report.samples[0].rounds);
 }
+
+#[test]
+fn shift_generation_is_one_span_per_run_naming_its_id_space() {
+    let _g = lock();
+    let g = gen::grid2d(24, 24);
+    let new_to_old: Vec<u32> = (0..g.num_vertices() as u32).rev().collect();
+    let opts = mpx::decomp::DecompOptions::new(0.25).with_seed(3);
+    let session = mpx::trace::start();
+    let mut ws = mpx::decomp::Workspace::new();
+    let _ = ws.partition_view(&g, &opts);
+    let _ = ws.partition_view_permuted(&g, &opts, &new_to_old);
+    let trace = session.finish();
+    let args: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "shift.regenerate")
+        .map(|s| s.args.clone())
+        .collect();
+    let n = mpx::trace::Value::U64(g.num_vertices() as u64);
+    assert_eq!(
+        args,
+        [false, true].map(|permuted| vec![("n", n), ("permuted", permuted.into())])
+    );
+}
