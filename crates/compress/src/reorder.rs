@@ -130,7 +130,7 @@ pub fn apply_permutation(g: &CsrGraph, new_to_old: &[Vertex]) -> CsrGraph {
         offsets.push(acc);
     }
     let mut targets = vec![0 as Vertex; acc];
-    let lists: Vec<(usize, &mut [Vertex])> = {
+    let mut lists: Vec<(usize, &mut [Vertex])> = {
         let mut out = Vec::with_capacity(n);
         let mut rest = targets.as_mut_slice();
         for u in 0..n {
@@ -140,8 +140,8 @@ pub fn apply_permutation(g: &CsrGraph, new_to_old: &[Vertex]) -> CsrGraph {
         }
         out
     };
-    lists.into_par_iter().for_each(|(u, list)| {
-        let old_id = new_to_old[u];
+    lists.par_iter_mut().for_each(|(u, list)| {
+        let old_id = new_to_old[*u];
         for (slot, &t) in list.iter_mut().zip(g.neighbors(old_id)) {
             *slot = old_to_new[t as usize];
         }

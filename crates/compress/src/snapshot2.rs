@@ -106,7 +106,7 @@ pub fn write_compressed_snapshot<P: AsRef<Path>>(
         .map(|b| offsets[(b * BLOCK).min(n)] as usize)
         .collect();
     split_blocks(&mut enc, &bounds)
-        .into_par_iter()
+        .par_iter_mut()
         .enumerate()
         .for_each(|(b, slice)| {
             let lo = b * BLOCK;
@@ -366,7 +366,7 @@ impl MappedCompressedCsr {
             .map(|b| tgt_offsets[(b * BLOCK).min(n)])
             .collect();
         split_blocks(&mut targets, &bounds)
-            .into_par_iter()
+            .par_iter_mut()
             .enumerate()
             .for_each(|(b, slice)| {
                 let lo = b * BLOCK;

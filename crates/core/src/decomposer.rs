@@ -42,7 +42,7 @@
 //! [`WeightedGraphView`] — an in-memory
 //! [`mpx_graph::WeightedCsrGraph`], a zero-copy
 //! [`mpx_graph::MappedWeightedCsr`] snapshot, or an
-//! [`mpx_graph::WeightedInducedView`] — into a [`WeightedDecomposer`]
+//! [`mpx_graph::InducedView`] of either — into a [`WeightedDecomposer`]
 //! session whose runs share the same [`Workspace`].
 
 use crate::decomposition::Decomposition;

@@ -532,7 +532,7 @@ pub fn compute_parents_weighted<W: WeightedGraphView>(
 mod tests {
     use super::*;
     use crate::partition_weighted;
-    use mpx_graph::{gen, WeightedCsrGraph, WeightedInducedView};
+    use mpx_graph::{gen, InducedView, WeightedCsrGraph};
 
     fn random_weighted(g: &mpx_graph::CsrGraph, seed: u64) -> WeightedCsrGraph {
         let edges: Vec<(Vertex, Vertex, f64)> = g
@@ -691,7 +691,7 @@ mod tests {
         // materialized subgraph (same dense ids, same shifts).
         let g = random_weighted(&gen::grid2d(10, 10), 6);
         let keep: Vec<bool> = (0..g.num_vertices()).map(|v| v % 3 != 0).collect();
-        let view = WeightedInducedView::from_mask(&g, &keep);
+        let view = InducedView::from_mask(&g, &keep);
         let edges: Vec<(Vertex, Vertex, f64)> = mpx_graph::weighted_view_edges(&view).collect();
         let sub = WeightedCsrGraph::from_edges(view.active().len(), &edges);
         let o = opts(0.25, 3);

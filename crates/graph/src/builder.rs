@@ -1,7 +1,8 @@
 //! Incremental construction of [`CsrGraph`]s.
 //!
 //! The builder accumulates an edge list and finalizes it into CSR form with
-//! a parallel sort + dedup + counting pass. Finalization cost is
+//! a parallel sort + dedup, a counting pass and a two-pass scatter that
+//! writes every adjacency list already ascending. Finalization cost is
 //! `O(m log m)` work with rayon's parallel sort; this is where all graph
 //! construction in the workspace funnels through, so it is worth keeping
 //! tight.
@@ -92,35 +93,21 @@ impl GraphBuilder {
         let offsets = prefix_offsets(&degree)?;
         let acc = offsets[n];
 
-        // Scatter both directions. Reuse `degree` as per-vertex cursors.
+        // Scatter without sorting: the edges are sorted by (u, v), so one
+        // pass writing each `u` into `v`'s list gives every vertex its
+        // smaller neighbours in ascending order, and a second pass writing
+        // each `v` into `u`'s list appends its larger neighbours, also
+        // ascending. Reuse `degree` as per-vertex cursors.
         let mut cursor = degree;
         cursor.copy_from_slice(&offsets[..n]);
         let mut targets = zeroed(acc, 0 as Vertex)?;
         for &(u, v) in &edges {
-            targets[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
             targets[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        // Because edges were sorted by (u, v), the out-lists written at `u`
-        // are already ascending; the in-lists written at `v` are ascending in
-        // u as well, but the two interleave, so sort each list. Lists are
-        // typically short; parallelize over vertices.
-        {
-            let offs = &offsets;
-            // Split `targets` into per-vertex chunks without overlap.
-            let mut rest: &mut [Vertex] = &mut targets;
-            let mut chunks: Vec<&mut [Vertex]> = Vec::new();
-            chunks.try_reserve_exact(n)?;
-            let mut prev = 0usize;
-            for v in 0..n {
-                let len = offs[v + 1] - prev;
-                let (head, tail) = rest.split_at_mut(len);
-                chunks.push(head);
-                rest = tail;
-                prev = offs[v + 1];
-            }
-            chunks.par_iter_mut().for_each(|c| c.sort_unstable());
+        for &(u, v) in &edges {
+            targets[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
         }
         Ok(CsrGraph::from_parts(offsets, targets))
     }

@@ -24,8 +24,9 @@
 //!   at every thread count.
 //! * [`wview`] — the weighted twin of [`view`]: the [`WeightedGraphView`]
 //!   traversal trait with GAT `(neighbor, weight)` iterators, implemented
-//!   by [`WeightedCsrGraph`], [`WeightedInducedView`] (zero-copy vertex
-//!   subsets) and [`MappedWeightedCsr`] (mmap'd weighted snapshots).
+//!   by [`WeightedCsrGraph`], [`InducedView`] over any weighted view
+//!   (zero-copy vertex subsets) and [`MappedWeightedCsr`] (mmap'd weighted
+//!   snapshots).
 //! * [`snapshot`] — the `.mpx` binary CSR snapshot format: versioned,
 //!   checksummed, and loadable zero-copy via [`MappedCsr`] (`mmap`, with
 //!   an owned aligned buffer where `mmap` is refused); a flags bit adds an
@@ -62,7 +63,7 @@ pub use io::GraphFormat;
 pub use snapshot::{MappedCsr, MappedWeightedCsr};
 pub use view::{view_edges, EdgeFilteredView, GraphView, InducedView};
 pub use weighted::{WeightedCsrGraph, WeightedGraphBuilder};
-pub use wview::{weighted_view_edges, WeightedGraphView, WeightedInducedView};
+pub use wview::{weighted_view_edges, WeightedGraphView};
 
 /// Distance value used by unweighted BFS; `u32::MAX` means unreachable.
 pub type Dist = u32;

@@ -117,6 +117,10 @@ impl GraphView for CsrGraph {
 /// `total_degree` (the quantities the engine's round scheduling and load
 /// balancing key off) are O(1).
 ///
+/// Over a weighted graph the view is a
+/// [`WeightedGraphView`](crate::WeightedGraphView) too, with the weights
+/// riding along (`crate::wview`).
+///
 /// ```
 /// use mpx_graph::{gen, GraphView, InducedView};
 /// let g = gen::grid2d(4, 4);

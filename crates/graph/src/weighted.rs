@@ -222,29 +222,22 @@ impl WeightedGraphBuilder {
         }
         let offsets = prefix_offsets(&degree)?;
         let acc = offsets[n];
-        // Reuse `degree` as per-vertex cursors.
+        // The same two-pass scatter as `GraphBuilder::try_build`: smaller
+        // neighbours first, then larger ones, so every list comes out
+        // ascending without a sort. Reuse `degree` as per-vertex cursors.
         let mut cursor = degree;
         cursor.copy_from_slice(&offsets[..n]);
         let mut targets = zeroed(acc, 0 as Vertex)?;
         let mut weights = zeroed(acc, 0f64)?;
         for &(u, v, w) in &edges {
-            targets[cursor[u as usize]] = v;
-            weights[cursor[u as usize]] = w;
-            cursor[u as usize] += 1;
             targets[cursor[v as usize]] = u;
             weights[cursor[v as usize]] = w;
             cursor[v as usize] += 1;
         }
-        // Sort each adjacency (targets and weights together).
-        for v in 0..n {
-            let lo = offsets[v];
-            let hi = offsets[v + 1];
-            let mut perm: Vec<usize> = (lo..hi).collect();
-            perm.sort_unstable_by_key(|&i| targets[i]);
-            let t: Vec<Vertex> = perm.iter().map(|&i| targets[i]).collect();
-            let w: Vec<f64> = perm.iter().map(|&i| weights[i]).collect();
-            targets[lo..hi].copy_from_slice(&t);
-            weights[lo..hi].copy_from_slice(&w);
+        for &(u, v, w) in &edges {
+            targets[cursor[u as usize]] = v;
+            weights[cursor[u as usize]] = w;
+            cursor[u as usize] += 1;
         }
         let g = WeightedCsrGraph {
             offsets,

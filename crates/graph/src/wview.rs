@@ -6,8 +6,9 @@
 //! weighted engine (in `mpx-decomp`) runs over
 //!
 //! * a [`WeightedCsrGraph`] — the whole in-memory graph,
-//! * a [`WeightedInducedView`] — a **vertex subset** of a borrowed weighted
-//!   graph under dense ids, neighbors filtered on the fly, no CSR copy, and
+//! * an [`InducedView`] of any weighted view — a **vertex subset** under
+//!   dense ids, neighbors filtered on the fly, no CSR copy (the same type
+//!   that serves unweighted graphs), and
 //! * a memory-mapped weighted `.mpx` snapshot
 //!   ([`crate::snapshot::MappedWeightedCsr`]) — the engine traverses the
 //!   file's pages.
@@ -22,18 +23,12 @@
 //! # Id spaces
 //!
 //! As with the unweighted views, every view presents a dense id space
-//! `0..num_vertices()`; for [`WeightedInducedView`] the dense id of an
-//! active vertex is its rank in the ascending active list.
+//! `0..num_vertices()`; for an [`InducedView`] the dense id of an active
+//! vertex is its rank in the ascending active list.
 
 use crate::csr::Vertex;
-use crate::view::GraphView;
+use crate::view::{GraphView, InducedView};
 use crate::weighted::WeightedCsrGraph;
-use rayon::prelude::*;
-use std::borrow::Cow;
-
-/// Below this many active vertices the view constructors run their degree
-/// scans inline (recursive pipelines build many tiny views).
-const PAR_CUTOFF: usize = 4096;
 
 /// The read-only traversal surface of a **weighted** graph: the weighted
 /// engine contract.
@@ -124,134 +119,23 @@ impl WeightedGraphView for WeightedCsrGraph {
     }
 }
 
-/// A vertex-induced subgraph **view** of a weighted graph: a borrowed
-/// [`WeightedGraphView`] plus an active-vertex subset, presented under
-/// dense ids without copying any CSR arrays — the weighted twin of
-/// [`crate::InducedView`], with the same sparse-set membership rule
-/// (`rank` may hold garbage outside the active set, so recursions over
-/// disjoint pieces can share one rank scratch).
+/// Ascending active `(neighbor, weight)` pairs of one vertex of an
+/// [`InducedView`] over a weighted graph, already translated to dense ids.
 ///
 /// ```
-/// use mpx_graph::{GraphView, WeightedCsrGraph, WeightedGraphView, WeightedInducedView};
+/// use mpx_graph::{GraphView, InducedView, WeightedCsrGraph, WeightedGraphView};
 /// let g = WeightedCsrGraph::from_edges(4, &[(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.0)]);
-/// let view = WeightedInducedView::from_mask(&g, &[true, true, true, false]);
+/// let view = InducedView::from_mask(&g, &[true, true, true, false]);
 /// assert_eq!(view.num_vertices(), 3);
 /// let nbrs: Vec<(u32, f64)> = view.neighbors_weighted_iter(1).collect();
 /// assert_eq!(nbrs, vec![(0, 0.5), (2, 2.0)]);
 /// ```
-pub struct WeightedInducedView<'a, W: WeightedGraphView = WeightedCsrGraph> {
-    graph: &'a W,
-    /// Original ids of the active vertices, ascending; dense id = index.
-    active: Cow<'a, [Vertex]>,
-    /// Sparse-set rank array: `rank[active[i]] == i`; arbitrary elsewhere.
-    rank: Cow<'a, [Vertex]>,
-    /// Active-degree prefix sums; the last entry is `2m_active`.
-    deg_prefix: Vec<u64>,
-}
-
-impl<'a, W: WeightedGraphView> WeightedInducedView<'a, W> {
-    /// View of the vertices with `keep[v] == true` (mask length `n`).
-    pub fn from_mask(graph: &'a W, keep: &[bool]) -> Self {
-        assert_eq!(keep.len(), graph.num_vertices());
-        let active: Vec<Vertex> = (0..graph.num_vertices() as Vertex)
-            .filter(|&v| keep[v as usize])
-            .collect();
-        let mut rank = vec![0 as Vertex; graph.num_vertices()];
-        for (i, &v) in active.iter().enumerate() {
-            rank[v as usize] = i as Vertex;
-        }
-        let deg_prefix = build_deg_prefix(graph, &active, &rank);
-        WeightedInducedView {
-            graph,
-            active: Cow::Owned(active),
-            rank: Cow::Owned(rank),
-            deg_prefix,
-        }
-    }
-
-    /// Zero-allocation view over caller-maintained sparse-set arrays (same
-    /// contract as [`crate::InducedView::from_parts`]: `active` strictly
-    /// ascending, `rank[active[i]] == i`, garbage tolerated elsewhere).
-    pub fn from_parts(graph: &'a W, active: &'a [Vertex], rank: &'a [Vertex]) -> Self {
-        assert_eq!(rank.len(), graph.num_vertices());
-        debug_assert!(
-            active.windows(2).all(|w| w[0] < w[1]),
-            "active list must be strictly ascending"
-        );
-        debug_assert!((0..active.len()).all(|i| rank[active[i] as usize] == i as Vertex));
-        let deg_prefix = build_deg_prefix(graph, active, rank);
-        WeightedInducedView {
-            graph,
-            active: Cow::Borrowed(active),
-            rank: Cow::Borrowed(rank),
-            deg_prefix,
-        }
-    }
-
-    /// The underlying weighted graph.
-    pub fn graph(&self) -> &'a W {
-        self.graph
-    }
-
-    /// Original ids of the active vertices, ascending (dense id = index).
-    pub fn active(&self) -> &[Vertex] {
-        &self.active
-    }
-
-    /// Original id of dense vertex `v`.
-    #[inline]
-    pub fn old_of(&self, v: Vertex) -> Vertex {
-        self.active[v as usize]
-    }
-
-    /// Dense id of original vertex `w`, or `None` if `w` is not active.
-    #[inline]
-    pub fn dense_of(&self, w: Vertex) -> Option<Vertex> {
-        let r = self.rank[w as usize];
-        ((r as usize) < self.active.len() && self.active[r as usize] == w).then_some(r)
-    }
-
-    /// Number of undirected edges inside the view.
-    pub fn num_edges(&self) -> usize {
-        (self.total_degree() / 2) as usize
-    }
-}
-
-/// Active-degree prefix sums (parallel above the tiny-view cutoff).
-fn build_deg_prefix<W: WeightedGraphView>(
-    graph: &W,
-    active: &[Vertex],
-    rank: &[Vertex],
-) -> Vec<u64> {
-    let is_member = |w: Vertex| -> bool {
-        let r = rank[w as usize];
-        (r as usize) < active.len() && active[r as usize] == w
-    };
-    let count =
-        |v: Vertex| -> u64 { graph.neighbors_iter(v).filter(|&w| is_member(w)).count() as u64 };
-    let deg: Vec<u64> = if active.len() >= PAR_CUTOFF {
-        active.par_iter().map(|&v| count(v)).collect()
-    } else {
-        active.iter().map(|&v| count(v)).collect()
-    };
-    let mut prefix = Vec::with_capacity(deg.len() + 1);
-    let mut acc = 0u64;
-    prefix.push(0);
-    for d in deg {
-        acc += d;
-        prefix.push(acc);
-    }
-    prefix
-}
-
-/// Ascending active `(neighbor, weight)` pairs of one vertex of a
-/// [`WeightedInducedView`], already translated to dense ids.
-pub struct WeightedInducedNeighbors<'v, 'g, W: WeightedGraphView = WeightedCsrGraph> {
+pub struct InducedWeightedNeighbors<'v, 'g, W: WeightedGraphView> {
     inner: W::WeightedNeighbors<'g>,
-    view: &'v WeightedInducedView<'g, W>,
+    view: &'v InducedView<'g, W>,
 }
 
-impl<W: WeightedGraphView> Iterator for WeightedInducedNeighbors<'_, '_, W> {
+impl<W: WeightedGraphView> Iterator for InducedWeightedNeighbors<'_, '_, W> {
     type Item = (Vertex, f64);
 
     #[inline]
@@ -265,60 +149,16 @@ impl<W: WeightedGraphView> Iterator for WeightedInducedNeighbors<'_, '_, W> {
     }
 }
 
-/// The unweighted projection of [`WeightedInducedNeighbors`] (the
-/// [`GraphView`] supertrait surface).
-pub struct WeightedInducedUnweighted<'v, 'g, W: WeightedGraphView = WeightedCsrGraph> {
-    inner: WeightedInducedNeighbors<'v, 'g, W>,
-}
-
-impl<W: WeightedGraphView> Iterator for WeightedInducedUnweighted<'_, '_, W> {
-    type Item = Vertex;
-
-    #[inline]
-    fn next(&mut self) -> Option<Vertex> {
-        self.inner.next().map(|(v, _)| v)
-    }
-}
-
-impl<'g, W: WeightedGraphView> GraphView for WeightedInducedView<'g, W> {
-    type Neighbors<'v>
-        = WeightedInducedUnweighted<'v, 'g, W>
-    where
-        Self: 'v;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.active.len()
-    }
-
-    #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        (self.deg_prefix[v as usize + 1] - self.deg_prefix[v as usize]) as usize
-    }
-
-    #[inline]
-    fn total_degree(&self) -> u64 {
-        *self.deg_prefix.last().unwrap_or(&0)
-    }
-
-    #[inline]
-    fn neighbors_iter(&self, v: Vertex) -> Self::Neighbors<'_> {
-        WeightedInducedUnweighted {
-            inner: self.neighbors_weighted_iter(v),
-        }
-    }
-}
-
-impl<'g, W: WeightedGraphView> WeightedGraphView for WeightedInducedView<'g, W> {
+impl<'g, W: WeightedGraphView> WeightedGraphView for InducedView<'g, W> {
     type WeightedNeighbors<'v>
-        = WeightedInducedNeighbors<'v, 'g, W>
+        = InducedWeightedNeighbors<'v, 'g, W>
     where
         Self: 'v;
 
     #[inline]
     fn neighbors_weighted_iter(&self, v: Vertex) -> Self::WeightedNeighbors<'_> {
-        WeightedInducedNeighbors {
-            inner: self.graph.neighbors_weighted_iter(self.active[v as usize]),
+        InducedWeightedNeighbors {
+            inner: self.graph().neighbors_weighted_iter(self.old_of(v)),
             view: self,
         }
     }
@@ -369,7 +209,7 @@ mod tests {
     fn induced_view_filters_and_densifies() {
         let g = diamond();
         // Keep {0, 1, 3}: edges (0,1,1.0) and (1,3,0.5) survive.
-        let view = WeightedInducedView::from_mask(&g, &[true, true, false, true]);
+        let view = InducedView::from_mask(&g, &[true, true, false, true]);
         assert_eq!(view.num_vertices(), 3);
         assert_eq!(view.active(), &[0, 1, 3]);
         assert_eq!(view.num_edges(), 2);
@@ -397,7 +237,7 @@ mod tests {
         for (i, &v) in active.iter().enumerate() {
             rank[v as usize] = i as Vertex;
         }
-        let view = WeightedInducedView::from_parts(&g, &active, &rank);
+        let view = InducedView::from_parts(&g, &active, &rank);
         let edges: Vec<(Vertex, Vertex, f64)> = weighted_view_edges(&view).collect();
         assert_eq!(edges, vec![(0, 1, 8.0)]);
         assert_eq!(view.graph().num_vertices(), 4);
@@ -406,7 +246,7 @@ mod tests {
     #[test]
     fn induced_view_empty() {
         let g = diamond();
-        let view = WeightedInducedView::from_mask(&g, &[false; 4]);
+        let view = InducedView::from_mask(&g, &[false; 4]);
         assert_eq!(view.num_vertices(), 0);
         assert_eq!(view.total_degree(), 0);
         assert_eq!(weighted_view_edges(&view).count(), 0);

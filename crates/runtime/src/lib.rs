@@ -1,11 +1,12 @@
 //! # mpx-runtime — the execution engine behind the workspace's parallelism
 //!
 //! A std-only, deterministic data-parallel runtime: a persistent worker
-//! pool ([`Pool`]) of `std::thread` workers parked on a condvar, scoped
-//! fork-join ([`join`], [`scope`]), and a chunked parallel-for
-//! ([`parallel_for`]) with atomic chunk claiming. The vendored `rayon`
-//! facade delegates its entire public surface here, which is what makes
-//! every `par_iter()` in the workspace actually multi-threaded.
+//! pool ([`Pool`]) of `std::thread` workers parked on a condvar, fork-join
+//! ([`join`], which the parallel merge sort recurses through), and a
+//! chunked parallel-for ([`parallel_for`]) with atomic chunk claiming. The
+//! vendored `rayon` facade delegates its entire public surface here, which
+//! is what makes every `par_iter()` in the workspace actually
+//! multi-threaded.
 //!
 //! ## Determinism contract
 //!
@@ -25,10 +26,9 @@
 //! ## Blocking discipline (why there are no deadlocks)
 //!
 //! A thread only blocks on work that some thread is actively running:
-//! `join` claims its queued arm inline when unclaimed, a parallel-for
-//! initiator drains the chunk counter itself before waiting, and `scope`
-//! executes queued jobs while it waits. See `registry.rs` for the
-//! induction argument.
+//! `join` claims its queued arm inline when unclaimed, and a parallel-for
+//! initiator drains the chunk counter itself before waiting. See
+//! `registry.rs` for the induction argument.
 //!
 //! ## Configuration
 //!
@@ -46,10 +46,8 @@ pub mod sort;
 pub mod stats;
 mod steal;
 
-use registry::{ChunkTask, JobRef, Registry, ScopeShared, ScopedJob, StackJob, StackJobSlot};
-use std::marker::PhantomData;
+use registry::{ChunkTask, JobRef, Registry, StackJob, StackJobSlot};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use steal::StealTask;
 
@@ -198,68 +196,6 @@ where
         (Ok(ra), Ok(rb)) => (ra, rb),
         (Err(payload), _) => resume_unwind(payload),
         (_, Err(payload)) => resume_unwind(payload),
-    }
-}
-
-/// A fork-join scope: closures spawned on it may borrow data living
-/// outside the scope ([`scope`]'s `'scope` lifetime) and are all finished
-/// when `scope` returns.
-pub struct Scope<'scope> {
-    shared: Arc<ScopeShared>,
-    marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawns `f` onto the pool. The closure receives the scope again so
-    /// it can spawn recursively.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        let shared = self.shared.clone();
-        let closure: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let scope = Scope {
-                shared: shared.clone(),
-                marker: PhantomData,
-            };
-            f(&scope);
-        });
-        // SAFETY: lifetime erasure is sound because `scope()` does not
-        // return until `pending` reaches zero, so every borrow in `f`
-        // outlives its execution.
-        let closure: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(closure) };
-        let job = unsafe { ScopedJob::new(closure, self.shared.clone()) };
-        self.shared.registry.inject(JobRef::Scoped(job));
-    }
-}
-
-/// Creates a scope in which non-`'static` closures can be spawned; blocks
-/// until the scope body *and* every spawned closure have finished. While
-/// waiting, this thread helps execute queued jobs (which is what makes a
-/// scope safe to open from inside the pool). The first panic from the
-/// body or any spawned job is re-thrown.
-pub fn scope<'scope, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'scope>) -> R,
-{
-    let registry = Registry::current();
-    let shared = Arc::new(ScopeShared {
-        pending: std::sync::atomic::AtomicUsize::new(0),
-        panic: std::sync::Mutex::new(None),
-        registry: registry.clone(),
-    });
-    let scope = Scope {
-        shared: shared.clone(),
-        marker: PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-    registry.help_until(|| shared.pending.load(Ordering::Acquire) == 0);
-    let spawned_panic = shared.panic.lock().unwrap().take();
-    match (result, spawned_panic) {
-        (Ok(r), None) => r,
-        (Err(payload), _) => resume_unwind(payload),
-        (_, Some(payload)) => resume_unwind(payload),
     }
 }
 
@@ -480,38 +416,6 @@ mod tests {
             }));
             assert!(result.is_err(), "side {side} panic was swallowed");
         }
-    }
-
-    #[test]
-    fn scope_waits_for_spawns() {
-        let pool = Pool::new(3);
-        let hits = AtomicUsize::new(0);
-        pool.install(|| {
-            scope(|s| {
-                for _ in 0..10 {
-                    s.spawn(|inner| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        inner.spawn(|_| {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                        });
-                    });
-                }
-            });
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 20);
-    }
-
-    #[test]
-    fn scope_from_non_worker_thread() {
-        let hits = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -13,16 +13,15 @@
 //! * **Chunk tasks** ([`ChunkTask`]) — the broadcast half of the chunked
 //!   parallel-for: every popper joins a claiming loop over an atomic chunk
 //!   counter. Stale queue entries (task already finished) are no-ops.
-//! * **Scoped jobs** ([`ScopedJob`]) — heap-allocated closures spawned by
-//!   [`crate::scope`], lifetime-erased and fenced by the scope's pending
-//!   count.
+//! * **Steal tasks** ([`StealTask`]) — the same broadcast over the
+//!   work-stealing parallel-for backend (`steal.rs`).
 //!
 //! Deadlock-freedom argument (the invariant every change must preserve):
 //! a thread only ever *blocks* on work that some thread is actively
-//! running. `join` claims its second arm inline when unclaimed; a
-//! parallel-for initiator drains the chunk counter itself before waiting;
-//! `scope` helps execute queued jobs while it waits. A claimed job is
-//! being run by a thread that, by induction on the fork tree, completes.
+//! running. `join` claims its second arm inline when unclaimed, and a
+//! parallel-for initiator drains the chunk counter itself before waiting.
+//! A claimed job is being run by a thread that, by induction on the fork
+//! tree, completes.
 
 use crate::latch::Latch;
 use crate::steal::StealTask;
@@ -53,8 +52,6 @@ pub(crate) enum JobRef {
     Chunks(Arc<ChunkTask>),
     /// Broadcast handle onto a work-stealing parallel-for.
     Steal(Arc<StealTask>),
-    /// Owned closure spawned inside a `scope`.
-    Scoped(ScopedJob),
 }
 
 thread_local! {
@@ -146,14 +143,6 @@ impl Registry {
         self.cv.notify_all();
     }
 
-    /// Wakes every thread parked on the registry condvar. Used by
-    /// completion paths that waiters in [`Registry::help_until`] observe
-    /// through a predicate rather than through the queue.
-    pub(crate) fn notify_all(&self) {
-        let _st = self.state.lock().unwrap();
-        self.cv.notify_all();
-    }
-
     /// Main loop of a worker thread: pop-execute until shutdown with an
     /// empty queue. The queue is drained even after shutdown so stale
     /// broadcast handles are retired as no-ops.
@@ -174,43 +163,16 @@ impl Registry {
             execute(job);
         }
     }
-
-    /// Cooperative wait: run queued jobs until `done()` holds. Used by
-    /// `scope`, whose spawned jobs might otherwise sit unclaimed while
-    /// every worker (including this one) is blocked.
-    pub(crate) fn help_until(&self, done: impl Fn() -> bool) {
-        loop {
-            if done() {
-                return;
-            }
-            let job = {
-                let mut st = self.state.lock().unwrap();
-                loop {
-                    if done() {
-                        return;
-                    }
-                    if let Some(job) = st.queue.pop_front() {
-                        break job;
-                    }
-                    // Woken either by an inject or by a scope-completion
-                    // notify_all.
-                    st = self.cv.wait(st).unwrap();
-                }
-            };
-            execute(job);
-        }
-    }
 }
 
 /// Runs one popped job.
-pub(crate) fn execute(job: JobRef) {
+fn execute(job: JobRef) {
     match job {
         JobRef::Stack(slot) => {
             slot.claim_and_run();
         }
         JobRef::Chunks(task) => task.run_loop(),
         JobRef::Steal(task) => task.run_loop(),
-        JobRef::Scoped(job) => job.run(),
     }
 }
 
@@ -414,51 +376,5 @@ impl ChunkTask {
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scoped jobs
-// ---------------------------------------------------------------------------
-
-/// Shared bookkeeping of one [`crate::scope`] invocation.
-pub(crate) struct ScopeShared {
-    pub(crate) pending: AtomicUsize,
-    pub(crate) panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    pub(crate) registry: Arc<Registry>,
-}
-
-impl ScopeShared {
-    /// Records one finished spawned job, waking the scope owner when the
-    /// count reaches zero.
-    fn complete(&self, payload: Option<Box<dyn std::any::Any + Send>>) {
-        if let Some(payload) = payload {
-            let mut slot = self.panic.lock().unwrap();
-            slot.get_or_insert(payload);
-        }
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // The owner may be parked in help_until with an empty queue.
-            self.registry.notify_all();
-        }
-    }
-}
-
-/// An owned, lifetime-erased closure spawned inside a scope.
-pub(crate) struct ScopedJob {
-    func: Box<dyn FnOnce() + Send>,
-    shared: Arc<ScopeShared>,
-}
-
-impl ScopedJob {
-    /// # Safety
-    /// The closure may borrow data of the scope's `'scope` lifetime; the
-    /// scope owner must not return before `shared.pending` reaches zero.
-    pub(crate) unsafe fn new(func: Box<dyn FnOnce() + Send>, shared: Arc<ScopeShared>) -> Self {
-        ScopedJob { func, shared }
-    }
-
-    fn run(self) {
-        let result = catch_unwind(AssertUnwindSafe(self.func));
-        self.shared.complete(result.err());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The default [`ChunkTask`](crate::registry) backend funnels every chunk
 //! claim through one shared `fetch_add` counter — deterministic-friendly
-//! and simple, but on wide regions (the rayon facade dispatches up to 1024
+//! and simple, but on wide regions (the rayon facade dispatches up to 64
 //! chunks) that one cache line is hammered by every worker. The
 //! [`StealTask`] backend pre-splits the chunk index space into one
 //! contiguous range per worker slot; each participant drains its own range
