@@ -341,10 +341,9 @@ impl DecomposerBuilder {
         self
     }
 
-    /// Sets the determinism contract: [`Determinism::BitExact`] (default,
-    /// byte-identical output) or [`Determinism::Fast`] (lock-free CAS
-    /// claiming + work-stealing scheduling; unweighted output is
-    /// invariant-preserving but schedule-dependent).
+    /// Sets the scheduler choice: [`Determinism::BitExact`] (default,
+    /// fixed chunks) or [`Determinism::Fast`] (work stealing). Wall-clock
+    /// only; both return identical labels.
     pub fn determinism(mut self, d: Determinism) -> Self {
         self.opts.determinism = d;
         self

@@ -32,7 +32,9 @@
 //! [`crate::Workspace`]) or the one-shot [`crate::partition`], all of which
 //! follow [`DecompOptions::traversal`](crate::DecompOptions::traversal);
 //! [`partition_view_with_shifts`] drives it under externally supplied
-//! shifts.
+//! shifts. [`Determinism`] picks only the runtime scheduler of the rounds'
+//! parallel regions (fixed chunks or work stealing): both modes run the
+//! same claim/settle protocol, so their labels are byte-identical.
 //!
 //! # Direction mechanics
 //!
@@ -43,7 +45,7 @@
 //! winner of a round is "minimum claim key among (neighbors settled last
 //! round) ∪ (own wake bid)" in **both** directions, which is why they can
 //! be mixed freely per round. Bottom-up rounds write each vertex from
-//! exactly one task (itself), avoiding per-edge CAS traffic entirely — the
+//! exactly one task (itself), avoiding per-edge atomic traffic entirely — the
 //! payoff on fat frontiers. Thin rounds of either strategy run inline:
 //! the worker-pool fan-out costs more than the round's whole work on
 //! mesh-like graphs (an output-invisible scheduling choice the engine
@@ -87,12 +89,6 @@ pub struct PartitionTelemetry {
     pub clusters: u64,
     /// Rounds that ran bottom-up (0 under [`Traversal::TopDownPar`]).
     pub bottom_up_rounds: u64,
-    /// Successful single-shot CAS claims ([`Determinism::Fast`] top-down
-    /// rounds only; 0 under [`Determinism::BitExact`]).
-    pub cas_success: u64,
-    /// CAS attempts that lost the race after observing an unclaimed slot —
-    /// a direct measure of claim contention (Fast mode only).
-    pub cas_retries: u64,
 }
 
 /// The engine proper: runs the wake/expand/finalize round loop over `view`
@@ -181,26 +177,10 @@ impl EngineScratch {
 
     /// Resets (and if needed grows) every buffer a run over `n` vertices
     /// will touch, and rebuilds the wake schedule from `shifts`.
-    fn prepare(
-        &mut self,
-        n: usize,
-        shifts: &ExpShifts,
-        strategy: Traversal,
-        determinism: Determinism,
-    ) {
+    fn prepare(&mut self, n: usize, shifts: &ExpShifts, strategy: Traversal) {
         reset_atomic_u64(&mut self.claim, n, u64::MAX);
-        if determinism == Determinism::Fast {
-            // Fast writes `assignment` and `dist` exactly once per vertex,
-            // at claim time, and never reads an unclaimed vertex's slots —
-            // the O(n) resets are dead work, so the arrays only grow. A
-            // later BitExact run on the same scratch restores the
-            // `NO_VERTEX`/0 state these stores would have left.
-            grow_atomic_u32(&mut self.assignment, n);
-            grow_atomic_u32(&mut self.dist, n);
-        } else {
-            reset_atomic_u32(&mut self.assignment, n, NO_VERTEX);
-            reset_atomic_u32(&mut self.dist, n, 0);
-        }
+        reset_atomic_u32(&mut self.assignment, n, NO_VERTEX);
+        reset_atomic_u32(&mut self.dist, n, 0);
         if strategy == Traversal::Auto {
             grow_atomic_u32(&mut self.settled_round, n);
         }
@@ -292,25 +272,15 @@ fn reset_atomic_u32(v: &mut Vec<AtomicU32>, n: usize, init: u32) {
 /// [`partition_view_with_shifts`] over caller-held scratch: the round loop
 /// reuses `scratch`'s arenas instead of allocating its own, so repeated
 /// calls over same-sized views allocate (almost) nothing beyond the
-/// returned [`Decomposition`]. Under [`Determinism::BitExact`] the output
-/// is bit-identical to the fresh-scratch path — resets restore exactly the
-/// state a fresh allocation starts from.
+/// returned [`Decomposition`]. The output is bit-identical to the
+/// fresh-scratch path — resets restore exactly the state a fresh
+/// allocation starts from.
 ///
-/// # Fast mode
-///
-/// Under [`Determinism::Fast`] the two-phase claim/settle protocol is
-/// replaced by single-shot claiming: the first
-/// `compare_exchange(u64::MAX, key)` on a vertex's claim slot wins
-/// permanently and immediately stores the assignment, distance and settled
-/// round — no finalize sweep, no per-round `fetch_min` races re-resolved at
-/// a barrier. The winner is whichever frontier bid gets there first, so
-/// output may differ across runs and thread counts; every output still
-/// satisfies the paper's invariants (each vertex is claimed in the earliest
-/// round any same-cluster neighbor — or its own wake bid — can reach it, so
-/// the recorded distance is an intra-cluster BFS distance, Lemma 4.1
-/// parents exist, and the radius stays bounded by `δ_max`). Fast runs also
-/// dispatch their parallel regions on the runtime's work-stealing
-/// scheduler ([`mpx_runtime::Scheduler::WorkStealing`]).
+/// `determinism` picks only the scheduler of the round loop's parallel
+/// regions: [`Determinism::BitExact`] runs them on the runtime's fixed
+/// chunk layout, [`Determinism::Fast`] on its work-stealing scheduler
+/// ([`mpx_runtime::Scheduler::WorkStealing`]). Every claim is settled by a
+/// key minimum, so the output is the same in both modes.
 pub fn partition_view_reusing<V: GraphView>(
     view: &V,
     shifts: &ExpShifts,
@@ -320,24 +290,20 @@ pub fn partition_view_reusing<V: GraphView>(
     scratch: &mut EngineScratch,
 ) -> (Decomposition, PartitionTelemetry) {
     if determinism == Determinism::Fast {
-        // Scheduling is output-invisible even in Fast mode (the CAS
-        // protocol, not the chunk layout, decides winners), but stealing
-        // keeps workers busy on skewed frontiers.
         mpx_runtime::with_scheduler(mpx_runtime::Scheduler::WorkStealing, || {
-            partition_view_protocol(view, shifts, strategy, alpha, determinism, scratch)
+            partition_view_protocol(view, shifts, strategy, alpha, scratch)
         })
     } else {
-        partition_view_protocol(view, shifts, strategy, alpha, determinism, scratch)
+        partition_view_protocol(view, shifts, strategy, alpha, scratch)
     }
 }
 
-/// The round loop proper, shared by both determinism modes.
+/// The round loop proper, on whichever scheduler the caller selected.
 fn partition_view_protocol<V: GraphView>(
     view: &V,
     shifts: &ExpShifts,
     strategy: Traversal,
     alpha: u64,
-    determinism: Determinism,
     scratch: &mut EngineScratch,
 ) -> (Decomposition, PartitionTelemetry) {
     let n = view.num_vertices();
@@ -349,25 +315,20 @@ fn partition_view_protocol<V: GraphView>(
         );
     }
 
-    let fast = determinism == Determinism::Fast;
-    scratch.prepare(n, shifts, strategy, determinism);
+    scratch.prepare(n, shifts, strategy);
     let (claim_ref, assignment_ref, dist_ref, settled_ref) = (
         &scratch.claim[..n],
         &scratch.assignment[..n],
         &scratch.dist[..n],
         &scratch.settled_round[..n.min(scratch.settled_round.len())],
     );
-    // Lost CAS races (pre-check saw an unclaimed slot, the exchange found
-    // it taken). Contention-proportional, so the relaxed `fetch_add` on a
-    // shared cell is rare by construction.
-    let cas_retries = AtomicU64::new(0);
 
     let _run_span = mpx_trace::span!(
         "engine.partition",
         n = n,
         edges = view.total_degree(),
         strategy = strategy.as_str(),
-        determinism = determinism.as_str(),
+        scheduler = mpx_runtime::current_scheduler().as_str(),
     );
     let mut telemetry = PartitionTelemetry::default();
     let mut frontier: Vec<Vertex> = Vec::new();
@@ -421,23 +382,18 @@ fn partition_view_protocol<V: GraphView>(
             let live = |&v: &Vertex| settled_ref[v as usize].load(Ordering::Relaxed) == u32::MAX;
             // The first bottom-up round filters `0..n` instead, recording
             // each vertex's settling round as it goes: its center's wake
-            // round plus its distance, or `u32::MAX` while unsettled. (Fast
-            // leaves stale labels in unclaimed slots, so it asks `claim`.)
+            // round plus its distance, or `u32::MAX` while unsettled.
             let record = |v: Vertex| -> bool {
-                let claimed = if fast {
-                    claim_ref[v as usize].load(Ordering::Relaxed) != u64::MAX
+                let center = assignment_ref[v as usize].load(Ordering::Relaxed);
+                let unsettled = center == NO_VERTEX;
+                let r = if unsettled {
+                    u32::MAX
                 } else {
-                    assignment_ref[v as usize].load(Ordering::Relaxed) != NO_VERTEX
-                };
-                let r = if claimed {
-                    let center = assignment_ref[v as usize].load(Ordering::Relaxed);
                     shifts.start_round[center as usize]
                         + dist_ref[v as usize].load(Ordering::Relaxed)
-                } else {
-                    u32::MAX
                 };
                 settled_ref[v as usize].store(r, Ordering::Relaxed);
-                !claimed
+                unsettled
             };
             let list: Vec<Vertex> = {
                 let _compact_span = mpx_trace::span!("engine.compact", live = listed);
@@ -480,13 +436,6 @@ fn partition_view_protocol<V: GraphView>(
                     return false;
                 }
                 let center = (best & u32::MAX as u64) as Vertex;
-                // Fast's top-down rounds test "unclaimed" via the claim
-                // slot (the assignment array is not reset in Fast), so a
-                // bottom-up round must record its single-writer wins there
-                // too or a later top-down round under Auto would re-claim.
-                if fast {
-                    claim_ref[v as usize].store(best, Ordering::Relaxed);
-                }
                 assignment_ref[v as usize].store(center, Ordering::Relaxed);
                 dist_ref[v as usize]
                     .store(r32 - shifts.start_round[center as usize], Ordering::Relaxed);
@@ -511,50 +460,20 @@ fn partition_view_protocol<V: GraphView>(
             // therefore the output — is identical on both paths.
             let par = top_down_reads >= SEQ_ROUND_CUTOFF;
 
-            // Fast's single-shot claim: the first successful exchange wins
-            // the vertex permanently and settles it on the spot — there is
-            // no later sweep to re-resolve ties, so the stores here are the
-            // final ones.
-            let fast_claim = |v: Vertex, key: u64, center: Vertex, dist: u32| -> bool {
-                if claim_ref[v as usize].load(Ordering::Relaxed) != u64::MAX {
-                    return false;
-                }
-                match claim_ref[v as usize].compare_exchange(
-                    u64::MAX,
-                    key,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        assignment_ref[v as usize].store(center, Ordering::Relaxed);
-                        dist_ref[v as usize].store(dist, Ordering::Relaxed);
-                        if rounds_recorded {
-                            settled_ref[v as usize].store(r32, Ordering::Relaxed);
-                        }
-                        true
-                    }
-                    Err(_) => {
-                        cas_retries.fetch_add(1, Ordering::Relaxed);
-                        false
-                    }
-                }
+            // A bid for an unsettled vertex. `fetch_min` returning MAX
+            // identifies the first bidder, which registers the vertex
+            // exactly once in `touched`; the winning key is re-read at
+            // settle time.
+            let bid = |v: Vertex, key: u64| -> bool {
+                assignment_ref[v as usize].load(Ordering::Relaxed) == NO_VERTEX
+                    && claim_ref[v as usize].fetch_min(key, Ordering::Relaxed) == u64::MAX
             };
 
             // Wake phase: vertices whose start time has integer part
             // `round` bid to found their own cluster (paper: "vertex u
             // starting when the head of the queue has distance more than
-            // δ_max − δ_u"). In Fast mode a wake bid that lands settles
-            // immediately (the wake region completes before the expand
-            // region starts, so same-round expand bids find it claimed).
-            let wake_bid = |u: Vertex| -> bool {
-                if fast {
-                    fast_claim(u, shifts.claim_key(u), u, 0)
-                } else {
-                    assignment_ref[u as usize].load(Ordering::Relaxed) == NO_VERTEX
-                        && claim_ref[u as usize].fetch_min(shifts.claim_key(u), Ordering::Relaxed)
-                            == u64::MAX
-                }
-            };
+            // δ_max − δ_u").
+            let wake_bid = |u: Vertex| bid(u, shifts.claim_key(u));
             let wake_span = mpx_trace::span!("engine.wake", bucket = bucket.len());
             let mut touched: Vec<Vertex> = if par {
                 bucket
@@ -567,79 +486,51 @@ fn partition_view_protocol<V: GraphView>(
             };
             drop(wake_span);
 
-            // Expand phase: frontier vertices bid for unclaimed neighbors
-            // with their cluster's key. BitExact: `fetch_min` returning MAX
-            // identifies the first bidder, which registers v exactly once
-            // in `touched` (the winning key is re-read at finalize). Fast:
-            // the first successful exchange *is* the winner.
+            // Expand phase: frontier vertices bid for unsettled neighbors
+            // with their cluster's key.
             telemetry.relaxations += frontier_degree;
             let expand_span = mpx_trace::span!(
                 "engine.expand",
                 frontier = frontier.len(),
                 relaxations = frontier_degree,
             );
-            let expand_bid = |v: Vertex, key: u64, center: Vertex| -> bool {
-                if fast {
-                    fast_claim(v, key, center, r32 - shifts.start_round[center as usize])
-                } else {
-                    assignment_ref[v as usize].load(Ordering::Relaxed) == NO_VERTEX
-                        && claim_ref[v as usize].fetch_min(key, Ordering::Relaxed) == u64::MAX
-                }
-            };
+            let key_of =
+                |u: Vertex| shifts.claim_key(assignment_ref[u as usize].load(Ordering::Relaxed));
             if par {
                 let expanded: Vec<Vertex> = frontier
                     .par_iter()
                     .with_min_len(128)
                     .flat_map_iter(|&u| {
-                        let center = assignment_ref[u as usize].load(Ordering::Relaxed);
-                        let key = shifts.claim_key(center);
-                        view.neighbors_iter(u)
-                            .filter(move |&v| expand_bid(v, key, center))
+                        let key = key_of(u);
+                        view.neighbors_iter(u).filter(move |&v| bid(v, key))
                     })
                     .collect();
                 touched.extend(expanded);
             } else {
                 for &u in frontier.iter() {
-                    let center = assignment_ref[u as usize].load(Ordering::Relaxed);
-                    let key = shifts.claim_key(center);
-                    for v in view.neighbors_iter(u) {
-                        if expand_bid(v, key, center) {
-                            touched.push(v);
-                        }
-                    }
+                    let key = key_of(u);
+                    touched.extend(view.neighbors_iter(u).filter(|&v| bid(v, key)));
                 }
             }
             drop(expand_span);
 
-            if fast {
-                // No settle sweep: every touched vertex was finalized by
-                // its winning CAS. Record the round's claim traffic instead.
-                telemetry.cas_success += touched.len() as u64;
-                mpx_trace::event!(
-                    "engine.relax_cas",
-                    success = touched.len(),
-                    retries = cas_retries.load(Ordering::Relaxed),
-                );
-            } else {
-                // Finalize phase: every vertex touched this round is
-                // settled by the winning bid; its distance is
-                // `round − wake_round(center)`.
-                let finalize = |v: Vertex| {
-                    let key = claim_ref[v as usize].load(Ordering::Relaxed);
-                    let center = (key & u32::MAX as u64) as Vertex;
-                    assignment_ref[v as usize].store(center, Ordering::Relaxed);
-                    dist_ref[v as usize]
-                        .store(r32 - shifts.start_round[center as usize], Ordering::Relaxed);
-                    if rounds_recorded {
-                        settled_ref[v as usize].store(r32, Ordering::Relaxed);
-                    }
-                };
-                let _settle_span = mpx_trace::span!("engine.settle", touched = touched.len());
-                if par {
-                    touched.par_iter().for_each(|&v| finalize(v));
-                } else {
-                    touched.iter().for_each(|&v| finalize(v));
+            // Settle phase: every vertex touched this round is settled by
+            // the winning bid; its distance is `round − wake_round(center)`.
+            let settle = |v: Vertex| {
+                let key = claim_ref[v as usize].load(Ordering::Relaxed);
+                let center = (key & u32::MAX as u64) as Vertex;
+                assignment_ref[v as usize].store(center, Ordering::Relaxed);
+                dist_ref[v as usize]
+                    .store(r32 - shifts.start_round[center as usize], Ordering::Relaxed);
+                if rounds_recorded {
+                    settled_ref[v as usize].store(r32, Ordering::Relaxed);
                 }
+            };
+            let _settle_span = mpx_trace::span!("engine.settle", touched = touched.len());
+            if par {
+                touched.par_iter().for_each(|&v| settle(v));
+            } else {
+                touched.iter().for_each(|&v| settle(v));
             }
             touched
         };
@@ -671,7 +562,6 @@ fn partition_view_protocol<V: GraphView>(
     let parent = compute_parents_view(view, &assignment, &dist);
     let d = Decomposition::from_raw(assignment, dist, parent);
     telemetry.clusters = d.num_clusters() as u64;
-    telemetry.cas_retries = cas_retries.load(Ordering::Relaxed);
     (d, telemetry)
 }
 

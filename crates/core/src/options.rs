@@ -87,31 +87,24 @@ impl std::str::FromStr for Traversal {
     }
 }
 
-/// Determinism contract of the engine (see [`crate::engine`]).
+/// Scheduler choice of the engines (see [`crate::engine`]).
 ///
-/// [`Determinism::BitExact`] (the default) keeps the historical guarantee:
-/// labels are byte-identical across thread counts, traversal strategies and
-/// runs, because every claim is resolved by a content-based key minimum
-/// settled at a round barrier. [`Determinism::Fast`] trades that guarantee
-/// for wall-clock: unweighted relaxation claims vertices with a single-shot
-/// compare-and-swap (first claimer wins, no settle sweep) and parallel
-/// regions run on the work-stealing scheduler, so unweighted output may
-/// differ run-to-run under contention. Every Fast run still satisfies the
-/// paper's `(β, O(log n / β))` invariants — strong diameter, Lemma 4.1
-/// parents, radius bound — as checked by [`crate::verify_decomposition`].
-/// The weighted Δ-stepping engine resolves requests with the same
-/// order-independent lock-free reduction in both modes; there the knob
-/// only picks the scheduler (fixed chunk layout or work stealing), so
-/// weighted output stays bit-identical in both modes.
+/// Both modes run the same protocols: the unweighted engine resolves
+/// every claim by a content-based key minimum settled at a round barrier,
+/// and the weighted Δ-stepping engine resolves requests with an
+/// order-independent lock-free reduction. Labels are therefore
+/// byte-identical across thread counts, traversal strategies, runs and
+/// modes. The mode picks only the runtime scheduler of the engines'
+/// parallel regions: [`Determinism::BitExact`] (the default) runs them on
+/// the fixed chunk layout, [`Determinism::Fast`] on the work-stealing
+/// scheduler, which can keep workers busier on skewed frontiers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Determinism {
-    /// Byte-identical labels across thread counts, strategies and runs
-    /// (the claim/settle protocol on the fixed deterministic chunk layout).
+    /// The fixed deterministic chunk layout.
     #[default]
     BitExact,
-    /// Lock-free single-shot CAS claiming plus work-stealing scheduling.
-    /// Output is invariant-preserving but (for unweighted graphs)
-    /// schedule-dependent.
+    /// The work-stealing scheduler; the output equals
+    /// [`Determinism::BitExact`]'s.
     Fast,
 }
 
@@ -256,8 +249,9 @@ pub struct DecompOptions {
     /// Traversal strategy of the engine (see [`Traversal`]). Affects only
     /// wall-clock, never output.
     pub traversal: Traversal,
-    /// Determinism contract (see [`Determinism`]). `BitExact` (default)
-    /// keeps byte-identical output; `Fast` is the lock-free CAS path.
+    /// Scheduler choice (see [`Determinism`]): `BitExact` (default)
+    /// uses fixed chunks, `Fast` work stealing. Affects only wall-clock,
+    /// never output.
     pub determinism: Determinism,
     /// Cost of one top-down read relative to one bottom-up read, the
     /// constant of [`Traversal::Auto`]'s switch: a round goes bottom-up
@@ -360,7 +354,7 @@ impl DecompOptions {
         self
     }
 
-    /// Sets the determinism contract (see [`Determinism`]).
+    /// Sets the scheduler choice (see [`Determinism`]).
     pub fn with_determinism(mut self, d: Determinism) -> Self {
         self.determinism = d;
         self

@@ -93,8 +93,8 @@ impl VerifyReport {
     /// (the guarantee is probabilistic;
     /// [`crate::Decomposer::run_with_retry`] is the enforcement path) so concrete runs are expected to satisfy
     /// it essentially always. `mpx profile`, the block-decomposition
-    /// checks, and the fast-mode invariant suite all share this one
-    /// derivation.
+    /// checks, and the determinism-mode suite (`tests/fast_mode.rs`) all
+    /// share this one derivation.
     pub fn radius_bound(n: usize, beta: f64) -> u64 {
         (4.0 * (n.max(2) as f64).ln() / beta).ceil() as u64 + 2
     }

@@ -145,8 +145,8 @@ pub fn validate_weights<W: WeightedGraphView>(view: &W) -> Result<(), ConfigErro
 /// minimum `(dist, root)` whatever order the requests are applied in.
 /// `determinism` therefore only picks the scheduler of those passes:
 /// [`Determinism::BitExact`] runs them on the fixed chunk layout,
-/// [`Determinism::Fast`] on the work-stealing scheduler. Unlike the
-/// unweighted engine, **weighted output is bit-identical in both modes**.
+/// [`Determinism::Fast`] on the work-stealing scheduler. As in the
+/// unweighted engine, **output is bit-identical in both modes**.
 pub fn partition_weighted_view_reusing<W: WeightedGraphView>(
     view: &W,
     shifts: &ExpShifts,

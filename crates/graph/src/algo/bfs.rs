@@ -56,28 +56,6 @@ pub fn bfs_parents<V: GraphView>(g: &V, source: Vertex) -> (Vec<Dist>, Vec<Verte
     (dist, parent)
 }
 
-/// BFS restricted to vertices where `allowed` is true. The source must be
-/// allowed. Used to measure **strong** diameters: paths may not shortcut
-/// through vertices outside the piece.
-pub fn bfs_restricted<V: GraphView>(g: &V, source: Vertex, allowed: &[bool]) -> Vec<Dist> {
-    assert!(allowed[source as usize], "source must be allowed");
-    let n = g.num_vertices();
-    let mut dist = vec![INFINITY; n];
-    let mut queue = VecDeque::new();
-    dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for v in g.neighbors_iter(u) {
-            if allowed[v as usize] && dist[v as usize] == INFINITY {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,19 +101,6 @@ mod tests {
             assert_eq!(dist[p as usize] + 1, dist[v as usize]);
             assert!(g.has_edge(p, v));
         }
-    }
-
-    #[test]
-    fn restricted_bfs_cannot_shortcut() {
-        // Cycle of 6: block vertex 3; going from 0 to 4 must now take the
-        // long way (0-5-4), and 2's distance from 0 stays 2 but 4 is 2 via 5.
-        let g = gen::cycle(6);
-        let mut allowed = vec![true; 6];
-        allowed[3] = false;
-        let d = bfs_restricted(&g, 0, &allowed);
-        assert_eq!(d[2], 2);
-        assert_eq!(d[4], 2);
-        assert_eq!(d[3], INFINITY);
     }
 
     use crate::CsrGraph;

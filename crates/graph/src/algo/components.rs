@@ -35,25 +35,6 @@ pub fn num_components<V: GraphView>(g: &V) -> usize {
     connected_components(g).1
 }
 
-/// Whether the graph is connected (the empty graph counts as connected).
-pub fn is_connected<V: GraphView>(g: &V) -> bool {
-    g.num_vertices() == 0 || num_components(g) == 1
-}
-
-/// Boolean mask selecting the largest connected component (ties broken by
-/// smallest component id).
-pub fn largest_component_mask<V: GraphView>(g: &V) -> Vec<bool> {
-    let (label, k) = connected_components(g);
-    let mut sizes = vec![0usize; k];
-    for &l in &label {
-        sizes[l as usize] += 1;
-    }
-    let best = (0..k)
-        .max_by_key(|&i| (sizes[i], std::cmp::Reverse(i)))
-        .unwrap_or(0) as Vertex;
-    label.iter().map(|&l| l == best).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,7 +43,6 @@ mod tests {
     #[test]
     fn single_component() {
         let g = gen::cycle(8);
-        assert!(is_connected(&g));
         assert_eq!(num_components(&g), 1);
     }
 
@@ -74,19 +54,6 @@ mod tests {
         assert_eq!(label[0], label[1]);
         assert_eq!(label[2], label[3]);
         assert_ne!(label[0], label[2]);
-    }
-
-    #[test]
-    fn empty_graph_connected() {
-        assert!(is_connected(&CsrGraph::empty(0)));
-        assert!(!is_connected(&CsrGraph::empty(2)));
-    }
-
-    #[test]
-    fn largest_component() {
-        let g = CsrGraph::from_edges(7, &[(0, 1), (1, 2), (3, 4)]);
-        let mask = largest_component_mask(&g);
-        assert_eq!(mask, vec![true, true, true, false, false, false, false]);
     }
 
     use crate::CsrGraph;

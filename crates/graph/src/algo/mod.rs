@@ -10,8 +10,8 @@ mod diameter;
 mod dijkstra;
 mod union_find;
 
-pub use bfs::{bfs, bfs_parents, bfs_restricted, multi_source_bfs};
-pub use components::{connected_components, is_connected, largest_component_mask, num_components};
+pub use bfs::{bfs, bfs_parents, multi_source_bfs};
+pub use components::{connected_components, num_components};
 pub use diameter::{eccentricity, estimate_diameter, exact_diameter};
 pub use dijkstra::{dijkstra, multi_source_dijkstra};
 pub use union_find::UnionFind;

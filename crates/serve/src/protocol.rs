@@ -278,7 +278,7 @@ pub struct PartitionRequest {
     pub beta: f64,
     /// Engine traversal strategy (wall-clock knob).
     pub traversal: Traversal,
-    /// Determinism contract.
+    /// Scheduler choice (wall-clock knob).
     pub determinism: Determinism,
     /// Return the per-vertex label array in the reply.
     pub want_labels: bool,

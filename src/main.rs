@@ -97,7 +97,7 @@ fn main() {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default; alias hybrid) | parallel (alias topdown)\ndeterminism: bitexact (default; byte-identical across thread counts) | fast (lock-free CAS claiming + work stealing)\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx\n.mpx inputs: the header picks the format (v1 or v2, mmap'd); --weighted picks the kind (a weighted snapshot needs it, an unweighted one refuses it)"
+    "usage:\n  mpx gen <workload> <out> [seed] [--weighted]\n  mpx stats <graph>\n  mpx convert <in> <out> [--weighted] [--compress] [--reorder degree|bfs|none] [--threads N]\n  mpx inspect <graph> [--weighted]\n  mpx partition <graph> <beta> [seed] [labels-out.txt] [--weighted] [--threads N] [--strategy S] [--determinism D]\n  mpx profile <workload> <beta> [seed] [--runs K] [--threads N] [--strategy S] [--determinism D] [--weighted] [--trace[=path]]\n  mpx serve <snapshot.mpx>... [--threads N] [--workers K] [--port P] [--queue Q]\n  mpx loadgen <host:port> <beta> [seed] [--clients C] [--requests R] [--strategy S] [--determinism D] [--snapshot I] [--shutdown]\n  mpx render-grid <side> <beta> <out.ppm> [seed]\n\nworkloads: grid:<side> rmat:<scale>[:<ef>] gnm:<n>:<m> ba:<n>:<m> regular:<n>:<d> path:<n> sbm:<n>:<k> file:<path>\n  (profile also accepts a bare family name, e.g. `grid` = grid:200; rmat edge factor defaults to 8)\ngraph files: edge list (.txt/.el) | DIMACS (.gr) | METIS (.metis/.graph) | binary snapshot (.mpx, mmap'd)\nweighted (--weighted): weighted edge list (u v w) | weighted .mpx snapshot (mmap'd)\nthreads: --threads N > MPX_THREADS env > logical CPUs\nstrategy: auto (default; alias hybrid) | parallel (alias topdown)\ndeterminism: bitexact (default; fixed-chunk scheduler) | fast (work-stealing scheduler); labels are byte-identical in both\ntracing: --trace[=path] on partition/profile, or MPX_TRACE=human|json|chrome (sets format, enables tracing)\ncompressed snapshots: convert --compress [--reorder R] writes a delta-varint v2 .mpx\n.mpx inputs: the header picks the format (v1 or v2, mmap'd); --weighted picks the kind (a weighted snapshot needs it, an unweighted one refuses it)"
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -146,46 +146,29 @@ struct RunFlags {
     shutdown: bool,
 }
 
-/// Extracts the `--threads N` / `--threads=N`, `--strategy S` /
-/// `--strategy=S`, boolean `--weighted` and `--trace[=path]` flags
-/// (anywhere in the argument list), returning the remaining positional
-/// arguments and the parsed flags. `allowed` names the flags
+/// Flags that take a value, given as `--name value` or `--name=value`.
+const VALUED_FLAGS: [&str; 11] = [
+    "threads",
+    "strategy",
+    "determinism",
+    "runs",
+    "workers",
+    "port",
+    "queue",
+    "clients",
+    "requests",
+    "snapshot",
+    "reorder",
+];
+
+/// Extracts the flags (anywhere in the argument list), returning the
+/// remaining positional arguments and the parsed flags. A valued flag
+/// takes its value inline (`--threads=4`) or from the next argument
+/// (`--threads 4`); `--weighted`, `--compress` and `--shutdown` take none,
+/// and `--trace` takes only an inline path. `allowed` names the flags
 /// the calling subcommand actually consumes — anything else, recognized
 /// or not, is rejected rather than being silently absorbed or ignored.
 fn extract_flags(args: &[String], allowed: &[&str]) -> Result<(Vec<String>, RunFlags), String> {
-    let parse_threads = |value: &str| -> Result<usize, String> {
-        let n: usize = value
-            .parse()
-            .map_err(|_| format!("--threads: bad value '{value}'"))?;
-        if n == 0 {
-            return Err("--threads: need at least one thread".into());
-        }
-        Ok(n)
-    };
-    let parse_strategy = |value: &str| -> Result<Traversal, String> {
-        value.parse().map_err(|e| format!("--strategy: {e}"))
-    };
-    let parse_determinism = |value: &str| -> Result<Determinism, String> {
-        value.parse().map_err(|e| format!("--determinism: {e}"))
-    };
-    let parse_runs = |value: &str| -> Result<usize, String> {
-        let k: usize = value
-            .parse()
-            .map_err(|_| format!("--runs: bad value '{value}'"))?;
-        if k == 0 {
-            return Err("--runs: need at least one run".into());
-        }
-        Ok(k)
-    };
-    let parse_count = |flag: &str, value: &str| -> Result<usize, String> {
-        let k: usize = value
-            .parse()
-            .map_err(|_| format!("--{flag}: bad value '{value}'"))?;
-        if k == 0 {
-            return Err(format!("--{flag}: need at least one"));
-        }
-        Ok(k)
-    };
     let mut rest = Vec::with_capacity(args.len());
     let mut flags = RunFlags {
         threads: None,
@@ -204,133 +187,67 @@ fn extract_flags(args: &[String], allowed: &[&str]) -> Result<(Vec<String>, RunF
         snapshot_id: 0,
         shutdown: false,
     };
-    let permit = |flag: &str| -> Result<(), String> {
-        if allowed.contains(&flag) {
-            Ok(())
-        } else {
-            Err(format!("--{flag} is not supported by this command"))
-        }
-    };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if arg == "--threads" {
-            permit("threads")?;
-            let value = it.next().ok_or("--threads: missing value")?;
-            flags.threads = Some(parse_threads(value)?);
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            permit("threads")?;
-            flags.threads = Some(parse_threads(value)?);
-        } else if arg == "--strategy" {
-            permit("strategy")?;
-            let value = it.next().ok_or("--strategy: missing value")?;
-            flags.strategy = parse_strategy(value)?;
-        } else if let Some(value) = arg.strip_prefix("--strategy=") {
-            permit("strategy")?;
-            flags.strategy = parse_strategy(value)?;
-        } else if arg == "--determinism" {
-            permit("determinism")?;
-            let value = it.next().ok_or("--determinism: missing value")?;
-            flags.determinism = parse_determinism(value)?;
-        } else if let Some(value) = arg.strip_prefix("--determinism=") {
-            permit("determinism")?;
-            flags.determinism = parse_determinism(value)?;
-        } else if arg == "--runs" {
-            permit("runs")?;
-            let value = it.next().ok_or("--runs: missing value")?;
-            flags.runs = Some(parse_runs(value)?);
-        } else if let Some(value) = arg.strip_prefix("--runs=") {
-            permit("runs")?;
-            flags.runs = Some(parse_runs(value)?);
-        } else if arg == "--workers" {
-            permit("workers")?;
-            let value = it.next().ok_or("--workers: missing value")?;
-            flags.workers = Some(parse_count("workers", value)?);
-        } else if let Some(value) = arg.strip_prefix("--workers=") {
-            permit("workers")?;
-            flags.workers = Some(parse_count("workers", value)?);
-        } else if arg == "--port" {
-            permit("port")?;
-            let value = it.next().ok_or("--port: missing value")?;
-            flags.port = value
-                .parse()
-                .map_err(|_| format!("--port: bad value '{value}'"))?;
-        } else if let Some(value) = arg.strip_prefix("--port=") {
-            permit("port")?;
-            flags.port = value
-                .parse()
-                .map_err(|_| format!("--port: bad value '{value}'"))?;
-        } else if arg == "--queue" {
-            permit("queue")?;
-            let value = it.next().ok_or("--queue: missing value")?;
-            flags.queue = Some(
-                value
-                    .parse()
-                    .map_err(|_| format!("--queue: bad value '{value}'"))?,
-            );
-        } else if let Some(value) = arg.strip_prefix("--queue=") {
-            permit("queue")?;
-            flags.queue = Some(
-                value
-                    .parse()
-                    .map_err(|_| format!("--queue: bad value '{value}'"))?,
-            );
-        } else if arg == "--clients" {
-            permit("clients")?;
-            let value = it.next().ok_or("--clients: missing value")?;
-            flags.clients = Some(parse_count("clients", value)?);
-        } else if let Some(value) = arg.strip_prefix("--clients=") {
-            permit("clients")?;
-            flags.clients = Some(parse_count("clients", value)?);
-        } else if arg == "--requests" {
-            permit("requests")?;
-            let value = it.next().ok_or("--requests: missing value")?;
-            flags.requests = Some(parse_count("requests", value)?);
-        } else if let Some(value) = arg.strip_prefix("--requests=") {
-            permit("requests")?;
-            flags.requests = Some(parse_count("requests", value)?);
-        } else if arg == "--snapshot" {
-            permit("snapshot")?;
-            let value = it.next().ok_or("--snapshot: missing value")?;
-            flags.snapshot_id = value
-                .parse()
-                .map_err(|_| format!("--snapshot: bad value '{value}'"))?;
-        } else if let Some(value) = arg.strip_prefix("--snapshot=") {
-            permit("snapshot")?;
-            flags.snapshot_id = value
-                .parse()
-                .map_err(|_| format!("--snapshot: bad value '{value}'"))?;
-        } else if arg == "--shutdown" {
-            permit("shutdown")?;
-            flags.shutdown = true;
-        } else if arg == "--compress" {
-            permit("compress")?;
-            flags.compress = true;
-        } else if arg == "--reorder" {
-            permit("reorder")?;
-            let value = it.next().ok_or("--reorder: missing value")?;
-            flags.reorder = value.parse().map_err(|e| format!("--reorder: {e}"))?;
-        } else if let Some(value) = arg.strip_prefix("--reorder=") {
-            permit("reorder")?;
-            flags.reorder = value.parse().map_err(|e| format!("--reorder: {e}"))?;
-        } else if arg == "--weighted" {
-            permit("weighted")?;
-            flags.weighted = true;
-        } else if arg == "--trace" {
-            permit("trace")?;
-            flags.trace = Some(None);
-        } else if let Some(value) = arg.strip_prefix("--trace=") {
-            permit("trace")?;
-            if value.is_empty() {
-                return Err("--trace=: missing path".into());
-            }
-            flags.trace = Some(Some(value.to_string()));
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown flag '{arg}'"));
-        } else {
+        let Some(flag) = arg.strip_prefix("--") else {
             rest.push(arg.clone());
+            continue;
+        };
+        let (name, inline) = match flag.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (flag, None),
+        };
+        let valued = VALUED_FLAGS.contains(&name);
+        let known = valued
+            || name == "trace"
+            || (inline.is_none() && ["weighted", "compress", "shutdown"].contains(&name));
+        if !known {
+            return Err(format!("unknown flag '{arg}'"));
+        }
+        if !allowed.contains(&name) {
+            return Err(format!("--{name} is not supported by this command"));
+        }
+        let value = match inline {
+            Some(value) => value,
+            None if valued => it
+                .next()
+                .ok_or_else(|| format!("--{name}: missing value"))?,
+            None => "",
+        };
+        // Every error names its flag.
+        let named = |e: String| format!("--{name}: {e}");
+        let bad = |_| named(format!("bad value '{value}'"));
+        match name {
+            "threads" => flags.threads = Some(parse_count(name, value)?),
+            "runs" => flags.runs = Some(parse_count(name, value)?),
+            "workers" => flags.workers = Some(parse_count(name, value)?),
+            "clients" => flags.clients = Some(parse_count(name, value)?),
+            "requests" => flags.requests = Some(parse_count(name, value)?),
+            "strategy" => flags.strategy = value.parse().map_err(named)?,
+            "determinism" => flags.determinism = value.parse().map_err(named)?,
+            "reorder" => flags.reorder = value.parse().map_err(named)?,
+            "port" => flags.port = value.parse().map_err(bad)?,
+            "queue" => flags.queue = Some(value.parse().map_err(bad)?),
+            "snapshot" => flags.snapshot_id = value.parse().map_err(bad)?,
+            "weighted" => flags.weighted = true,
+            "compress" => flags.compress = true,
+            "shutdown" => flags.shutdown = true,
+            "trace" if inline == Some("") => return Err("--trace=: missing path".into()),
+            "trace" => flags.trace = Some(inline.map(str::to_string)),
+            _ => unreachable!("every known flag is handled"),
         }
     }
     Ok((rest, flags))
+}
+
+/// Parses the value of a count flag (`--threads`, `--runs`, …): a
+/// positive integer.
+fn parse_count(name: &str, value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) => Err(format!("--{name}: need at least one")),
+        Ok(k) => Ok(k),
+        Err(_) => Err(format!("--{name}: bad value '{value}'")),
+    }
 }
 
 /// Escapes a user-supplied string for embedding in the hand-rolled JSON
@@ -992,14 +909,12 @@ impl PartitionRun<'_> {
         let report = verify_decomposition(g, &d);
         println!("{}", DecompositionStats::from_report(&d, &report));
         println!(
-            "engine: strategy={} determinism={} rounds={} relaxations={} bottom_up_rounds={} cas_success={} cas_retries={} source={source}",
+            "engine: strategy={} determinism={} rounds={} relaxations={} bottom_up_rounds={} source={source}",
             self.flags.strategy.as_str(),
             self.flags.determinism.as_str(),
             telemetry.rounds,
             telemetry.relaxations,
             telemetry.bottom_up_rounds,
-            telemetry.cas_success,
-            telemetry.cas_retries,
         );
         if !report.is_valid() {
             return Err(format!("verification FAILED: {:?}", report.errors));
@@ -1165,15 +1080,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             drop(session);
             Ok::<_, String>((g, report, baseline, traced, telemetry, trace))
         })?;
-    // Hard invariant 1: tracing must not perturb the output. Fast mode's
-    // unweighted labels are schedule-dependent (byte-stability is a
-    // BitExact contract), so there the check becomes "the traced run
-    // still satisfies the verifier invariants".
-    let labels_match = if flags.determinism == Determinism::Fast {
-        verify_decomposition(&g, &traced).is_valid()
-    } else {
-        traced == baseline
-    };
+    // Hard invariant 1: tracing must not perturb the output.
+    let labels_match = traced == baseline;
     // Hard invariant 2: the span-derived counts must equal the engine
     // telemetry — one engine.round span per round, and the expand/scan
     // span args summing to the relaxation count.
@@ -1244,11 +1152,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     println!("  \"trace\": {}", trace.to_json());
     println!("}}");
     if !labels_match {
-        return Err(if flags.determinism == Determinism::Fast {
-            "profile: traced fast run failed verifier invariants".into()
-        } else {
-            "profile: traced labels differ from untraced labels".to_string()
-        });
+        return Err("profile: traced labels differ from untraced labels".into());
     }
     if !consistent {
         return Err(format!(

@@ -553,6 +553,85 @@ fn flags_are_rejected_by_commands_that_do_not_consume_them() {
     std::fs::remove_file(txt).ok();
 }
 
+/// Every valued flag means the same in both spellings, `--name value` and
+/// `--name=value`: `partition` and `profile` print the same report
+/// (profile's timings aside) and show the value took effect. A missing
+/// value and a zero count are rejected, naming the flag.
+#[test]
+fn valued_flags_mean_the_same_in_both_spellings() {
+    let txt = tmp("spellings.txt");
+    let txt_s = txt.to_str().unwrap();
+    run_ok(&["gen", "grid:30", txt_s]);
+    // Partition's report, or profile's without the lines that carry
+    // wall-clock times.
+    let run = |command: &str, spelled: &[&str]| -> String {
+        if command == "partition" {
+            return run_ok(&[&["partition", txt_s, "0.2", "7"], spelled].concat());
+        }
+        let timed = ["\"latency_ms\"", "\"throughput", "\"per_run\"", "\"trace\""];
+        run_ok(&[&["profile", "grid:30", "0.3", "5"], spelled].concat())
+            .lines()
+            .filter(|l| !timed.iter().any(|k| l.trim_start().starts_with(k)))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    for (command, flag, value, shown) in [
+        ("partition", "threads", "3", "verified"),
+        ("partition", "strategy", "parallel", "strategy=parallel"),
+        ("partition", "determinism", "fast", "determinism=fast"),
+        ("profile", "threads", "3", "\"threads\": 3,"),
+        (
+            "profile",
+            "strategy",
+            "parallel",
+            "\"strategy\": \"parallel\"",
+        ),
+        (
+            "profile",
+            "determinism",
+            "fast",
+            "\"determinism\": \"fast\"",
+        ),
+        ("profile", "runs", "2", "\"runs\": 2,"),
+    ] {
+        let (name, joined) = (format!("--{flag}"), format!("--{flag}={value}"));
+        let split = run(command, &[&name, value]);
+        assert!(split.contains(shown), "{command} {name} {value}: {split}");
+        assert_eq!(
+            split,
+            run(command, &[&joined]),
+            "{command}: {name} {value} vs {joined}"
+        );
+    }
+    // A valued flag that ends the line has no value.
+    for args in [
+        ["partition", txt_s, "0.2", "--threads"],
+        ["profile", "grid:30", "0.3", "--runs"],
+        ["partition", txt_s, "0.2", "--determinism"],
+    ] {
+        let stderr = assert_clean_error(&args);
+        let message = format!("{}: missing value", args[3]);
+        assert!(stderr.contains(&message), "mpx {args:?}: {stderr}");
+    }
+    // Every count flag refuses zero, in both spellings.
+    for (command, positional, flag) in [
+        ("partition", &[txt_s, "0.2"][..], "threads"),
+        ("profile", &["grid:30", "0.3"], "runs"),
+        ("serve", &[txt_s], "workers"),
+        ("loadgen", &["127.0.0.1:1", "0.2"], "clients"),
+        ("loadgen", &["127.0.0.1:1", "0.2"], "requests"),
+    ] {
+        let (name, joined) = (format!("--{flag}"), format!("--{flag}=0"));
+        for spelled in [&[name.as_str(), "0"][..], &[joined.as_str()]] {
+            let args = [&[command], positional, spelled].concat();
+            let stderr = assert_clean_error(&args);
+            let message = format!("--{flag}: need at least one");
+            assert!(stderr.contains(&message), "mpx {args:?}: {stderr}");
+        }
+    }
+    std::fs::remove_file(txt).ok();
+}
+
 #[test]
 fn convert_rejects_unknown_output_extension() {
     let txt = tmp("ext.txt");

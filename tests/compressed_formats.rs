@@ -98,9 +98,10 @@ fn v1_v2_and_reordered_v2_labels_are_byte_identical() {
     }
 }
 
-/// Under `Fast` determinism labels are schedule-dependent, but every
-/// decomposition off a compressed (and reordered) view must still verify,
-/// with the radius within the paper's `O(log n / β)` regime.
+/// `Fast` determinism only swaps the scheduler: a decomposition off a
+/// compressed (and reordered) view verifies, with the radius within the
+/// paper's `O(log n / β)` regime, and its remapped labels equal
+/// BitExact's.
 #[test]
 fn fast_mode_over_compressed_views_verifies() {
     let g = gen::rmat(10, 6 << 10, 0.57, 0.19, 0.19, 11);
@@ -109,9 +110,8 @@ fn fast_mode_over_compressed_views_verifies() {
     write_compressed_snapshot(&apply_permutation(&g, &perm), Some(&perm), &p).unwrap();
     let m = MappedCompressedCsr::open(&p).unwrap();
     let beta = 0.12;
-    let opts = DecompOptions::new(beta)
-        .with_seed(5)
-        .with_determinism(Determinism::Fast);
+    let bitexact = DecompOptions::new(beta).with_seed(5);
+    let opts = bitexact.clone().with_determinism(Determinism::Fast);
     let (d, _) = Workspace::new().partition_view_permuted(&m, &opts, &perm.clone());
     let report = verify_decomposition(&m.to_graph(), &d);
     assert!(report.is_valid(), "{:?}", report.errors);
@@ -125,6 +125,12 @@ fn fast_mode_over_compressed_views_verifies() {
     let remapped = d.remap_labels(&perm);
     assert_eq!(remapped.num_clusters(), d.num_clusters());
     assert_eq!(remapped.max_radius(), d.max_radius());
+    let (exact, _) = Workspace::new().partition_view_permuted(&m, &bitexact, &perm);
+    assert_eq!(
+        remapped.assignment(),
+        exact.remap_labels(&perm).assignment(),
+        "fast labels differ from bitexact on the reordered v2 view"
+    );
     std::fs::remove_file(p).ok();
 }
 

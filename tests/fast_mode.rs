@@ -1,27 +1,24 @@
-//! Fast-mode invariant suite (`Determinism::Fast`).
+//! Determinism-mode suite (`Determinism::Fast` against `BitExact`).
 //!
-//! Fast trades BitExact's byte-identical-output contract for single-shot
-//! CAS claiming and work-stealing scheduling; what it must keep is the
-//! paper's `(β, O(log n / β))` guarantee. This suite sweeps graph
-//! families × strategy tokens (plus Auto at an `alpha` that takes its
-//! rounds bottom-up) × thread counts × seeds asserting, on every Fast run:
+//! Both modes run the engine's claim/settle protocol; Fast only moves its
+//! parallel regions onto the work-stealing scheduler. This suite sweeps
+//! graph families × strategy tokens (plus Auto at an `alpha` that takes
+//! its rounds bottom-up) × thread counts × seeds asserting, on every run:
 //!
-//! 1. the full verifier passes (partition, strong diameter, Lemma 4.1);
-//! 2. the canonical radius bound and the slackened `βm` cut bound hold
+//! 1. Fast's `Decomposition` and `PartitionTelemetry` equal BitExact's;
+//! 2. the full verifier passes (partition, strong diameter, Lemma 4.1);
+//! 3. the canonical radius bound and the slackened `βm` cut bound hold
 //!    ([`VerifyReport::radius_within_bound`] /
 //!    [`VerifyReport::cut_within_fraction`]);
-//! 3. quality statistics (cluster count, cut fraction) stay within
-//!    tolerance of the BitExact output for the same shifts;
 //!
-//! and, alongside, that BitExact never takes the CAS path (zero CAS
-//! successes and retries on every BitExact run of the sweep) and that its
-//! output remains byte-identical across thread counts and unperturbed by
-//! interleaved Fast runs on the same workspace (no scratch
-//! cross-contamination) — pinned against pre-change label hashes.
+//! and, alongside, that BitExact output remains byte-identical across
+//! thread counts and unperturbed by interleaved Fast runs on the same
+//! workspace (no scratch cross-contamination) — pinned against
+//! pre-change label hashes.
 
 use mpx::decomp::{
-    verify_decomposition, DecompOptions, DecomposerBuilder, Determinism, PartitionTelemetry,
-    Traversal, VerifyReport, Workspace, DEFAULT_ALPHA,
+    partition, verify_decomposition, DecompOptions, DecomposerBuilder, Decomposition, Determinism,
+    PartitionTelemetry, Traversal, VerifyReport, Workspace, DEFAULT_ALPHA,
 };
 use mpx::graph::{gen, CsrGraph};
 use mpx::runtime::Pool;
@@ -58,23 +55,15 @@ fn run(
     alpha: u64,
     determinism: Determinism,
     seed: u64,
-) -> (VerifyReport, PartitionTelemetry) {
-    let mut session = DecomposerBuilder::new(BETA)
+) -> (Decomposition, PartitionTelemetry) {
+    DecomposerBuilder::new(BETA)
         .seed(seed)
         .traversal(strategy)
         .alpha(alpha)
         .determinism(determinism)
         .build(g)
-        .unwrap();
-    let (d, telemetry) = session.run_instrumented();
-    if determinism == Determinism::BitExact {
-        assert_eq!(
-            (telemetry.cas_success, telemetry.cas_retries),
-            (0, 0),
-            "BitExact took the CAS path ({strategy:?}, seed {seed})"
-        );
-    }
-    (verify_decomposition(g, &d), telemetry)
+        .unwrap()
+        .run_instrumented()
 }
 
 #[test]
@@ -88,50 +77,29 @@ fn fast_runs_hold_invariants_across_families_strategies_threads() {
                     let ctx = format!(
                         "{name} --strategy {token} alpha {alpha} --threads {threads} seed {seed}"
                     );
-                    let ((exact, _), (fast, fast_telemetry)) = Pool::new(threads).install(|| {
+                    let (exact, fast) = Pool::new(threads).install(|| {
                         (
                             run(&g, strategy, alpha, Determinism::BitExact, seed),
                             run(&g, strategy, alpha, Determinism::Fast, seed),
                         )
                     });
+                    assert_eq!(fast, exact, "{ctx}: fast differs from bitexact");
+                    let (d, telemetry) = fast;
                     if alpha == BOTTOM_UP_ALPHA {
-                        assert!(
-                            fast_telemetry.bottom_up_rounds > 0,
-                            "{ctx}: no bottom-up round"
-                        );
+                        assert!(telemetry.bottom_up_rounds > 0, "{ctx}: no bottom-up round");
                     }
-                    assert!(fast.is_valid(), "{ctx}: {:?}", fast.errors);
+                    let report = verify_decomposition(&g, &d);
+                    assert!(report.is_valid(), "{ctx}: {:?}", report.errors);
                     assert!(
-                        fast.radius_within_bound(n, BETA),
+                        report.radius_within_bound(n, BETA),
                         "{ctx}: radius {} over bound {}",
-                        fast.max_radius,
+                        report.max_radius,
                         VerifyReport::radius_bound(n, BETA)
                     );
                     assert!(
-                        fast.cut_within_fraction(BETA, 4.0),
+                        report.cut_within_fraction(BETA, 4.0),
                         "{ctx}: cut fraction {} over 4β",
-                        fast.cut_fraction
-                    );
-                    // Quality tolerance vs BitExact under the same shifts:
-                    // Fast only re-breaks intra-round ties, so cluster
-                    // counts and cut fractions stay close.
-                    let dc = (fast.num_clusters as f64 - exact.num_clusters as f64).abs();
-                    assert!(
-                        dc <= 0.2 * exact.num_clusters as f64 + 16.0,
-                        "{ctx}: clusters {} vs bitexact {}",
-                        fast.num_clusters,
-                        exact.num_clusters
-                    );
-                    // Both cut fractions are Θ(β) quantities (Fast's
-                    // first-CAS-wins tie-break trades some of BitExact's
-                    // fractional-ordering quality, still inside the 4β
-                    // bound above), so the tolerance is additive in β.
-                    let df = (fast.cut_fraction - exact.cut_fraction).abs();
-                    assert!(
-                        df <= 2.0 * BETA,
-                        "{ctx}: cut fraction {} vs bitexact {}",
-                        fast.cut_fraction,
-                        exact.cut_fraction
+                        report.cut_fraction
                     );
                 }
             }
@@ -175,10 +143,10 @@ const PIN_SEED_1: u64 = 2265413317203918694;
 const PIN_SEED_2: u64 = 18224854147524983632;
 const PIN_SEED_3: u64 = 17970877362129580436;
 
-/// Hammers one workspace with interleaved Fast/BitExact runs: the
-/// BitExact outputs must stay byte-identical to a fresh session's (and to
-/// the pins above) — Fast's unreset scratch must never leak into a
-/// BitExact round.
+/// Hammers one workspace with interleaved Fast/BitExact runs: every
+/// output must stay byte-identical to a fresh BitExact run's (and the
+/// BitExact outputs to the pins above) — no run may leak scratch state
+/// into the next.
 #[test]
 fn interleaved_fast_runs_do_not_perturb_bitexact_outputs() {
     let g = gen::grid2d(30, 30);
@@ -196,6 +164,11 @@ fn interleaved_fast_runs_do_not_perturb_bitexact_outputs() {
                     let fast_seed = 100 + round * 3 + seed;
                     let (d, _) = ws.partition_view(&g, &fast.clone().with_seed(fast_seed));
                     assert!(verify_decomposition(&g, &d).is_valid());
+                    assert_eq!(
+                        d,
+                        partition(&g, &bitexact.clone().with_seed(fast_seed)),
+                        "fast seed {fast_seed} differs from bitexact at {threads} threads"
+                    );
                     let (d, _) = ws.partition_view(&g, &bitexact.clone().with_seed(seed));
                     assert_eq!(
                         d, pins[i],

@@ -1,9 +1,10 @@
 //! Concurrent-correctness stress: N client threads × M requests with
-//! mixed seeds/strategies against one server over two snapshots
-//! (unweighted + weighted). Every per-seed BitExact label vector must
-//! be byte-identical no matter which worker session served it or how
-//! requests interleaved — and equal to an in-process reference run.
-//! The pool must never exceed its configured session count.
+//! mixed seeds/strategies/determinism modes against one server over two
+//! snapshots (unweighted + weighted). Every per-seed label vector must
+//! be byte-identical no matter which mode asked for it, which worker
+//! session served it or how requests interleaved — and equal to an
+//! in-process BitExact reference run. The pool must never exceed its
+//! configured session count.
 
 mod serve_common;
 
@@ -22,6 +23,7 @@ const SEED_SPACE: u64 = 5; // few distinct seeds → heavy cross-thread overlap
 const BETA: f64 = 0.25;
 
 const STRATEGIES: [Traversal; 2] = [Traversal::Auto, Traversal::TopDownPar];
+const MODES: [Determinism; 2] = [Determinism::BitExact, Determinism::Fast];
 
 #[test]
 fn concurrent_bitexact_labels_are_byte_identical_across_workers() {
@@ -34,9 +36,9 @@ fn concurrent_bitexact_labels_are_byte_identical_across_workers() {
     let server = TestServer::start_opts(&[&snap_u, &snap_w], WORKERS, QUEUE, false);
     let addr = server.addr;
 
-    // In-process references, per (snapshot, seed). BitExact pins the
-    // labels regardless of traversal strategy or thread schedule, so
-    // one reference per seed covers every strategy the clients mix in.
+    // In-process references, per (snapshot, seed). Labels never depend
+    // on traversal strategy, determinism mode or thread schedule, so one
+    // reference per seed covers every combination the clients mix in.
     let mut reference: HashMap<(u32, u64), Vec<u32>> = HashMap::new();
     let mut ws = mpx::decomp::Workspace::new();
     for seed in 0..SEED_SPACE {
@@ -61,10 +63,11 @@ fn concurrent_bitexact_labels_are_byte_identical_across_workers() {
                     let seed = (k as u64 * 7 + t as u64) % SEED_SPACE;
                     let snapshot = (k % 2) as u32;
                     let mut req = PartitionRequest::new(snapshot, seed, BETA);
-                    // `k / 2`: the snapshot alternates with `k`, so each
-                    // snapshot sees every strategy.
+                    // `k / 2` and `k / 4`: the snapshot alternates with
+                    // `k`, so each snapshot sees every strategy in both
+                    // determinism modes.
                     req.traversal = STRATEGIES[(k / 2) % STRATEGIES.len()];
-                    req.determinism = Determinism::BitExact;
+                    req.determinism = MODES[(k / 4) % MODES.len()];
                     req.want_labels = true;
                     let reply = client.partition(&req).expect("stress request");
                     assert_eq!(reply.snapshot, snapshot);
@@ -126,56 +129,4 @@ fn concurrent_bitexact_labels_are_byte_identical_across_workers() {
     assert_eq!(final_stats.verify_failures, 0);
     std::fs::remove_file(&snap_u).ok();
     std::fs::remove_file(&snap_w).ok();
-}
-
-/// Fast mode over the weighted snapshot stays bit-identical too (the
-/// CAS-reduction Δ-stepping path guarantees it), so a mixed
-/// BitExact/Fast weighted load must agree with the same reference.
-#[test]
-fn weighted_fast_mode_stays_bit_identical_under_concurrency() {
-    let weighted = serve_common::weighted_gnm(1000, 4000, 23);
-    let snap = serve_common::temp_weighted_snapshot("stress_fast_w", &weighted);
-    let server = TestServer::start(&[&snap], 2, 8);
-    let addr = server.addr;
-
-    let mut ws = mpx::decomp::Workspace::new();
-    let mut reference: HashMap<u64, Vec<u32>> = HashMap::new();
-    for seed in 0..3u64 {
-        let opts = DecompOptions::new(0.3).with_seed(seed);
-        let (d, _) = ws.partition_weighted_view(&weighted, &opts);
-        reference.insert(seed, d.assignment.clone());
-    }
-
-    std::thread::scope(|scope| {
-        for t in 0..4 {
-            let reference = &reference;
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for i in 0..6 {
-                    let seed = ((t + i) % 3) as u64;
-                    let mut req = PartitionRequest::new(0, seed, 0.3);
-                    req.determinism = if (t + i) % 2 == 0 {
-                        Determinism::Fast
-                    } else {
-                        Determinism::BitExact
-                    };
-                    req.want_labels = true;
-                    let reply = client.partition(&req).expect("request");
-                    assert!(reply.verified);
-                    assert_eq!(
-                        reply.labels.as_deref(),
-                        Some(reference[&seed].as_slice()),
-                        "weighted labels must be bit-identical in both determinism modes"
-                    );
-                }
-            });
-        }
-    });
-
-    let mut c = Client::connect(addr).unwrap();
-    c.shutdown().unwrap();
-    let stats = server.join();
-    assert_eq!(stats.served, 24);
-    assert_eq!(stats.verify_failures, 0);
-    std::fs::remove_file(&snap).ok();
 }
